@@ -264,9 +264,9 @@ def _cmd_rep(args, outdir: Path):
         "c": args.c,
         "basis": list(triple[0].basis),
         "matrices": {
-            "Jz": complex_pairs(triple[0].entries),
-            "Jplus": complex_pairs(triple[1].entries),
-            "Jminus": complex_pairs(triple[2].entries),
+            "Jz": complex_pairs(triple[0]),
+            "Jplus": complex_pairs(triple[1]),
+            "Jminus": complex_pairs(triple[2]),
         },
         "report": {k: getattr(report, k) for k in report.__dataclass_fields__},
     }

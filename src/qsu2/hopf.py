@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .operators import OperatorMatrix
+from .operators import OperatorMatrix, _absmax, _ladder_bands
 
 EDGE_BUFFER = 2
 
@@ -116,18 +117,20 @@ class GenDeformation:
         object.__setattr__(self, "C1", 2.0 ** (4.0 / 3.0) / (abs(self.h) ** (4.0 / 3.0) * w ** (2.0 / 3.0)))
         object.__setattr__(self, "C2", 2.0 ** (1.0 / 3.0) / w ** (1.0 / 3.0))
 
-    def b(self, m):
+    @cached_property
+    def _b_fn(self):
         if self.profile == "constant":
-            fn = _profile_constant(self.profile_params)
-        elif self.profile == "sech":
-            fn = _profile_sech(self.profile_params, self.q1)
-        elif self.profile == "geometric":
-            fn = _profile_geometric(self.profile_params, self.q1, self.alpha)
-        elif self.profile == "tabulated":
-            fn = _profile_tabulated(self.profile_params)
-        else:
-            raise ValueError(f"unknown profile {self.profile!r}")
-        return fn(m)
+            return _profile_constant(self.profile_params)
+        if self.profile == "sech":
+            return _profile_sech(self.profile_params, self.q1)
+        if self.profile == "geometric":
+            return _profile_geometric(self.profile_params, self.q1, self.alpha)
+        if self.profile == "tabulated":
+            return _profile_tabulated(self.profile_params)
+        raise ValueError(f"unknown profile {self.profile!r}")
+
+    def b(self, m):
+        return self._b_fn(m)
 
     def f_at_q1(self, m):
         """f(m, q1) = 1 + (q1 - 1)^2 b(m); must stay positive."""
@@ -269,9 +272,13 @@ def sech_profile(m, gd: GenDeformation, f_lo: float, f_hi: float):
 
 
 def spectrum_2jz(gd: GenDeformation, m_range):
-    """Deformed commutator spectrum 2 (f - 1/f)/h over the m range."""
+    """Deformed commutator spectrum 2 (f - 1/f)/h over the m range: the
+    diagonal of [J_+, J_-] on the states m."""
     f = np.asarray(gd.f_at_q1(m_range), dtype=float)
     return 2.0 * (f - 1.0 / f) / gd.h
+
+
+gen_commutator_diag = spectrum_2jz
 
 
 def detect_accumulation(m_values, values, tail: int = 8):
@@ -304,12 +311,6 @@ def _c2_casimir(gd: GenDeformation) -> float:
     return 2.0 ** (1.0 / 3.0) / v ** (1.0 / 3.0)
 
 
-def gen_commutator_diag(gd: GenDeformation, m):
-    """Diagonal of [J_+, J_-]: 2 (f(m) - 1/f(m))/h."""
-    f = gd.f_at_q1(m)
-    return 2.0 * (f - 1.0 / f) / gd.h
-
-
 def build_gen_rep(gd: GenDeformation, dim: int, c: float, m0: float | None = None):
     """(J_z, J_+, J_-, g) on m0 .. m0+dim-1 by telescoping the commutator.
 
@@ -325,7 +326,7 @@ def build_gen_rep(gd: GenDeformation, dim: int, c: float, m0: float | None = Non
     f = np.asarray(gd.f_at_q1(ms), dtype=float)
     gt = f ** 0.5 * gd.q1 ** -0.25  # diag(sqrt(f)) * q1^{-1/4}
     phi = (gt - 1.0 / gt) ** 2
-    k_diag = 2.0 * (f - 1.0 / f) / gd.h
+    k_diag = gen_commutator_diag(gd, ms)
 
     a = dim // 2
     c2c = _c2_casimir(gd)
@@ -342,45 +343,40 @@ def build_gen_rep(gd: GenDeformation, dim: int, c: float, m0: float | None = Non
         raise ValueError(f"no unitary truncation at this anchor: min |N|^2 = {n2.min()!r}")
     n2 = np.maximum(n2, 0.0)
 
-    jz = np.diag(ms).astype(complex)
-    jp = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim - 1):
-        jp[i + 1, i] = math.sqrt(n2[i])
-    jm = jp.conj().T.copy()
-    g = np.diag(gt).astype(complex)
     basis = tuple(ms)
+    jp = OperatorMatrix(np.sqrt(n2).astype(complex), -1, basis, 0.0)
     return (
-        OperatorMatrix(jz, basis, 0.0),
-        OperatorMatrix(jp, basis, 0.0),
-        OperatorMatrix(jm, basis, 0.0),
-        OperatorMatrix(g, basis, 0.0),
+        OperatorMatrix(ms.astype(complex), 0, basis, 0.0),
+        jp,
+        jp.adjoint(),
+        OperatorMatrix(gt.astype(complex), 0, basis, 0.0),
     )
 
 
+def _interior_block(n: int) -> slice:
+    """Band entries [i+1, i] inside the interior rows and columns [buf, n - buf)."""
+    if n - EDGE_BUFFER <= EDGE_BUFFER:
+        raise ValueError(f"basis of size {n} leaves no interior rows at buffer {EDGE_BUFFER}")
+    return slice(EDGE_BUFFER, n - EDGE_BUFFER - 1)
+
+
 def casimir_gen(gd: GenDeformation, rep) -> np.ndarray:
-    """Quartic Casimir matrix C1 (g~ - g~^-1)^2 + c2 J_+ J_- of the built rep."""
+    """Quartic Casimir C1 (g~ - g~^-1)^2 + c2 J_+ J_- of the built rep, a
+    diagonal matrix."""
     _, jp, jm, g = rep
-    gt = np.real(np.diag(g.entries))
-    quad = np.diag((gt - 1.0 / gt) ** 2)
-    return gd.C1 * quad + _c2_casimir(gd) * (jp.entries @ jm.entries)
+    gt = g.band.real
+    quad = (gt - 1.0 / gt) ** 2
+    pm = np.concatenate(([0j], jp.band * jm.band))  # diagonal of J_+ J_-
+    return np.diag(gd.C1 * quad + _c2_casimir(gd) * pm)
 
 
 def conjugation_residual(gd: GenDeformation, rep) -> float:
     """Interior residual of g^2 J_+ g^-2 - q1 J_+ (exact only for the
     geometric profile, where f steps by the ratio q1)."""
     _, jp, _, g = rep
-    n = jp.entries.shape[0]
-    f = np.real(np.diag(g.entries)) ** 2 * math.sqrt(gd.q1)
-    conj = np.diag(f) @ jp.entries @ np.diag(1.0 / f)
-    res = conj - gd.q1 * jp.entries
-    lo, hi = EDGE_BUFFER, n - EDGE_BUFFER
-    return float(np.abs(res[lo:hi, lo:hi]).max())
-
-
-def _interior_pair_mask(n: int, buf: int) -> np.ndarray:
-    keep = np.zeros(n, dtype=bool)
-    keep[buf : n - buf] = True
-    return np.kron(keep, keep)
+    f = g.band.real ** 2 * math.sqrt(gd.q1)
+    res = f[1:] * jp.band * (1.0 / f[:-1]) - gd.q1 * jp.band
+    return _absmax(res[_interior_block(len(f))])
 
 
 def hopf_axiom_report(gd: GenDeformation, rep) -> HopfReport:
@@ -393,52 +389,61 @@ def hopf_axiom_report(gd: GenDeformation, rep) -> HopfReport:
     sqrt(q)-vs-q mismatch.  The comultiplication-homomorphism residual on
     the commutator relation vanishes only when the conjugation relation
     holds (geometric profile).
+
+    Delta(J_+) = J_+ (x) g^-1 + g (x) J_+ and Delta(g) = g (x) g act on
+    products of bands, so every operator below is a sum of terms, each
+    one band shifted in one tensor factor.  The residuals are taken over
+    those supports as outer products of the band vectors, never forming
+    an n^2 x n^2 or n^3 x n^3 matrix.  Entries off the supports are exact
+    zeros on both sides.
     """
-    _, jp_m, jm_m, g_m = rep
-    jp, jm = jp_m.entries, jm_m.entries
-    # the stored matrix is the tilde-normalized q1^{-1/4} sqrt(f); the Hopf
-    # maps and the commutator relation use the bare g with g^2 = f
-    g = gd.q1**0.25 * g_m.entries
-    ginv = np.diag(1.0 / np.diag(g))
-    n = jp.shape[0]
+    # the bands have zero imaginary parts; the stored g is the
+    # tilde-normalized q1^{-1/4} sqrt(f), and the Hopf maps use the bare g
+    # with g^2 = f
+    _, jp, jm = (band.real for band in _ladder_bands(rep[:3]))
+    g = gd.q1**0.25 * rep[3].band.real
+    ginv = 1.0 / g
+    n = len(g)
+    outer = np.multiply.outer
 
-    def kron3(a, b, c):
-        return np.kron(np.kron(a, b), c)
-
-    # Delta(J+) = J+ (x) g^-1 + g (x) J+ ; Delta(g) = g (x) g
-    d_jp = np.kron(jp, ginv) + np.kron(g, jp)
-    d_jm = np.kron(jm, ginv) + np.kron(g, jm)
-    d_g = np.kron(g, g)
-    d_ginv = np.kron(ginv, ginv)
-
-    coassoc_g = float(np.abs(kron3(g, g, g) - kron3(g, g, g)).max())
-    lhs = np.kron(d_jp, ginv) + kron3(g, g, jp)  # (Delta (x) id) Delta(J+)
-    rhs = np.kron(jp, d_ginv) + np.kron(g, d_jp)  # (id (x) Delta) Delta(J+)
-    coassoc_jp = float(np.abs(lhs - rhs).max())
+    ggg = outer(outer(g, g), g)
+    coassoc_g = _absmax(ggg - ggg)
+    # (Delta (x) id) Delta(J+) - (id (x) Delta) Delta(J+): J+ shifts the
+    # first, second or third factor
+    coassoc_jp = _absmax(
+        outer(outer(jp, ginv), ginv) - outer(jp, outer(ginv, ginv)),
+        outer(outer(g, jp), ginv) - outer(g, outer(jp, ginv)),
+        outer(outer(g, g), jp) - outer(g, outer(g, jp)),
+    )
 
     # (eps (x) id) Delta = id with eps(J+) = 0, eps(g^+-1) = 1
-    counit_jp = float(np.abs(0.0 * ginv + 1.0 * jp - jp).max())
-    counit_g = float(np.abs(1.0 * g - g).max())
+    counit_jp = _absmax(0.0 * ginv, 1.0 * jp - jp)
+    counit_g = _absmax(1.0 * g - g)
 
-    mask = np.zeros(n, dtype=bool)
-    mask[EDGE_BUFFER : n - EDGE_BUFFER] = True
+    # m (S (x) id) Delta(J+) - eta eps(J+) = S(J+) g^-1 + g^-1 J+, on the
+    # interior; its only non-zero entries are the [i+1, i] band
+    inner = _interior_block(n)
+    antipode_full = _absmax(((-(1.0 / gd.q1) * jp) * ginv[:-1] + ginv[1:] * jp)[inner])
+    antipode_half = _absmax(((-(1.0 / math.sqrt(gd.q1)) * jp) * ginv[:-1] + ginv[1:] * jp)[inner])
 
-    def interior_max(a, idx):
-        sub = a[np.ix_(idx, idx)]
-        return float(np.abs(sub).max()) if sub.size else 0.0
-
-    # m (S (x) id) Delta(J+) - eta eps(J+) = S(J+) g^-1 + g^-1 J+
-    anti_full = -(1.0 / gd.q1) * jp @ ginv + ginv @ jp
-    anti_half = -(1.0 / math.sqrt(gd.q1)) * jp @ ginv + ginv @ jp
-    idx1 = np.where(mask)[0]
-    antipode_full = interior_max(anti_full, idx1)
-    antipode_half = interior_max(anti_half, idx1)
-
-    # Delta on the commutator relation [J+, J-] = 2 (g^2 - g^-2)/h
-    hom = (d_jp @ d_jm - d_jm @ d_jp) - 2.0 * (d_g @ d_g - d_ginv @ d_ginv) / gd.h
-    pair = _interior_pair_mask(n, EDGE_BUFFER)
-    idx2 = np.where(pair)[0]
-    comult_hom = interior_max(hom, idx2)
+    # Delta on the commutator relation [J+, J-] = 2 (g^2 - g^-2)/h over
+    # interior pairs (a, b): the diagonal, where both sides act, and the
+    # two supports where J+ and J- shift different factors
+    i = np.arange(EDGE_BUFFER, n - EDGE_BUFFER)
+    a = i[:-1]  # both a and a + 1 interior
+    g_in, ginv_in = g[i], ginv[i]
+    pm = outer(jp[i - 1], ginv_in) * outer(jm[i - 1], ginv_in) + outer(g_in, jp[i - 1]) * outer(
+        g_in, jm[i - 1]
+    )
+    mp = outer(jm[i], ginv_in) * outer(jp[i], ginv_in) + outer(g_in, jm[i]) * outer(g_in, jp[i])
+    g2, gi2 = outer(g_in, g_in), outer(ginv_in, ginv_in)
+    comult_hom = _absmax(
+        (pm - mp) - 2.0 * (g2 * g2 - gi2 * gi2) / gd.h,
+        # rows (a+1, b), columns (a, b+1)
+        outer(jp[a], ginv[a]) * outer(g[a], jm[a]) - outer(g[a + 1], jm[a]) * outer(jp[a], ginv[a + 1]),
+        # rows (a, b+1), columns (a+1, b)
+        outer(g[a], jp[a]) * outer(jm[a], ginv[a]) - outer(jm[a], ginv[a + 1]) * outer(g[a + 1], jp[a]),
+    )
 
     return HopfReport(
         coassoc_g=coassoc_g,

@@ -2,7 +2,9 @@
 
 J_z is diagonal on an m basis with unit spacing; J_+/J_- are shift
 matrices with real non-negative ladder coefficients
-sqrt(c - [m +- 1/2]^2) (the undetermined phase is fixed to +1).  On
+sqrt(c - [m +- 1/2]^2) (the undetermined phase is fixed to +1).  Each is
+stored as its one non-zero diagonal, and the residuals are evaluated on
+those bands in O(n).  On
 finite classes the boundary coefficients vanish and the defining
 relations hold on the full matrix; truncations of infinite classes are
 verified on rows at least `EDGE_BUFFER` away from the matrix edge.
@@ -28,9 +30,42 @@ class UnitarityError(ValueError):
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    entries: np.ndarray  # dense complex
+    """A complex matrix with one non-zero diagonal.
+
+    `band` holds the entries on the diagonal `offset` (column minus row):
+    0 for J_z and g, -1 for J_+ (entries [i+1, i]), +1 for J_- (entries
+    [i, i+1]).  Every other entry equals `fill`, a zero whose sign is kept
+    so that the dense form of an adjoint matches the conjugate transpose
+    bit for bit.
+    """
+
+    band: np.ndarray  # complex, length n - |offset|
+    offset: int
     basis: tuple  # ordered m labels
     s: float
+    fill: complex = 0j
+
+    def __post_init__(self):
+        if len(self.band) != len(self.basis) - abs(self.offset):
+            raise ValueError(
+                f"band of length {len(self.band)} does not fit offset {self.offset} "
+                f"on a basis of size {len(self.basis)}"
+            )
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense n x n complex matrix, built on demand."""
+        n = len(self.basis)
+        out = np.full((n, n), self.fill, dtype=complex)
+        rows = np.arange(max(0, -self.offset), n - max(0, self.offset))
+        out[rows, rows + self.offset] = self.band
+        return out
+
+    def adjoint(self) -> "OperatorMatrix":
+        """The conjugate transpose."""
+        return OperatorMatrix(
+            self.band.conj(), -self.offset, self.basis, self.s, self.fill.conjugate()
+        )
 
 
 @dataclass(frozen=True)
@@ -85,24 +120,24 @@ def build_rep(d: Deformation, c: float, m_list):
         raise ValueError("m_list must be a non-empty 1-d sequence")
     if len(ms) > 1 and not np.all(np.abs(np.diff(ms) - 1.0) < 1e-12):
         raise ValueError("m_list spacing must be exactly 1")
-    n = len(ms)
-    jz = np.diag(ms).astype(complex)
-    jp = np.zeros((n, n), dtype=complex)
-    for i in range(n - 1):
-        jp[i + 1, i] = ladder_coeff(d, c, ms[i], +1)
-    jm = jp.conj().T.copy()
     basis = tuple(ms)
-    return (
-        OperatorMatrix(jz, basis, d.s),
-        OperatorMatrix(jp, basis, d.s),
-        OperatorMatrix(jm, basis, d.s),
+    jp = OperatorMatrix(
+        np.array([ladder_coeff(d, c, m, +1) for m in ms[:-1]], dtype=complex), -1, basis, d.s
     )
+    return OperatorMatrix(ms.astype(complex), 0, basis, d.s), jp, jp.adjoint()
 
 
-def _maxabs(a: np.ndarray, lo: int, hi: int) -> float:
-    """Max absolute entry over the [lo:hi, lo:hi] block."""
-    block = a[lo:hi, lo:hi]
-    return float(np.abs(block).max()) if block.size else 0.0
+def _absmax(*parts) -> float:
+    """Largest |entry| over the given arrays; 0.0 when all are empty."""
+    tops = [np.abs(a).max() for a in parts if a.size]
+    return float(np.max(tops)) if tops else 0.0
+
+
+def _ladder_bands(triple):
+    """Bands of (J_z, J_+, J_-): the diagonal, entries [i+1, i] and [i, i+1]."""
+    if tuple(t.offset for t in triple) != (0, -1, 1):
+        raise ValueError("expected J_z, J_+, J_- on the diagonals 0, -1, +1")
+    return tuple(t.band for t in triple)
 
 
 def edge_coefficients(d: Deformation, c: float, triple) -> tuple[float, float]:
@@ -120,7 +155,7 @@ def verify_algebra(triple, d: Deformation, c: float) -> AlgebraReport:
     truncations exclude EDGE_BUFFER rows at each edge, where the lost
     ladder flux makes the diagonal relations fail by construction.
     """
-    jz, jp, jm = (t.entries for t in triple)
+    jz, jp, jm = _ladder_bands(triple)
     ms = np.asarray(triple[0].basis, dtype=float)
     n = len(ms)
 
@@ -131,39 +166,49 @@ def verify_algebra(triple, d: Deformation, c: float) -> AlgebraReport:
     if hi <= lo:
         raise ValueError(f"basis of size {n} leaves no interior rows at buffer {buf}")
 
-    eye = np.eye(n)
+    # Every product of these operators has a single non-zero diagonal,
+    # whose entries are single products of band entries.  Each residual is
+    # evaluated entry by entry in the order the dense expression uses
+    # (a*b - b*a, not factored), so the values equal the dense ones.  Band
+    # entry i of J_+- sits at [i+1, i] / [i, i+1], inside the [lo:hi, lo:hi]
+    # block when lo <= i <= hi - 2.
+    diag, band = slice(lo, hi), slice(lo, hi - 1)
     res1 = max(
-        _maxabs(jz @ jp - jp @ jz - jp, lo, hi),
-        _maxabs(jz @ jm - jm @ jz + jm, lo, hi),
+        _absmax((jz[1:] * jp - jp * jz[:-1] - jp)[band]),
+        _absmax((jz[:-1] * jm - jm * jz[1:] + jm)[band]),
     )
-    res2 = _maxabs(jp @ jm - jm @ jp - np.diag(bracket_sequence(ms, d)), lo, hi)
+    pm = np.concatenate(([0j], jp * jm))  # diagonal of J_+ J_-
+    mp = np.concatenate((jm * jp, [0j]))  # diagonal of J_- J_+
+    res2 = _absmax((pm - mp - bracket_sequence(ms, d))[diag])
 
     br_half = qnumber(0.5, d)
-    up = np.diag(qnumber(ms + 0.5, d) ** 2)
-    down = np.diag(qnumber(ms - 0.5, d) ** 2)
-    cas_a = up + jm @ jp  # [J_z + 1/2]^2 + J_- J_+
-    cas_b = down + jp @ jm  # [J_z - 1/2]^2 + J_+ J_-
-    anti = (jp @ jm + jm @ jp) / 2.0
-    cas_sym = d.cos_s * np.diag(qnumber(ms, d) ** 2) + anti + br_half**2 * eye
+    q_sq = qnumber(ms, d) ** 2
+    cas_a = qnumber(ms + 0.5, d) ** 2 + mp  # [J_z + 1/2]^2 + J_- J_+
+    cas_b = qnumber(ms - 0.5, d) ** 2 + pm  # [J_z - 1/2]^2 + J_+ J_-
+    anti = (pm + mp) / 2.0
+    cas_sym = d.cos_s * q_sq + anti + br_half**2
 
-    res_cas = max(_maxabs(cas_a - c * eye, lo, hi), _maxabs(cas_b - c * eye, lo, hi))
-    forms_dev = max(_maxabs(cas_a - cas_b, lo, hi), _maxabs(cas_a - cas_sym, lo, hi))
+    res_cas = max(_absmax((cas_a - c)[diag]), _absmax((cas_b - c)[diag]))
+    forms_dev = max(_absmax((cas_a - cas_b)[diag]), _absmax((cas_a - cas_sym)[diag]))
 
     # Casimir must commute with the generators on interior rows; products
     # shift indices by one, so widen the exclusion by one row.
     lo2, hi2 = (lo + 1, hi - 1) if not closed else (lo, hi)
     commutes = 0.0
     if hi2 > lo2:
-        for x in (jz, jp, jm):
-            commutes = max(commutes, _maxabs(cas_b @ x - x @ cas_b, lo2, hi2))
+        diag2, band2 = slice(lo2, hi2), slice(lo2, hi2 - 1)
+        for res in (
+            (cas_b * jz - jz * cas_b)[diag2],
+            (cas_b[1:] * jp - jp * cas_b[:-1])[band2],
+            (cas_b[:-1] * jm - jm * cas_b[1:])[band2],
+        ):
+            commutes = max(commutes, _absmax(res))
 
     shift = 1.0 / (4.0 * math.cos(d.s / 2.0) ** 2)
-    mae = c * eye - d.cos_s * np.diag(qnumber(ms, d) ** 2) - anti
-    mae_dev = _maxabs(mae - shift * eye, lo, hi)
+    mae_dev = _absmax((c - d.cos_s * q_sq - anti - shift)[diag])
     if abs(math.sin(2.0 * d.s)) > 1e-12:
         br_2s = np.sin(2.0 * d.s * ms) / math.sin(2.0 * d.s)
-        mae2 = c * eye - d.cos_s * np.diag(br_2s**2) - anti
-        mae2_dev = _maxabs(mae2 - shift * eye, lo, hi)
+        mae2_dev = _absmax((c - d.cos_s * br_2s**2 - anti - shift)[diag])
     else:
         mae2_dev = float("nan")
 
@@ -171,7 +216,7 @@ def verify_algebra(triple, d: Deformation, c: float) -> AlgebraReport:
         res_jz_jpm=res1,
         res_jp_jm=res2,
         res_casimir=res_cas,
-        hermiticity=float(np.abs(jm - jp.conj().T).max()),
+        hermiticity=_absmax(jm - jp.conj()),
         casimir_forms_dev=forms_dev,
         casimir_commutes=commutes,
         maekawa_shift_dev=mae_dev,

@@ -31,6 +31,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .classify import rational_pi_fraction
+from .operators import _dir_sign
 from .qnumbers import Deformation, qnumber
 
 COS_ZERO_TOL = 1e-12
@@ -544,7 +545,7 @@ def ladder_apply(
     back with the target factor a_{m +- 1}.  If c is given, the move is
     flagged when (c, m +- 1) leaves the unitary region.
     """
-    sign = +1 if direction in (1, "+", "plus") else -1
+    sign = _dir_sign(direction)
     r = np.asarray(r, dtype=float)
     h = r[1] - r[0]
     a_src = liouville_factor(fns.f1, r, kappa_for(d, m, kappa_mode))
@@ -594,7 +595,7 @@ def ladder_residual(
 
 def ladder_shift(d: Deformation, m: float, direction) -> float:
     """Casimir-offset bookkeeping for a ladder move: [m +- 1]^2 - [m]^2."""
-    sign = +1 if direction in (1, "+", "plus") else -1
+    sign = _dir_sign(direction)
     return qnumber(m + sign, d) ** 2 - qnumber(m, d) ** 2
 
 

@@ -10,9 +10,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .operators import OperatorMatrix
 
 
 def fmt(x) -> str:
@@ -38,13 +41,77 @@ def write_csv(path, header, rows) -> Path:
     return path
 
 
+@dataclass(frozen=True)
+class DensePairs:
+    """The row-major (n, n, 2) [re, im] layout of a banded matrix.
+
+    write_json renders it straight from the band, byte for byte as
+    json.dumps renders the nested lists, without building them.
+    """
+
+    matrix: OperatorMatrix
+
+    def write(self, fh, indent: int) -> None:
+        """Write the JSON text of the pairs, whose opening bracket sits on
+        a line indented by `indent` spaces."""
+        op = self.matrix
+        n = len(op.basis)
+        row_pad, pair_pad, num_pad = ("\n" + " " * (indent + k) for k in (2, 4, 6))
+
+        def pair(z) -> str:
+            # json.dumps spells floats as float.__repr__ does, NaN and Infinity too
+            return f"[{num_pad}{json.dumps(z.real)},{num_pad}{json.dumps(z.imag)}{pair_pad}]"
+
+        sep = "," + pair_pad
+        zero = pair(op.fill) + sep
+        zeros = zero * n  # every run of zero pairs is cut from this block
+
+        def run(k: int) -> str:
+            """k zero pairs, comma separated."""
+            return zeros[: k * len(zero) - len(sep)] if k else ""
+
+        fh.write("[" + row_pad)
+        for r in range(n):
+            if r:
+                fh.write("," + row_pad)
+            col = r + op.offset
+            if 0 <= col < n:
+                # band entry k sits in row k (offset >= 0) or column k (offset < 0)
+                entry = pair(op.band[min(r, col)])
+                items = sep.join(t for t in (run(col), entry, run(n - col - 1)) if t)
+            else:
+                items = run(n)
+            fh.write(f"[{pair_pad}{items}{row_pad}]")
+        fh.write("\n" + " " * indent + "]")
+
+
+# stands in for each DensePairs in the json.dumps text; the NUL keeps it
+# apart from any string a payload carries
+_STAND_IN = "\x00dense-pairs"
+_STAND_IN_JSON = json.dumps(_STAND_IN)
+
+
 def write_json(path, payload) -> Path:
     path = Path(path)
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n",
-        encoding="utf-8",
-        newline="\n",
-    )
+    grids = []
+
+    def stand_in(obj):
+        if isinstance(obj, DensePairs):
+            grids.append(obj)
+            return _STAND_IN
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=True, default=stand_in)
+    pieces = text.split(_STAND_IN_JSON)
+    if len(pieces) != len(grids) + 1:
+        raise ValueError("payload text contains the dense-pairs marker")
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(pieces[0])
+        for grid, before, after in zip(grids, pieces, pieces[1:]):
+            line = before[before.rfind("\n") + 1 :]
+            grid.write(fh, len(line) - len(line.lstrip(" ")))
+            fh.write(after)
+        fh.write("\n")
     return path
 
 
@@ -64,5 +131,9 @@ def write_manifest(outdir, subcommand: str, params: dict, outputs, version: str)
 
 
 def complex_pairs(matrix):
-    """Row-major [re, im] pairs for JSON export of a complex matrix."""
+    """Row-major [re, im] pairs for JSON export of a complex matrix: nested
+    lists for a dense array, DensePairs (rendered by write_json from the
+    band) for an OperatorMatrix."""
+    if isinstance(matrix, OperatorMatrix):
+        return DensePairs(matrix)
     return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]

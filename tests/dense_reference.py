@@ -1,0 +1,157 @@
+"""Dense reference implementations of the banded operator code.
+
+These are the dense n x n and Kronecker-product forms that `build_rep`,
+`verify_algebra`, `casimir_gen`, `conjugation_residual` and
+`hopf_axiom_report` replace.  The property tests compare the banded code
+against them; they are slow (O(n^3) products, n^3 x n^3 Kronecker
+matrices) and run only on small sizes.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from qsu2.hopf import EDGE_BUFFER as HOPF_BUFFER
+from qsu2.hopf import HopfReport, _c2_casimir
+from qsu2.operators import CLOSURE_TOL, EDGE_BUFFER, AlgebraReport, ladder_coeff
+from qsu2.qnumbers import bracket_sequence, qnumber
+
+
+def build_rep(d, c, m_list):
+    """Dense (J_z, J_+, J_-) on the basis m_list."""
+    ms = np.asarray(m_list, dtype=float)
+    n = len(ms)
+    jz = np.diag(ms).astype(complex)
+    jp = np.zeros((n, n), dtype=complex)
+    for i in range(n - 1):
+        jp[i + 1, i] = ladder_coeff(d, c, ms[i], +1)
+    jm = jp.conj().T.copy()
+    return jz, jp, jm
+
+
+def _maxabs(a, lo, hi):
+    block = a[lo:hi, lo:hi]
+    return float(np.abs(block).max()) if block.size else 0.0
+
+
+def verify_algebra(jz, jp, jm, ms, d, c) -> AlgebraReport:
+    ms = np.asarray(ms, dtype=float)
+    n = len(ms)
+    bottom = math.sqrt(max(c - qnumber(ms[0] - 0.5, d) ** 2, 0.0))
+    top = math.sqrt(max(c - qnumber(ms[-1] + 0.5, d) ** 2, 0.0))
+    closed = max(bottom, top) < CLOSURE_TOL
+    buf = 0 if closed else EDGE_BUFFER
+    lo, hi = buf, n - buf
+    if hi <= lo:
+        raise ValueError(f"basis of size {n} leaves no interior rows at buffer {buf}")
+
+    eye = np.eye(n)
+    res1 = max(
+        _maxabs(jz @ jp - jp @ jz - jp, lo, hi),
+        _maxabs(jz @ jm - jm @ jz + jm, lo, hi),
+    )
+    res2 = _maxabs(jp @ jm - jm @ jp - np.diag(bracket_sequence(ms, d)), lo, hi)
+
+    br_half = qnumber(0.5, d)
+    up = np.diag(qnumber(ms + 0.5, d) ** 2)
+    down = np.diag(qnumber(ms - 0.5, d) ** 2)
+    cas_a = up + jm @ jp
+    cas_b = down + jp @ jm
+    anti = (jp @ jm + jm @ jp) / 2.0
+    cas_sym = d.cos_s * np.diag(qnumber(ms, d) ** 2) + anti + br_half**2 * eye
+
+    res_cas = max(_maxabs(cas_a - c * eye, lo, hi), _maxabs(cas_b - c * eye, lo, hi))
+    forms_dev = max(_maxabs(cas_a - cas_b, lo, hi), _maxabs(cas_a - cas_sym, lo, hi))
+
+    lo2, hi2 = (lo + 1, hi - 1) if not closed else (lo, hi)
+    commutes = 0.0
+    if hi2 > lo2:
+        for x in (jz, jp, jm):
+            commutes = max(commutes, _maxabs(cas_b @ x - x @ cas_b, lo2, hi2))
+
+    shift = 1.0 / (4.0 * math.cos(d.s / 2.0) ** 2)
+    mae = c * eye - d.cos_s * np.diag(qnumber(ms, d) ** 2) - anti
+    mae_dev = _maxabs(mae - shift * eye, lo, hi)
+    if abs(math.sin(2.0 * d.s)) > 1e-12:
+        br_2s = np.sin(2.0 * d.s * ms) / math.sin(2.0 * d.s)
+        mae2 = c * eye - d.cos_s * np.diag(br_2s**2) - anti
+        mae2_dev = _maxabs(mae2 - shift * eye, lo, hi)
+    else:
+        mae2_dev = float("nan")
+
+    return AlgebraReport(
+        res_jz_jpm=res1,
+        res_jp_jm=res2,
+        res_casimir=res_cas,
+        hermiticity=float(np.abs(jm - jp.conj().T).max()),
+        casimir_forms_dev=forms_dev,
+        casimir_commutes=commutes,
+        maekawa_shift_dev=mae_dev,
+        maekawa_2s_dev=mae2_dev,
+        closed=closed,
+        interior_buffer=buf,
+    )
+
+
+def casimir_gen(gd, jp, jm, g):
+    gt = np.real(np.diag(g))
+    quad = np.diag((gt - 1.0 / gt) ** 2)
+    return gd.C1 * quad + _c2_casimir(gd) * (jp @ jm)
+
+
+def conjugation_residual(gd, jp, g):
+    n = jp.shape[0]
+    f = np.real(np.diag(g)) ** 2 * math.sqrt(gd.q1)
+    res = np.diag(f) @ jp @ np.diag(1.0 / f) - gd.q1 * jp
+    lo, hi = HOPF_BUFFER, n - HOPF_BUFFER
+    return float(np.abs(res[lo:hi, lo:hi]).max())
+
+
+def hopf_axiom_report(gd, jp, jm, g_tilde) -> HopfReport:
+    """Hopf residuals from explicit Kronecker products of dense matrices."""
+    g = gd.q1**0.25 * g_tilde
+    ginv = np.diag(1.0 / np.diag(g))
+    n = jp.shape[0]
+
+    def kron3(a, b, c):
+        return np.kron(np.kron(a, b), c)
+
+    d_jp = np.kron(jp, ginv) + np.kron(g, jp)
+    d_jm = np.kron(jm, ginv) + np.kron(g, jm)
+    d_g = np.kron(g, g)
+    d_ginv = np.kron(ginv, ginv)
+
+    coassoc_g = float(np.abs(kron3(g, g, g) - kron3(g, g, g)).max())
+    lhs = np.kron(d_jp, ginv) + kron3(g, g, jp)
+    rhs = np.kron(jp, d_ginv) + np.kron(g, d_jp)
+    coassoc_jp = float(np.abs(lhs - rhs).max())
+
+    counit_jp = float(np.abs(0.0 * ginv + 1.0 * jp - jp).max())
+    counit_g = float(np.abs(1.0 * g - g).max())
+
+    keep = np.zeros(n, dtype=bool)
+    keep[HOPF_BUFFER : n - HOPF_BUFFER] = True
+
+    def interior_max(a, idx):
+        sub = a[np.ix_(idx, idx)]
+        return float(np.abs(sub).max()) if sub.size else 0.0
+
+    anti_full = -(1.0 / gd.q1) * jp @ ginv + ginv @ jp
+    anti_half = -(1.0 / math.sqrt(gd.q1)) * jp @ ginv + ginv @ jp
+    idx1 = np.where(keep)[0]
+
+    hom = (d_jp @ d_jm - d_jm @ d_jp) - 2.0 * (d_g @ d_g - d_ginv @ d_ginv) / gd.h
+    idx2 = np.where(np.kron(keep, keep))[0]
+
+    return HopfReport(
+        coassoc_g=coassoc_g,
+        coassoc_jp=coassoc_jp,
+        counit_jp=counit_jp,
+        counit_g=counit_g,
+        antipode_full=interior_max(anti_full, idx1),
+        antipode_half=interior_max(anti_half, idx1),
+        comult_homomorphism=interior_max(hom, idx2),
+        conjugation=conjugation_residual(gd, jp, g_tilde),
+    )

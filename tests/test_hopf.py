@@ -244,3 +244,15 @@ def test_tabulated_profile():
         GenDeformation(
             alpha=2.0, profile="tabulated", profile_params={"m": m_pts, "b": -b_pts}
         ).b(0.0)
+
+
+def test_profile_closure_built_once(monkeypatch):
+    import qsu2.hopf as hopf
+
+    calls = []
+    real = hopf._profile_geometric
+    monkeypatch.setattr(hopf, "_profile_geometric", lambda *a: calls.append(a) or real(*a))
+    gd = GenDeformation(alpha=2.0, profile="geometric", profile_params={"f0": 20.0})
+    hopf_axiom_report(gd, build_gen_rep(gd, 9, 900.0))
+    spectrum_2jz(gd, np.arange(-5.0, 6.0))
+    assert len(calls) == 1

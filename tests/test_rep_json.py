@@ -1,0 +1,71 @@
+"""rep.json, rendered from the bands, against json.dumps of the dense matrices."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+import dense_reference as ref
+from qsu2.cli import main
+from qsu2.operators import build_rep
+from qsu2.qnumbers import Deformation, qnumber
+from qsu2.serialize import complex_pairs, write_json
+
+
+def dense_rep_json(s, c, m0, n) -> bytes:
+    """The rep.json text the dense matrices and the dense report give."""
+    d = Deformation(s)
+    ms = np.asarray([m0 + i for i in range(n)], dtype=float)
+    jz, jp, jm = ref.build_rep(d, c, ms)
+    report = ref.verify_algebra(jz, jp, jm, ms, d, c)
+    payload = {
+        "s": s,
+        "c": c,
+        "basis": list(ms),
+        "matrices": {
+            "Jz": complex_pairs(jz),
+            "Jplus": complex_pairs(jp),
+            "Jminus": complex_pairs(jm),
+        },
+        "report": {k: getattr(report, k) for k in report.__dataclass_fields__},
+    }
+    return (json.dumps(payload, indent=2, sort_keys=True, allow_nan=True) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "s, c, m0, n",
+    [
+        (1.013, 1.1207094872156829, -1.5, 4),  # the README example, a closed finite class
+        (0.7, qnumber(0.5, Deformation(0.7)) ** 2, 0.0, 1),  # singlet
+        (0.7, 1.0, -0.5, 2),  # closed, N = 1
+        (0.3, qnumber(1.5, Deformation(0.3)) ** 2, -1.0, 3),  # closed, N = 2
+        (0.77, 2.5 / math.sin(0.77) ** 2, -40.5, 81),  # truncated, negative half-integer m0
+        (0.01, 1e6, 0.0, 400),  # the benchmark's largest rep
+    ],
+)
+def test_rep_json_bytes_match_dense_rendering(tmp_path, s, c, m0, n):
+    argv = ["rep", "--s", repr(s), "--c", repr(c), f"--basis={m0!r}:{n}", "--outdir", str(tmp_path)]
+    assert main(argv) == 0
+    assert (tmp_path / "rep.json").read_bytes() == dense_rep_json(s, c, m0, n)
+
+
+def test_band_rendering_at_any_depth(tmp_path):
+    # a NaN ladder coefficient (c = nan passes the radicand guard), the
+    # -0.0 zeros of an adjoint, and grids nested at two depths
+    d = Deformation(0.6)
+    jz, jp, jm = build_rep(d, math.nan, [-1.0, 0.0, 1.0, 2.0])
+    payload = [{"a": complex_pairs(jm), "b": [complex_pairs(jp), 1.5]}, complex_pairs(jz)]
+    dense = [
+        {"a": complex_pairs(jm.entries), "b": [complex_pairs(jp.entries), 1.5]},
+        complex_pairs(jz.entries),
+    ]
+    write_json(tmp_path / "x.json", payload)
+    want = json.dumps(dense, indent=2, sort_keys=True, allow_nan=True) + "\n"
+    assert (tmp_path / "x.json").read_text(encoding="utf-8") == want
+    assert "NaN" in want and "-0.0" in want
+
+
+def test_payload_string_equal_to_the_stand_in_is_rejected(tmp_path):
+    with pytest.raises(ValueError, match="marker"):
+        write_json(tmp_path / "x.json", {"note": "\x00dense-pairs"})

@@ -420,6 +420,34 @@ def test_ladder_flags_nonunitary_move():
     assert out.flagged and "unitary" in out.note
 
 
+def test_ladder_direction_names():
+    d = Deformation(1.0)
+    fns = realization(d, 0.5, F=0.0)
+    r = np.linspace(-0.5, 0.5, 501)
+    psi = np.exp(-(r**2))
+    for raising, lowering in (("+", "-"), (1, -1), ("plus", "minus")):
+        assert np.array_equal(
+            ladder_apply(psi, d, fns, 0.5, "raise", r).psi, ladder_apply(psi, d, fns, 0.5, raising, r).psi
+        )
+        assert np.array_equal(
+            ladder_apply(psi, d, fns, 0.5, "lower", r).psi, ladder_apply(psi, d, fns, 0.5, lowering, r).psi
+        )
+        assert ladder_shift(d, 0.5, "raise") == ladder_shift(d, 0.5, raising)
+        assert ladder_shift(d, 0.5, "lower") == ladder_shift(d, 0.5, lowering)
+    assert ladder_shift(d, 0.5, "raise") != ladder_shift(d, 0.5, "lower")
+
+
+@pytest.mark.parametrize("bogus", ["up", "rasie", 0, None])
+def test_ladder_direction_rejects_unknown(bogus):
+    d = Deformation(1.0)
+    fns = realization(d, 0.5, F=0.0)
+    r = np.linspace(-0.5, 0.5, 51)
+    with pytest.raises(ValueError, match="direction"):
+        ladder_apply(np.exp(-(r**2)), d, fns, 0.5, bogus, r)
+    with pytest.raises(ValueError, match="direction"):
+        ladder_shift(d, 0.5, bogus)
+
+
 def test_coupled_constant_c():
     d = Deformation(3.0)
     f1 = solve_f1(d, "constant")
