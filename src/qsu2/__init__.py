@@ -12,13 +12,11 @@ __version__ = "0.1.0"
 
 from .qnumbers import (
     Deformation,
-    QValue,
     SingularDeformation,
     bracket_sequence,
     qnumber,
     qnumber_complex,
     qnumber_hyperbolic,
-    qvalue,
 )
 from .classify import (
     IntervalStructure,

@@ -2,15 +2,17 @@
 
 Exit codes: 0 success, 2 argument error, 3 verification failure,
 4 numerical failure (NaN/overflow).  Each run writes a JSON manifest
-recording the resolved parameters and output digests; re-running from the
-manifest reproduces byte-identical files.  A config file of key=value
-lines supplies defaults; explicit flags override it.  The default output
+recording the argv it parsed, the config defaults it parsed them with, the
+resolved parameters and the output digests; `rerun` parses that argv again
+with those defaults and reproduces byte-identical files.  A config file of
+key=value lines supplies defaults; explicit flags override it.  The default output
 directory comes from --outdir or the QSU2_OUTDIR environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -114,60 +116,40 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     )
     common.add_argument("--config", default=None, help="key=value file with flag defaults")
 
+    potential = argparse.ArgumentParser(add_help=False)
+    potential.add_argument("--s", type=float, default=None)
+    potential.add_argument("--m", type=float, default=None)
+    potential.add_argument("--f1-branch", default=None, choices=["tan", "tanh", "constant", "linear"])
+    potential.add_argument("--f2-branch", default=None, choices=["sech", "exponential", "cosine", "constant"])
+    potential.add_argument("--F", type=float, default=1.0, help="integration constant of the f2 branch")
+    potential.add_argument("--d1", type=float, default=0.0)
+    potential.add_argument("--d2", type=float, default=0.0)
+    potential.add_argument("--grid", type=_parse_grid, default=(-6.0, 1e-3, 12001), help="start:stop:step")
+    potential.add_argument("--kappa-mode", default="exact", choices=["exact", "unit", "parity"])
+    potential.add_argument("--f1-derivative-form", default="first", choices=["first", "second"])
+    potential.add_argument("--transform", default="eliminate", choices=["eliminate", "literal"])
+
     ap = argparse.ArgumentParser(prog="qsu2", description=__doc__, parents=[common])
     ap.add_argument("--version", action="version", version=f"qsu2 {__version__}")
-    subparsers = ap.add_subparsers(dest="command", required=True)
-    built = []
-
-    class _Sub:
-        # subparsers parse into a fresh namespace, so config defaults must
-        # be installed on every subparser, not just the root
-        def add_parser(self, name, **kw):
-            p = subparsers.add_parser(name, **kw)
-            built.append(p)
-            return p
-
-    sub = _Sub()
+    sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
         "classify", parents=[common], help="representation classes for s and a c value or range"
     )
     p.add_argument("--s", type=float, default=None)
     p.add_argument("--c", type=float, default=None)
-    p.add_argument("--c-range", default=None, help="start:stop:step sweep of c")
+    p.add_argument("--c-range", type=_parse_grid, default=None, help="start:stop:step sweep of c")
 
     p = sub.add_parser("rep", parents=[common], help="matrix representation on an explicit basis")
     p.add_argument("--s", type=float, default=None)
     p.add_argument("--c", type=float, default=None)
-    p.add_argument("--basis", default=None, help="m0:count, unit spacing")
+    p.add_argument("--basis", type=_parse_basis, default=None, help="m0:count, unit spacing")
     p.add_argument("--verify", action="store_true", help="exit 3 if asserted residuals exceed tolerance")
 
-    p = sub.add_parser("potential", parents=[common], help="potential V(r; m, s) as CSV")
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--m", type=float, default=None)
-    p.add_argument("--f1-branch", default=None, choices=["tan", "tanh", "constant", "linear"])
-    p.add_argument("--f2-branch", default=None, choices=["sech", "exponential", "cosine", "constant"])
-    p.add_argument("--F", type=float, default=1.0, help="integration constant of the f2 branch")
-    p.add_argument("--d1", type=float, default=0.0)
-    p.add_argument("--d2", type=float, default=0.0)
-    p.add_argument("--grid", type=_parse_grid, default=(-6.0, 1e-3, 12001), help="start:stop:step")
-    p.add_argument("--kappa-mode", default="exact", choices=["exact", "unit", "parity"])
-    p.add_argument("--f1-derivative-form", default="first", choices=["first", "second"])
-    p.add_argument("--transform", default="eliminate", choices=["eliminate", "literal"])
+    sub.add_parser("potential", parents=[common, potential], help="potential V(r; m, s) as CSV")
 
-    p = sub.add_parser("spectrum", parents=[common], help="eigenvalues of a potential")
+    p = sub.add_parser("spectrum", parents=[common, potential], help="eigenvalues of a potential")
     p.add_argument("--potential-csv", default=None, help="r,V,mask table from the potential command")
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--m", type=float, default=None)
-    p.add_argument("--f1-branch", default=None)
-    p.add_argument("--f2-branch", default=None)
-    p.add_argument("--F", type=float, default=1.0)
-    p.add_argument("--d1", type=float, default=0.0)
-    p.add_argument("--d2", type=float, default=0.0)
-    p.add_argument("--grid", type=_parse_grid, default=(-6.0, 1e-3, 12001))
-    p.add_argument("--kappa-mode", default="exact", choices=["exact", "unit", "parity"])
-    p.add_argument("--f1-derivative-form", default="first", choices=["first", "second"])
-    p.add_argument("--transform", default="eliminate", choices=["eliminate", "literal"])
     p.add_argument("--n", type=int, default=5)
     p.add_argument("--cell", default="largest", help='"largest", "all", or a cell index')
     p.add_argument("--with-vectors", action="store_true")
@@ -199,13 +181,16 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("manifest")
 
     if defaults:
-        # after all arguments exist, so the defaults land on the actions
-        for parser in built:
+        # subparsers parse into a fresh namespace, so config defaults must
+        # be installed on every subparser, not just the root
+        for parser in sub.choices.values():
             parser.set_defaults(**defaults)
     return ap
 
 
 # ----------------------------------------------------------------------
+# Each command returns the values it computed beyond the parsed flags, and
+# its output paths.
 
 
 def _cmd_classify(args, outdir: Path):
@@ -216,7 +201,7 @@ def _cmd_classify(args, outdir: Path):
     if args.c is None and args.c_range is None:
         raise argparse.ArgumentTypeError("classify needs --c or --c-range")
     if args.c_range is not None:
-        start, step, count = _parse_grid(args.c_range) if isinstance(args.c_range, str) else args.c_range
+        start, step, count = args.c_range
         cs = [start + step * i for i in range(count)]
     else:
         cs = [args.c]
@@ -240,20 +225,14 @@ def _cmd_classify(args, outdir: Path):
         ["class", "c", "s", "N", "k", "m_first", "m_last", "m_rule"],
         rows,
     )
-    params = {
-        "s": args.s,
-        "c": args.c,
-        "c_range": list(args.c_range) if isinstance(args.c_range, tuple) else args.c_range,
-        "thresholds": {"c0": th.c0, "c1": th.c1, "c2": th.c2},
-    }
-    return params, [out]
+    return {"thresholds": {"c0": th.c0, "c1": th.c1, "c2": th.c2}}, [out]
 
 
 def _cmd_rep(args, outdir: Path):
     if args.s is None or args.c is None or args.basis is None:
         raise argparse.ArgumentTypeError("rep needs --s, --c, and --basis")
     d = _deformation(args.s)
-    m0, count = _parse_basis(args.basis) if isinstance(args.basis, str) else args.basis
+    m0, count = args.basis
     try:
         triple = build_rep(d, args.c, [m0 + i for i in range(count)])
     except UnitarityError as exc:
@@ -282,63 +261,52 @@ def _cmd_rep(args, outdir: Path):
         )
         if any(v > ASSERTED_RESIDUAL_TOL for v in asserted):
             raise VerificationFailure(f"algebra residuals exceed {ASSERTED_RESIDUAL_TOL}: {asserted}")
-    return {"s": args.s, "c": args.c, "basis": args.basis, "verify": args.verify}, [out]
+    return {}, [out]
 
 
 def _potential_from_args(args):
+    """The potential the flags describe, and its resolved branches."""
     if args.s is None or args.m is None:
         raise argparse.ArgumentTypeError("needs --s and --m (or a potential CSV)")
     d = _deformation(args.s)
     fns = realization(
-        d,
-        args.m,
-        f1_branch=args.f1_branch,
-        f2_branch=args.f2_branch,
-        F=args.F,
-        d1=getattr(args, "d1", 0.0),
-        d2=getattr(args, "d2", 0.0),
+        d, args.m, f1_branch=args.f1_branch, f2_branch=args.f2_branch, F=args.F, d1=args.d1, d2=args.d2
     )
-    grid = _parse_grid(args.grid) if isinstance(args.grid, str) else args.grid
     prof = build_potential(
         d,
         args.m,
         fns,
-        grid=grid,
+        grid=args.grid,
         kappa_mode=args.kappa_mode,
-        f1_derivative_form=getattr(args, "f1_derivative_form", "first"),
-        transform=getattr(args, "transform", "eliminate"),
+        f1_derivative_form=args.f1_derivative_form,
+        transform=args.transform,
     )
-    return d, fns, prof
-
-
-def _cli_potential_params(args, prof):
-    grid = prof.params["grid"]
-    return {
-        "s": args.s,
-        "m": args.m,
-        "f1_branch": prof.params["f1_branch"],
-        "f2_branch": prof.params["f2_branch"],
-        "F": args.F,
-        "d1": getattr(args, "d1", 0.0),
-        "d2": getattr(args, "d2", 0.0),
-        "grid": list(grid),
-        "kappa_mode": args.kappa_mode,
-        "f1_derivative_form": getattr(args, "f1_derivative_form", "first"),
-        "transform": getattr(args, "transform", "eliminate"),
-    }
+    return prof, {"f1_branch": prof.params["f1_branch"], "f2_branch": prof.params["f2_branch"]}
 
 
 def _cmd_potential(args, outdir: Path):
-    _, _, prof = _potential_from_args(args)
+    prof, branches = _potential_from_args(args)
     rows = zip(prof.r, prof.values, prof.pole_mask)
-    out = write_csv(outdir / "potential.csv", ["r", "V", "mask"], rows)
-    return _cli_potential_params(args, prof), [out]
+    return branches, [write_csv(outdir / "potential.csv", ["r", "V", "mask"], rows)]
+
+
+# accepts the rounding of 17-digit grid points, rejects any dropped or moved row
+GRID_RTOL = 1e-6
 
 
 def _load_potential_csv(path):
+    """The r,V,mask table the potential command writes, on its uniform r grid."""
     from .schrodinger import PotentialProfile
 
-    rows = Path(path).read_text(encoding="utf-8").splitlines()[1:]
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot read potential CSV: {exc}") from None
+    header, *rows = data.decode("utf-8").splitlines() or [""]
+    if header != "r,V,mask":
+        raise ValueError(f"{path}: header {header!r} is not 'r,V,mask'")
+    if len(rows) < 2:
+        raise ValueError(f"{path}: {len(rows)} rows, need at least 2")
     r, v, mask = [], [], []
     for row in rows:
         a, b, c = row.split(",")
@@ -347,13 +315,15 @@ def _load_potential_csv(path):
         mask.append(c == "1")
     r = np.asarray(r)
     step = (r[-1] - r[0]) / (len(r) - 1)
+    if not (step > 0 and np.all(np.abs(np.diff(r) - step) <= GRID_RTOL * step)):
+        raise ValueError(f"{path}: r is not an increasing uniform grid")
     return PotentialProfile(
         start=float(r[0]),
         step=float(step),
         count=len(r),
         values=np.asarray(v),
         pole_mask=np.asarray(mask, dtype=bool),
-        params={"source": str(path)},
+        params={"source": str(path), "sha256": hashlib.sha256(data).hexdigest()},
         casimir_offset=0.0,
         terms={},
     )
@@ -362,10 +332,11 @@ def _load_potential_csv(path):
 def _cmd_spectrum(args, outdir: Path):
     if args.potential_csv is not None:
         prof = _load_potential_csv(args.potential_csv)
+        computed = {"potential_sha256": prof.params["sha256"]}
     else:
         if args.s is None or args.m is None:
             raise argparse.ArgumentTypeError("spectrum needs --potential-csv or --s and --m")
-        _, _, prof = _potential_from_args(args)
+        prof, computed = _potential_from_args(args)
     if not np.all(np.isfinite(prof.values[~prof.pole_mask])):
         raise FloatingPointError("potential contains non-finite unmasked samples")
     if args.cell == "all":
@@ -395,17 +366,11 @@ def _cmd_spectrum(args, outdir: Path):
                 )
             )
     out = write_csv(outdir / "spectrum.csv", ["cell", "k", "eigenvalue"], rows)
-    if args.potential_csv is not None:
-        params = {"potential_csv": str(args.potential_csv)}
-    else:
-        params = _cli_potential_params(args, prof)
-    params.update({"n": args.n, "cell": str(args.cell), "with_vectors": bool(args.with_vectors)})
-    return params, [out] + vec_files
+    return computed, [out] + vec_files
 
 
 def _cmd_flow(args, outdir: Path):
-    grid = _parse_grid(args.s_grid) if isinstance(args.s_grid, str) else args.s_grid
-    start, step, count = grid
+    start, step, count = args.s_grid
     s = start + step * np.arange(count)
     table = spectral_flow(args.m_max, s)
     rows = []
@@ -417,27 +382,25 @@ def _cmd_flow(args, outdir: Path):
         outdir / "flow_crossings.json",
         [{"s": c[0], "m_low": c[1], "m_high": c[2]} for c in table.crossings],
     )
-    return {"m_max": args.m_max, "s_grid": list(grid)}, [out, out2]
+    return {}, [out, out2]
 
 
 def _cmd_surface(args, outdir: Path):
     if args.c is None:
         raise argparse.ArgumentTypeError("surface needs --c")
     if args.transition:
-        grid = _parse_grid(args.s_grid) if isinstance(args.s_grid, str) else args.s_grid
-        start, step, count = grid
+        start, step, count = args.s_grid
         s = start + step * np.arange(count)
         s_star = topology_transition(args.c, s)
         out = write_json(
             outdir / "surface_transition.json",
-            {"c": args.c, "s_star": s_star, "s_grid": list(grid)},
+            {"c": args.c, "s_star": s_star, "s_grid": list(args.s_grid)},
         )
-        return {"c": args.c, "transition": True, "s_grid": list(grid)}, [out]
+        return {}, [out]
     if args.s is None:
         raise argparse.ArgumentTypeError("surface needs --s (or --transition)")
     d = _deformation(args.s)
-    grid = _parse_grid(args.jz_grid) if isinstance(args.jz_grid, str) else args.jz_grid
-    start, step, count = grid
+    start, step, count = args.jz_grid
     jz = start + step * np.arange(count)
     sec = level_section(d, args.c, jz)
     rows = [
@@ -445,30 +408,16 @@ def _cmd_surface(args, outdir: Path):
         for z, x, mask in zip(sec.jz, np.nan_to_num(sec.jx), sec.mask)
     ]
     out = write_csv(outdir / "surface.csv", ["Jz", "Jx_plus", "Jx_minus", "mask"], rows)
-    return {
-        "c": args.c,
-        "s": args.s,
-        "jz_grid": list(grid),
-        "connectivity": sec.connectivity,
-        "components": sec.components,
-    }, [out]
+    return {"connectivity": sec.connectivity, "components": sec.components}, [out]
 
 
 def _cmd_hopf(args, outdir: Path):
-    params = {
-        "alpha": args.alpha,
-        "profile": args.profile,
-        "c": args.c,
-        "dim": args.dim,
-        "what": args.what,
-    }
+    computed = {}
     profile_params = {}
     if args.profile == "constant":
         profile_params["b0"] = args.b0
-        params["b0"] = args.b0
     elif args.profile == "geometric":
         profile_params["f0"] = args.f0
-        params["f0"] = args.f0
     elif args.profile == "sech":
         gd0 = GenDeformation(alpha=args.alpha, profile="constant")
         win0 = unitarity_window(args.c, gd0)
@@ -476,7 +425,7 @@ def _cmd_hopf(args, outdir: Path):
         f_lo = args.f_lo if args.f_lo is not None else max(1.02, win0.f_min + 0.05 * width)
         f_hi = args.f_hi if args.f_hi is not None else max(win0.f_max - 0.05 * width, f_lo + 0.1)
         profile_params.update({"f_lo": f_lo, "f_hi": f_hi})
-        params.update({"f_lo": f_lo, "f_hi": f_hi})
+        computed.update({"f_lo": f_lo, "f_hi": f_hi})
     gd = GenDeformation(alpha=args.alpha, profile=args.profile, profile_params=profile_params)
     outputs = []
 
@@ -489,9 +438,7 @@ def _cmd_hopf(args, outdir: Path):
             )
         )
     if args.what in ("all", "spectrum"):
-        start, step, count = (
-            _parse_grid(args.m_range) if isinstance(args.m_range, str) else args.m_range
-        )
+        start, step, count = args.m_range
         ms = start + step * np.arange(count)
         spec = spectrum_2jz(gd, ms)
         outputs.append(write_csv(outdir / "hopf_spectrum.csv", ["m", "value"], zip(ms, spec)))
@@ -510,7 +457,7 @@ def _cmd_hopf(args, outdir: Path):
         outputs.append(write_json(outdir / "hopf_axioms.json", payload))
         if report.coassoc_jp > ASSERTED_RESIDUAL_TOL or report.counit_jp > ASSERTED_RESIDUAL_TOL:
             raise VerificationFailure("coassociativity/counit residual exceeded tolerance")
-    return params, outputs
+    return computed, outputs
 
 
 DISPATCH = {
@@ -524,49 +471,44 @@ DISPATCH = {
 }
 
 
-def _rerun(manifest_path: str, outdir_flag):
-    manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
-    sub = manifest["subcommand"]
-    params = manifest["params"]
-    argv = [sub]
-    skip = {"thresholds", "connectivity", "components", "constants", "kappa", "regime"}
-    for key, value in params.items():
-        if value is None or key in skip:
-            continue
-        flag = "--" + key.replace("_", "-")
-        if isinstance(value, bool):
-            if value:
-                argv.append(flag)
-        elif isinstance(value, (list, tuple)) and len(value) == 3:
-            start, step, count = value
-            argv.append(f"{flag}={start}:{start + step * (count - 1)}:{step}")
-        else:
-            # single-token form so values with a leading dash parse
-            argv.append(f"{flag}={value}")
-    if outdir_flag:
-        argv.append(f"--outdir={outdir_flag}")
-    return main(argv)
-
-
-def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # config supplies parse-time defaults; explicit flags override them
-    cfg_path = _extract_config(argv)
-    ap = build_parser(_config_defaults(cfg_path) if cfg_path else None)
+def _rerun(manifest_path: str, outdir: Path) -> int:
+    """Parse the recorded argv again with the recorded config defaults,
+    writing into outdir (argparse keeps the last --outdir)."""
     try:
-        args = ap.parse_args(argv)
+        manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        print(f"error: cannot read manifest {manifest_path}: {exc}", file=sys.stderr)
+        return EXIT_ARGS
+    if not (
+        isinstance(manifest, dict)
+        and isinstance(manifest.get("argv"), list)
+        and isinstance(manifest.get("defaults"), dict)
+    ):
+        print(f"error: {manifest_path} records no argv and defaults to replay", file=sys.stderr)
+        return EXIT_ARGS
+    return main(manifest["argv"] + [f"--outdir={outdir}"], manifest["defaults"])
+
+
+def main(argv=None, defaults: dict | None = None) -> int:
+    """Run one invocation.  `defaults` stands in for the --config file's
+    values; rerun passes the ones its manifest recorded."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if defaults is None:
+        # config supplies parse-time defaults; explicit flags override them
+        cfg_path = _extract_config(argv)
+        defaults = _config_defaults(cfg_path) if cfg_path else {}
+    try:
+        args = build_parser(defaults).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
 
     outdir = Path(args.outdir or os.environ.get("QSU2_OUTDIR", "."))
+    if args.command == "rerun":
+        return _rerun(args.manifest, outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    if args.command == "rerun":
-        return _rerun(args.manifest, args.outdir)
-
     try:
-        params, outputs = DISPATCH[args.command](args, outdir)
+        computed, outputs = DISPATCH[args.command](args, outdir)
     except argparse.ArgumentTypeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARGS
@@ -580,7 +522,8 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
-    write_manifest(outdir, args.command, params, outputs, __version__)
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "outdir", "config")}
+    write_manifest(outdir, args.command, params | computed, outputs, __version__, argv, defaults)
     for path in outputs:
         print(f"wrote {path}")
     return EXIT_OK

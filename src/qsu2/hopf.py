@@ -50,17 +50,16 @@ def _sech_sq(m):
     return (2.0 * e / (1.0 + e * e)) ** 2
 
 
-def _profile_sech(params, q1):
+def _profile_sech(params, gd):
     f_lo = float(params["f_lo"])
     f_hi = float(params["f_hi"])
     # f = 1 + (q1-1)^2 b with b > 0 forces f > 1
     if not (f_hi > f_lo > 1.0):
         raise ValueError("sech profile requires f_hi > f_lo > 1 (b positive)")
-    scale = (q1 - 1.0) ** 2
+    scale = (gd.q1 - 1.0) ** 2
 
     def b(m):
-        f = (f_hi - f_lo) * _sech_sq(m) + f_lo
-        return (f - 1.0) / scale
+        return (sech_profile(m, gd, f_lo, f_hi) - 1.0) / scale
 
     return b
 
@@ -122,7 +121,7 @@ class GenDeformation:
         if self.profile == "constant":
             return _profile_constant(self.profile_params)
         if self.profile == "sech":
-            return _profile_sech(self.profile_params, self.q1)
+            return _profile_sech(self.profile_params, self)
         if self.profile == "geometric":
             return _profile_geometric(self.profile_params, self.q1, self.alpha)
         if self.profile == "tabulated":

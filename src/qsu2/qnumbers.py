@@ -50,15 +50,6 @@ class Deformation:
         object.__setattr__(self, "eta_sq", -4.0 * math.sin(s) ** 2)
 
 
-@dataclass(frozen=True)
-class QValue:
-    """A bracket value together with its undeformed argument."""
-
-    value: complex
-    x: complex
-    kind: str  # "trigonometric" | "hyperbolic"
-
-
 def qnumber(x, d: Deformation):
     """[x] = sin(x s)/sin(s) for real x (scalar or array)."""
     return np.sin(np.asarray(x, dtype=float) * d.s) / d.sin_s if np.ndim(x) else math.sin(
@@ -78,13 +69,6 @@ def qnumber_hyperbolic(x, t: float):
     return np.sinh(np.asarray(x, dtype=float) * t) / math.sinh(t) if np.ndim(x) else math.sinh(
         float(x) * t
     ) / math.sinh(t)
-
-
-def qvalue(x, d: Deformation) -> QValue:
-    """Wrap a bracket evaluation in a QValue record."""
-    if isinstance(x, complex) and x.imag != 0.0:
-        return QValue(qnumber_complex(x, d), complex(x), "trigonometric")
-    return QValue(qnumber(float(np.real(x)), d), float(np.real(x)), "trigonometric")
 
 
 def bracket_sequence(m_values, d: Deformation):

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .classify import rational_pi_fraction
+from .classify import rational_pi_fraction, unitary_ok
 from .operators import _dir_sign
 from .qnumbers import Deformation, qnumber
 
@@ -559,14 +559,8 @@ def ladder_apply(
     new_r = sign * dr + coeff * big_r
     psi_new = new_r / a_dst
 
-    flagged = False
-    note = ""
-    if c is not None:
-        cs2 = c * d.sin_s**2
-        tgt = m + sign
-        if cs2 < math.sin(d.s * (tgt - 0.5)) ** 2 or cs2 < math.sin(d.s * (tgt + 0.5)) ** 2:
-            flagged = True
-            note = f"target m = {tgt} leaves the unitary region at c = {c}"
+    flagged = c is not None and not unitary_ok(d, c, m + sign)
+    note = f"target m = {m + sign} leaves the unitary region at c = {c}" if flagged else ""
     return LadderResult(psi=psi_new, flagged=flagged, note=note)
 
 

@@ -1,8 +1,9 @@
 """Deterministic CSV/JSON output and run manifests.
 
 Floats are printed with 17 significant digits so identical invocations
-produce byte-identical files; manifests record the resolved parameters
-and sha256 digests of every output, enough to regenerate them exactly.
+produce byte-identical files; manifests record the parsed argv with its
+config defaults, the resolved parameters and the sha256 digests of every
+output, so a run can be replayed and its outputs compared.
 """
 
 from __future__ import annotations
@@ -119,10 +120,17 @@ def sha256_of(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def write_manifest(outdir, subcommand: str, params: dict, outputs, version: str) -> Path:
+def write_manifest(
+    outdir, subcommand: str, params: dict, outputs, version: str, argv: list, defaults: dict
+) -> Path:
+    """Record a run: the argv it parsed and the config defaults it parsed
+    them with (enough to replay it), the resolved params, and the sha256
+    of every output."""
     outdir = Path(outdir)
     manifest = {
         "subcommand": subcommand,
+        "argv": argv,
+        "defaults": defaults,
         "params": params,
         "version": version,
         "outputs": {Path(p).name: sha256_of(p) for p in outputs},

@@ -309,8 +309,12 @@ def test_criterion_14_geometry():
 
 
 def test_criterion_15_reproducibility(tmp_path):
+    import json
+
     from qsu2.cli import main
 
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("s = 1.013\nc_range = 0.2:2.0:0.05\n")
     runs = [
         ["potential", "--s", "0.25", "--m", "1", "--grid=-6:6:0.01"],
         ["classify", "--s", "1.013", "--c-range", "0.2:2.0:0.05"],
@@ -319,13 +323,17 @@ def test_criterion_15_reproducibility(tmp_path):
         ["flow", "--m-max", "4.5", "--s-grid", "0.05:3.0:0.01"],
         ["surface", "--c", "0.5", "--s", "0.5"],
         ["hopf", "--alpha", "3", "--profile", "geometric", "--f0", "20", "--c", "500", "--dim", "7"],
+        ["hopf", "--alpha", "3", "--profile", "geometric", "--f0", "20", "--c", "500", "--dim", "7",
+         "--m-range=-5:5:0.5"],
+        ["classify", "--config", str(cfg)],  # the rerun runs after the config is deleted
     ]
-    for argv in runs:
+    for i, argv in enumerate(runs):
         sub = argv[0]
-        out1, out2 = tmp_path / f"{sub}_1", tmp_path / f"{sub}_2"
+        out1, out2 = tmp_path / f"{i}_{sub}_1", tmp_path / f"{i}_{sub}_2"
         assert main(argv + ["--outdir", str(out1)]) == 0
+        if "--config" in argv:
+            cfg.unlink()
         assert main(["rerun", str(out1 / f"{sub}_manifest.json"), "--outdir", str(out2)]) == 0
-        for made in sorted(out1.glob("*.csv")):
-            twin = out2 / made.name
-            assert twin.exists() and made.read_bytes() == twin.read_bytes(), made.name
-    report(15, "every CLI run regenerated byte-identical CSV from its manifest")
+        first, again = (json.loads((out / f"{sub}_manifest.json").read_text()) for out in (out1, out2))
+        assert first["outputs"] and again["outputs"] == first["outputs"], argv
+    report(15, "every CLI run regenerated byte-identical outputs from its manifest")

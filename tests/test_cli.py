@@ -192,3 +192,63 @@ def test_flow_csv_shape(tmp_path):
     lines = (tmp_path / "flow.csv").read_text().splitlines()
     assert lines[0] == "s,m,value"
     assert len(lines) == 1 + 2 * 30  # two curves on a 30-point grid
+
+
+def _parent_style_manifest(path):
+    path.write_text(json.dumps({"subcommand": "flow", "params": {"m_max": 1.0}, "outputs": {}}))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda p: None,  # missing
+        lambda p: p.mkdir(),  # a directory, not a file
+        lambda p: p.write_bytes(b"\xff\xfe{"),  # not UTF-8
+        lambda p: p.write_text("subcommand = flow\n"),  # not JSON
+        lambda p: p.write_text("[1, 2]"),  # JSON, not an object
+        _parent_style_manifest,  # written before manifests recorded argv
+    ],
+    ids=["missing", "directory", "binary", "not-json", "not-object", "no-argv"],
+)
+def test_rerun_rejects_bad_manifest(tmp_path, capsys, make):
+    manifest = tmp_path / "flow_manifest.json"
+    make(manifest)
+    assert run(["rerun", manifest, "--outdir", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_spectrum_csv_digest_in_manifest(tmp_path):
+    assert run(["potential", "--s", 0.25, "--m", 1, "--grid=-6:6:0.01", "--outdir", tmp_path]) == 0
+    assert run(["spectrum", "--potential-csv", tmp_path / "potential.csv", "--n", 2,
+                "--outdir", tmp_path]) == 0
+    manifest = json.loads((tmp_path / "spectrum_manifest.json").read_text())
+    assert manifest["params"]["potential_sha256"] == sha256_of(tmp_path / "potential.csv")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda lines: ["x,V,mask"] + lines[1:],  # wrong header
+        lambda lines: lines[:2],  # one row
+        lambda lines: lines[:1],  # header only
+        lambda lines: [],  # empty file
+        lambda lines: [ln for i, ln in enumerate(lines) if i % 3 != 0 or i == 0],  # rows dropped
+        lambda lines: lines[:1] + lines[1:][::-1],  # r decreasing
+    ],
+    ids=["header", "one-row", "no-rows", "empty", "non-uniform", "decreasing"],
+)
+def test_spectrum_rejects_bad_potential_csv(tmp_path, capsys, edit):
+    assert run(["potential", "--s", 0.25, "--m", 1, "--grid=-6:6:0.01", "--outdir", tmp_path]) == 0
+    lines = (tmp_path / "potential.csv").read_text().splitlines()
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(ln + "\n" for ln in edit(lines)))
+    out = tmp_path / "out"
+    assert run(["spectrum", "--potential-csv", bad, "--n", 2, "--outdir", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "spectrum.csv").exists()
+
+
+def test_spectrum_rejects_missing_potential_csv(tmp_path, capsys):
+    assert run(["spectrum", "--potential-csv", tmp_path / "absent.csv", "--outdir", tmp_path]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -5,14 +5,12 @@ import pytest
 
 from qsu2.qnumbers import (
     Deformation,
-    QValue,
     SingularDeformation,
     bracket_sequence,
     complex_split_residual,
     qnumber,
     qnumber_complex,
     qnumber_hyperbolic,
-    qvalue,
 )
 
 
@@ -153,11 +151,3 @@ def test_complex_split_residuals():
         worst_naive = max(worst_naive, res["naive"] / scale)
     print(f"naive split reading: worst relative residual {worst_naive:.3e}")
 
-
-def test_qvalue_record():
-    d = Deformation(1.2)
-    v = qvalue(1.5, d)
-    assert isinstance(v, QValue)
-    assert v.kind == "trigonometric"
-    assert v.value == pytest.approx(qnumber(1.5, d))
-    assert v.x == 1.5
