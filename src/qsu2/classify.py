@@ -16,6 +16,7 @@ dimension N+1 close exactly at c = [(N+1)/2]^2.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -185,12 +186,14 @@ def _orbit_valid(d: Deformation, c: float, m0: float, N: int) -> bool:
     return True
 
 
-def finite_orbit_candidates(d: Deformation, n_max: int | None = None):
+@functools.lru_cache(maxsize=256)
+def finite_orbit_candidates(d: Deformation, n_max: int | None = None) -> tuple:
     """Valid finite ladders: (N, c) with c = [(N+1)/2]^2, orbit -N/2 .. N/2.
 
     Orbits are centered on multiples of pi/s (here the k = 0 window, center
     m = 0), where the termination conditions [m0 - 1/2]^2 = [m0 + N + 1/2]^2
-    = c hold exactly.
+    = c hold exactly.  They depend on s alone, so each (d, n_max) is
+    computed once and shared by every c of a sweep.
     """
     if n_max is None:
         n_max = int(math.ceil(2.0 * math.pi / d.s)) + 4
@@ -201,7 +204,7 @@ def finite_orbit_candidates(d: Deformation, n_max: int | None = None):
             continue
         if _orbit_valid(d, c, -N / 2.0, N):
             out.append((N, c))
-    return out
+    return tuple(out)
 
 
 def _matching_dims(d: Deformation, c: float, n_max: int | None = None):

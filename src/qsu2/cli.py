@@ -36,7 +36,7 @@ from .hopf import (
 from .operators import UnitarityError, build_rep, verify_algebra
 from .qnumbers import Deformation, SingularDeformation
 from .schrodinger import build_potential, eigensolve, realization
-from .serialize import complex_pairs, write_csv, write_json, write_manifest
+from .serialize import Records, complex_pairs, write_csv, write_json, write_manifest
 
 EXIT_OK = 0
 EXIT_ARGS = 2
@@ -109,12 +109,27 @@ def _extract_config(argv):
     return None
 
 
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+def _common_flags(default) -> argparse.ArgumentParser:
+    """--outdir and --config, accepted before and after the subcommand."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--outdir", default=None, help="output directory (default: $QSU2_OUTDIR or .)"
+        "--outdir", default=default, help="output directory (default: $QSU2_OUTDIR or .)"
     )
-    common.add_argument("--config", default=None, help="key=value file with flag defaults")
+    common.add_argument("--config", default=default, help="key=value file with flag defaults")
+    return common
+
+
+def _flag_dests(parser: argparse.ArgumentParser) -> set:
+    """Dests of the flags that give this parser's namespace a value."""
+    return {
+        a.dest for a in parser._actions if a.option_strings and a.default is not argparse.SUPPRESS
+    }
+
+
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    # a subcommand's copy of the common flags sets nothing unless given, so
+    # the value given before the subcommand (or its default) stands
+    common = _common_flags(argparse.SUPPRESS)
 
     potential = argparse.ArgumentParser(add_help=False)
     potential.add_argument("--s", type=float, default=None)
@@ -129,7 +144,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     potential.add_argument("--f1-derivative-form", default="first", choices=["first", "second"])
     potential.add_argument("--transform", default="eliminate", choices=["eliminate", "literal"])
 
-    ap = argparse.ArgumentParser(prog="qsu2", description=__doc__, parents=[common])
+    ap = argparse.ArgumentParser(prog="qsu2", description=__doc__, parents=[_common_flags(None)])
     ap.add_argument("--version", action="version", version=f"qsu2 {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -181,10 +196,12 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("manifest")
 
     if defaults:
-        # subparsers parse into a fresh namespace, so config defaults must
-        # be installed on every subparser, not just the root
-        for parser in sub.choices.values():
-            parser.set_defaults(**defaults)
+        # a subparser parses into a fresh namespace that overwrites the
+        # root's, so each config default goes on the parser whose flag
+        # gives the namespace its value
+        for parser in (ap, *sub.choices.values()):
+            dests = _flag_dests(parser)
+            parser.set_defaults(**{k: v for k, v in defaults.items() if k in dests})
     return ap
 
 
@@ -354,15 +371,11 @@ def _cmd_spectrum(args, outdir: Path):
         for k, val in enumerate(res.eigenvalues):
             rows.append((cell, k, val))
         if args.with_vectors:
-            vec_rows = [
-                tuple(col)
-                for col in zip(res.r, *(res.eigenvectors[:, k] for k in range(len(res.eigenvalues))))
-            ]
             vec_files.append(
                 write_csv(
                     outdir / f"spectrum_vectors_{cell}.csv",
                     ["r"] + [f"psi_{k}" for k in range(len(res.eigenvalues))],
-                    vec_rows,
+                    zip(res.r, *res.eigenvectors.T),
                 )
             )
     out = write_csv(outdir / "spectrum.csv", ["cell", "k", "eigenvalue"], rows)
@@ -373,15 +386,16 @@ def _cmd_flow(args, outdir: Path):
     start, step, count = args.s_grid
     s = start + step * np.arange(count)
     table = spectral_flow(args.m_max, s)
-    rows = []
-    for i, m in enumerate(table.m_values):
-        for j, sv in enumerate(table.s_grid):
-            rows.append((sv, m, table.values[i, j]))
-    out = write_csv(outdir / "flow.csv", ["s", "m", "value"], rows)
-    out2 = write_json(
-        outdir / "flow_crossings.json",
-        [{"s": c[0], "m_low": c[1], "m_high": c[2]} for c in table.crossings],
+    n_m, n_s = table.values.shape
+    rows = zip(
+        np.tile(table.s_grid, n_m).tolist(),
+        np.repeat(table.m_values, n_s).tolist(),
+        table.values.ravel().tolist(),
     )
+    out = write_csv(outdir / "flow.csv", ["s", "m", "value"], rows)
+    # the (s, m_low, m_high) triples as columns; no columns when there are none
+    crossings = dict(zip(("s", "m_low", "m_high"), zip(*table.crossings)))
+    out2 = write_json(outdir / "flow_crossings.json", Records(crossings))
     return {}, [out, out2]
 
 
@@ -403,10 +417,13 @@ def _cmd_surface(args, outdir: Path):
     start, step, count = args.jz_grid
     jz = start + step * np.arange(count)
     sec = level_section(d, args.c, jz)
-    rows = [
-        (z, x if not mask else "nan", -x if not mask else "nan", mask)
-        for z, x, mask in zip(sec.jz, np.nan_to_num(sec.jx), sec.mask)
-    ]
+    jx = np.nan_to_num(sec.jx)
+    rows = zip(
+        sec.jz.tolist(),
+        np.where(sec.mask, np.nan, jx).tolist(),
+        np.where(sec.mask, np.nan, -jx).tolist(),
+        sec.mask.tolist(),
+    )
     out = write_csv(outdir / "surface.csv", ["Jz", "Jx_plus", "Jx_minus", "mask"], rows)
     return {"connectivity": sec.connectivity, "components": sec.components}, [out]
 
@@ -496,11 +513,20 @@ def main(argv=None, defaults: dict | None = None) -> int:
     if defaults is None:
         # config supplies parse-time defaults; explicit flags override them
         cfg_path = _extract_config(argv)
-        defaults = _config_defaults(cfg_path) if cfg_path else {}
+        try:
+            defaults = _config_defaults(cfg_path) if cfg_path else {}
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot read config {cfg_path}: {exc}", file=sys.stderr)
+            return EXIT_ARGS
     try:
         args = build_parser(defaults).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    undeclared = sorted(defaults.keys() - (vars(args).keys() - {"command"}))
+    if undeclared:
+        print(f"error: config keys name no flag of {args.command}: {', '.join(undeclared)}",
+              file=sys.stderr)
+        return EXIT_ARGS
 
     outdir = Path(args.outdir or os.environ.get("QSU2_OUTDIR", "."))
     if args.command == "rerun":

@@ -36,6 +36,14 @@ class FlowTable:
     crossings: tuple  # (s, m_low, m_high) triples
 
 
+def unmasked_runs(mask) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and (exclusive) ends of the maximal runs of False in mask."""
+    # +1 where a run ends, -1 where one starts; the padding closes runs at both ends
+    padded = np.concatenate(([True], np.asarray(mask, dtype=bool), [True]))
+    edges = np.diff(padded.astype(np.int8))
+    return np.flatnonzero(edges == -1), np.flatnonzero(edges == 1)
+
+
 def level_section(d, c: float, jz_grid) -> LevelSection:
     """J_y = 0 section of the constant-Casimir surface at value c."""
     if c <= 0.0:
@@ -44,18 +52,12 @@ def level_section(d, c: float, jz_grid) -> LevelSection:
     radicand = c - d.cos_s * np.sin(d.s * jz) ** 2 / d.sin_s**2
     mask = radicand < 0.0
     jx = np.where(mask, np.nan, np.sqrt(np.maximum(radicand, 0.0)))
-    components = 0
-    prev = True
-    for bad in mask:
-        if not bad and prev:
-            components += 1
-        prev = bad
     return LevelSection(
         jz=jz,
         jx=jx,
         mask=mask,
         connectivity="Disconnected" if mask.any() else "Connected",
-        components=components,
+        components=len(unmasked_runs(mask)[0]),
     )
 
 
@@ -93,20 +95,23 @@ def spectral_flow(m_max: float, s_grid) -> FlowTable:
     m_vals = np.arange(1, int(round(2 * m_max)) + 1, dtype=float) / 2.0
     vals = np.sin(2.0 * np.outer(m_vals, s)) / np.sin(s)
 
-    crossings = []
-    for i in range(len(m_vals)):
-        for j in range(i + 1, len(m_vals)):
-            diff = vals[i] - vals[j]
-            sign_change = np.nonzero(np.sign(diff[:-1]) * np.sign(diff[1:]) < 0)[0]
-            for k in sign_change:
-                # linear interpolation of the crossing location
-                t = diff[k] / (diff[k] - diff[k + 1])
-                crossings.append((float(s[k] + t * (s[k + 1] - s[k])), m_vals[i], m_vals[j]))
-            touch = np.nonzero(np.abs(diff) <= CROSSING_TOL)[0]
-            for k in touch:
-                crossings.append((float(s[k]), m_vals[i], m_vals[j]))
-    crossings.sort()
-    return FlowTable(s_grid=s, m_values=m_vals, values=vals, crossings=tuple(crossings))
+    # one curve against all later ones at a time keeps the extra memory O(M S)
+    at, low, high = [], [], []
+    for i in range(len(m_vals) - 1):
+        diff = vals[i] - vals[i + 1 :]
+        sign = np.sign(diff)
+        j, k = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
+        # linear interpolation of the crossing location
+        t = diff[j, k] / (diff[j, k] - diff[j, k + 1])
+        tj, tk = np.nonzero(np.abs(diff) <= CROSSING_TOL)
+        at += [s[k] + t * (s[k + 1] - s[k]), s[tk]]
+        high += [m_vals[i + 1 + j], m_vals[i + 1 + tj]]
+        low.append(np.full(len(j) + len(tj), m_vals[i]))
+    at, low, high = (np.concatenate(a) if a else np.empty(0) for a in (at, low, high))
+    # a stable sort, so equal keys keep the pair loop's order
+    order = np.lexsort((high, low, at))
+    crossings = tuple(zip(at[order].tolist(), low[order].tolist(), high[order].tolist()))
+    return FlowTable(s_grid=s, m_values=m_vals, values=vals, crossings=crossings)
 
 
 def flow_bound_excess(table: FlowTable) -> float:

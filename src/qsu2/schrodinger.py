@@ -31,6 +31,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .classify import rational_pi_fraction, unitary_ok
+from .geometry import unmasked_runs
 from .operators import _dir_sign
 from .qnumbers import Deformation, qnumber
 
@@ -441,19 +442,8 @@ def build_potential(
 
 def _cells(mask: np.ndarray):
     """Maximal unmasked index runs [(lo, hi), ...), hi exclusive."""
-    out = []
-    n = len(mask)
-    i = 0
-    while i < n:
-        if not mask[i]:
-            j = i
-            while j < n and not mask[j]:
-                j += 1
-            out.append((i, j))
-            i = j
-        else:
-            i += 1
-    return out
+    starts, ends = unmasked_runs(mask)
+    return list(zip(starts.tolist(), ends.tolist()))
 
 
 def eigensolve(p: PotentialProfile, n_states: int, cell: str | int = "largest") -> EigenResult:

@@ -8,6 +8,7 @@ output, so a run can be replayed and its outputs compared.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -33,11 +34,30 @@ def fmt(x) -> str:
     return str(x).replace(",", ";")
 
 
+# the %-conversion of each cell type that has one; it prints what fmt does
+_CELL_FORMATS = {float: "%.17g", np.float64: "%.17g", bool: "%d", np.bool_: "%d", int: "%d"}
+
+
+@functools.cache
+def _row_format(types: tuple) -> tuple[str, tuple | None]:
+    """The %-template of a row with these cell types, and which cells fmt
+    must format first (types without a conversion), or None if none."""
+    convs = [_CELL_FORMATS.get(t) for t in types]
+    by_fmt = tuple(c is None for c in convs)
+    return ",".join(c or "%s" for c in convs), by_fmt if any(by_fmt) else None
+
+
 def write_csv(path, header, rows) -> Path:
+    """Header line, then one line per row (any iterable of cell sequences),
+    each cell as fmt formats it."""
     path = Path(path)
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+        row = tuple(row)
+        template, by_fmt = _row_format(tuple(map(type, row)))
+        if by_fmt:
+            row = tuple(fmt(v) if f else v for v, f in zip(row, by_fmt))
+        lines.append(template % row)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     return path
 
@@ -86,7 +106,46 @@ class DensePairs:
         fh.write("\n" + " " * indent + "]")
 
 
-# stands in for each DensePairs in the json.dumps text; the NUL keeps it
+# json.dumps spells the non-finite floats as JavaScript does
+_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_texts(values) -> list[str]:
+    """Each JSON scalar as json.dumps spells it."""
+    if all(isinstance(v, float) for v in values):
+        return [_JSON_SPELLING.get(t, t) for t in map(float.__repr__, values)]
+    return list(map(json.dumps, values))
+
+
+@dataclass(frozen=True)
+class Records:
+    """A list of flat JSON objects, stored as columns: str key -> equal-length
+    sequence of JSON scalars (no columns: no objects).
+
+    write_json renders it byte for byte as json.dumps renders the list of
+    dicts, one format operation per object.
+    """
+
+    columns: dict
+
+    def write(self, fh, indent: int) -> None:
+        """Write the JSON text of the list, whose opening bracket sits on a
+        line indented by `indent` spaces."""
+        keys = sorted(self.columns)
+        texts = [_json_texts(self.columns[k]) for k in keys]
+        if len({len(col) for col in texts}) > 1:
+            raise ValueError("record columns differ in length")
+        if not texts or not texts[0]:
+            fh.write("[]")
+            return
+        pad = "\n" + " " * indent
+        fields = ",".join(f"{pad}    " + json.dumps(k).replace("%", "%%") + ": %s" for k in keys)
+        template = f"{pad}  {{{fields}{pad}  }}"
+        fh.write("[" + ",".join([template % row for row in zip(*texts)]) + pad + "]")
+
+
+# stands in for each pre-rendered value (an object with write(fh, indent),
+# such as DensePairs or Records) in the json.dumps text; the NUL keeps it
 # apart from any string a payload carries
 _STAND_IN = "\x00dense-pairs"
 _STAND_IN_JSON = json.dumps(_STAND_IN)
@@ -94,23 +153,23 @@ _STAND_IN_JSON = json.dumps(_STAND_IN)
 
 def write_json(path, payload) -> Path:
     path = Path(path)
-    grids = []
+    rendered = []
 
     def stand_in(obj):
-        if isinstance(obj, DensePairs):
-            grids.append(obj)
+        if callable(getattr(obj, "write", None)):
+            rendered.append(obj)
             return _STAND_IN
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=True, default=stand_in)
     pieces = text.split(_STAND_IN_JSON)
-    if len(pieces) != len(grids) + 1:
-        raise ValueError("payload text contains the dense-pairs marker")
+    if len(pieces) != len(rendered) + 1:
+        raise ValueError("payload text contains the pre-rendered marker")
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(pieces[0])
-        for grid, before, after in zip(grids, pieces, pieces[1:]):
+        for obj, before, after in zip(rendered, pieces, pieces[1:]):
             line = before[before.rfind("\n") + 1 :]
-            grid.write(fh, len(line) - len(line.lstrip(" ")))
+            obj.write(fh, len(line) - len(line.lstrip(" ")))
             fh.write(after)
         fh.write("\n")
     return path

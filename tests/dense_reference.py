@@ -1,10 +1,12 @@
-"""Dense reference implementations of the banded operator code.
+"""Reference implementations of the banded and vectorised code.
 
 These are the dense n x n and Kronecker-product forms that `build_rep`,
 `verify_algebra`, `casimir_gen`, `conjugation_residual` and
-`hopf_axiom_report` replace.  The property tests compare the banded code
-against them; they are slow (O(n^3) products, n^3 x n^3 Kronecker
-matrices) and run only on small sizes.
+`hopf_axiom_report` replace, and the Python loops that the array code of
+`spectral_flow`, `level_section`, `_cells` and `write_csv` replaces.  The
+property tests compare the library against them; they are slow (O(n^3)
+products, n^3 x n^3 Kronecker matrices, per-element loops) and run only on
+small sizes.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from qsu2.hopf import EDGE_BUFFER as HOPF_BUFFER
 from qsu2.hopf import HopfReport, _c2_casimir
 from qsu2.operators import CLOSURE_TOL, EDGE_BUFFER, AlgebraReport, ladder_coeff
 from qsu2.qnumbers import bracket_sequence, qnumber
+from qsu2.serialize import fmt
 
 
 def build_rep(d, c, m_list):
@@ -155,3 +158,57 @@ def hopf_axiom_report(gd, jp, jm, g_tilde) -> HopfReport:
         comult_homomorphism=interior_max(hom, idx2),
         conjugation=conjugation_residual(gd, jp, g_tilde),
     )
+
+
+def flow_crossings(m_vals, s, vals, tol):
+    """Curve crossings of spectral_flow, one curve pair at a time."""
+    crossings = []
+    for i in range(len(m_vals)):
+        for j in range(i + 1, len(m_vals)):
+            diff = vals[i] - vals[j]
+            sign_change = np.nonzero(np.sign(diff[:-1]) * np.sign(diff[1:]) < 0)[0]
+            for k in sign_change:
+                # linear interpolation of the crossing location
+                t = diff[k] / (diff[k] - diff[k + 1])
+                crossings.append((float(s[k] + t * (s[k + 1] - s[k])), m_vals[i], m_vals[j]))
+            touch = np.nonzero(np.abs(diff) <= tol)[0]
+            for k in touch:
+                crossings.append((float(s[k]), m_vals[i], m_vals[j]))
+    crossings.sort()
+    return tuple(crossings)
+
+
+def components(mask) -> int:
+    """Maximal unmasked runs, counted by a scan (level_section)."""
+    count = 0
+    prev = True
+    for bad in mask:
+        if not bad and prev:
+            count += 1
+        prev = bad
+    return count
+
+
+def cells(mask):
+    """Maximal unmasked index runs [(lo, hi), ...), hi exclusive (_cells)."""
+    out = []
+    n = len(mask)
+    i = 0
+    while i < n:
+        if not mask[i]:
+            j = i
+            while j < n and not mask[j]:
+                j += 1
+            out.append((i, j))
+            i = j
+        else:
+            i += 1
+    return out
+
+
+def csv_text(header, rows) -> str:
+    """write_csv's file text, one fmt call per cell."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(fmt(v) for v in row))
+    return "\n".join(lines) + "\n"

@@ -1,0 +1,180 @@
+"""The array code of the sweep path against its loop references
+(dense_reference.py): spectral-flow crossings, unmasked runs, CSV rows,
+record lists and the per-s orbit cache must all agree exactly.
+"""
+
+import json
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import dense_reference as ref
+from qsu2.classify import finite_orbit_candidates
+from qsu2.geometry import CROSSING_TOL, level_section, spectral_flow, unmasked_runs
+from qsu2.qnumbers import Deformation
+from qsu2.schrodinger import _cells
+from qsu2.serialize import Records, write_csv, write_json
+
+
+def bits(x) -> str:
+    """A float's exact value, the sign of zero included."""
+    return float.__repr__(float(x))
+
+
+def same_crossings(got, want) -> bool:
+    return [tuple(map(bits, c)) for c in got] == [tuple(map(bits, c)) for c in want]
+
+
+# s values on which the [2m] curves meet exactly: roots of unity pi p/q
+ROOTS = [math.pi * p / q for q in range(2, 7) for p in range(1, q)]
+
+
+@st.composite
+def s_grids(draw):
+    """Grids at least 1e-3 from every multiple of pi, uniform or scattered,
+    on either side of zero, with or without exact root-of-unity points."""
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    if draw(st.booleans()):
+        start = draw(st.floats(1e-3, 1.0))
+        count = draw(st.integers(2, 80))
+        step = draw(st.floats(1e-3, (math.pi - 2e-3 - start) / (count - 1)))
+        s = start + step * np.arange(count)
+    else:
+        s = np.array(draw(st.lists(st.floats(1e-3, math.pi - 1e-3), min_size=2, max_size=60)))
+    roots = draw(st.lists(st.sampled_from(ROOTS), max_size=4))
+    return sign * np.concatenate([s, roots])
+
+
+@settings(max_examples=150)
+@given(m_max=st.integers(0, 24).map(lambda k: k / 2.0), s=s_grids())
+@example(m_max=4.5, s=np.linspace(0.05, math.pi - 0.05, 500))
+@example(m_max=3.0, s=np.array(ROOTS))
+def test_spectral_flow_crossings_match_pair_loop(m_max, s):
+    table = spectral_flow(m_max, s)
+    want = ref.flow_crossings(table.m_values, table.s_grid, table.values, CROSSING_TOL)
+    assert same_crossings(table.crossings, want)
+
+
+def test_spectral_flow_touches_are_found():
+    # integer-m curves all vanish at s = pi/2 up to rounding
+    table = spectral_flow(3.0, np.array([0.4, math.pi / 2, 2.0]))
+    touches = [c for c in table.crossings if c[0] == math.pi / 2]
+    assert {(c[1], c[2]) for c in touches} >= {(1.0, 2.0), (1.0, 3.0), (2.0, 3.0)}
+    # [2] - [4] = 6 (s - pi/2) + O((s - pi/2)^3): 7.2e-10 apart is a touch,
+    # 1.2e-9 apart is not
+    for offset, touching in ((1.2e-10, True), (2e-10, False)):
+        s = math.pi / 2 + offset
+        table = spectral_flow(2.0, np.array([0.4, s, 2.0]))
+        assert ((s, 1.0, 2.0) in table.crossings) is touching
+
+
+@settings(max_examples=300)
+@given(mask=st.lists(st.booleans(), max_size=120))
+@example(mask=[])
+@example(mask=[True] * 7)
+@example(mask=[False] * 7)
+@example(mask=[False, False, True, True, False])
+@example(mask=[True, False, False, True])
+def test_unmasked_runs_match_scans(mask):
+    assert _cells(np.array(mask, dtype=bool)) == ref.cells(mask)
+    assert _cells(mask) == ref.cells(mask)
+    assert len(unmasked_runs(mask)[0]) == ref.components(mask)
+
+
+@settings(max_examples=100)
+@given(s=st.floats(0.1, 3.0), c=st.floats(0.05, 5.0), half=st.integers(1, 25))
+def test_level_section_components_match_scan(s, c, half):
+    sec = level_section(Deformation(s), c, np.arange(-half, half, 0.05))
+    assert sec.components == ref.components(sec.mask)
+    assert type(sec.components) is int
+
+
+# cells of every type a CSV row may carry: NaN of either sign, infinities,
+# signed zeros and subnormals; numpy scalars; text with commas
+floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | st.sampled_from(
+    [-math.nan, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]
+)
+text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8) | st.sampled_from(
+    ["", ",", "a,b", "-nan", "%d", "%s"]
+)
+cells = (
+    floats
+    | floats.map(np.float64)
+    | st.floats(width=32).map(np.float32)
+    | st.booleans()
+    | st.booleans().map(np.bool_)
+    | st.integers()
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | text
+)
+
+
+@settings(max_examples=300)
+@given(rows=st.lists(st.lists(cells, max_size=6), max_size=12))
+def test_write_csv_matches_per_cell_fmt(rows, tmp_path_factory):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    header = ["a", "b"]
+    # rows as lists, tuples, or a one-shot generator (the tracer's stand-in)
+    write_csv(path, header, (tuple(r) if i % 2 else r for i, r in enumerate(rows)))
+    assert path.read_bytes() == ref.csv_text(header, rows).encode("utf-8")
+
+
+@settings(max_examples=300)
+@given(values=st.lists(floats, min_size=1, max_size=8))
+def test_csv_floats_round_trip(values, tmp_path_factory):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_csv(path, ["x"], ([v] for v in values))
+    for v, line in zip(values, path.read_text().splitlines()[1:]):
+        assert float(line) == v or (math.isnan(v) and line == "nan")
+        assert math.copysign(1.0, float(line)) == math.copysign(1.0, v) or math.isnan(v)
+
+
+json_floats = floats | floats.map(np.float64)
+json_scalars = json_floats | st.integers() | st.booleans() | st.none() | text
+
+
+@st.composite
+def record_columns(draw):
+    """Columns of equal length, each all-float or of mixed scalar types."""
+    n = draw(st.integers(0, 6))
+    keys = draw(st.lists(text, max_size=4, unique=True))
+    return {
+        k: draw(st.lists(draw(st.sampled_from([json_floats, json_scalars])), min_size=n, max_size=n))
+        for k in keys
+    }
+
+
+@settings(max_examples=300)
+@given(columns=record_columns())
+@example(columns={})
+@example(columns={"s": [], "m_low": [], "m_high": []})
+@example(
+    columns={
+        "zeros": [0.0, -0.0, 0.0, -0.0],
+        "repeats": [1.5, 1.5, np.float64(1.5), 2.0],
+        "non-finite": [math.inf, -math.inf, math.inf, math.nan],
+    }
+)
+def test_records_match_json_dumps(columns, tmp_path_factory):
+    path = tmp_path_factory.mktemp("json") / "t.json"
+    n = len(next(iter(columns.values()))) if columns else 0
+    dicts = [{k: col[i] for k, col in columns.items()} for i in range(n)]
+    for payload, want in (
+        (Records(columns), dicts),
+        ({"x": Records(columns), "y": [1, Records(columns)]}, {"x": dicts, "y": [1, dicts]}),
+    ):
+        write_json(path, payload)
+        dumped = json.dumps(want, indent=2, sort_keys=True, allow_nan=True) + "\n"
+        assert path.read_text(encoding="utf-8") == dumped
+
+
+@settings(max_examples=60)
+@given(s=st.floats(0.05, math.pi - 0.05), n_max=st.none() | st.integers(1, 40))
+def test_cached_orbit_candidates_match_recomputation(s, n_max):
+    d = Deformation(s)
+    got = finite_orbit_candidates(d, n_max)
+    assert isinstance(got, tuple)
+    assert got == tuple(finite_orbit_candidates.__wrapped__(d, n_max))
+    assert finite_orbit_candidates(d, n_max) is got

@@ -26,7 +26,7 @@ from qsu2.hopf import (
 from qsu2.operators import build_rep, verify_algebra
 from qsu2.qnumbers import Deformation, qnumber
 
-SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=200)
 
 
 def same_bits(a, b) -> bool:
@@ -124,7 +124,7 @@ def gen_reps(draw):
     return gd, rep, c
 
 
-@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@settings(max_examples=30)
 @given(case=gen_reps())
 def test_hopf_report_matches_kronecker(case):
     gd, rep, c = case

@@ -151,6 +151,55 @@ def test_config_file_defaults(tmp_path):
     assert first.split(",")[2] == "0.90000000000000002"
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda p: None,  # missing
+        lambda p: p.mkdir(),  # a directory, not a file
+        lambda p: p.write_bytes(b"s = \xff\n"),  # not UTF-8
+    ],
+    ids=["missing", "directory", "binary"],
+)
+def test_unreadable_config_is_an_argument_error(tmp_path, capsys, make):
+    cfg = tmp_path / "run.cfg"
+    make(cfg)
+    out = tmp_path / "out"
+    assert run(["classify", "--s", 1, "--c", 2, "--config", cfg, "--outdir", out]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_config_key_naming_no_flag_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    # a misspelt flag, and a flag of another subcommand
+    for key in ("c-rnage = 0.2:2:0.1", "m-max = 3"):
+        cfg.write_text(f"s = 1.0\n{key}\n")
+        assert run(["classify", "--c", 2, "--config", cfg, "--outdir", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key.split()[0].replace("-", "_") in err
+        assert not out.exists()
+    # the common flags are declared by every subcommand
+    cfg.write_text(f"s = 1.0\nc = 2.0\noutdir = {out}\nconfig = {cfg}\n")
+    assert run(["classify", "--config", cfg]) == 0
+    assert (out / "classify.csv").exists()
+
+
+@pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+def test_outdir_either_side_of_the_subcommand(tmp_path, monkeypatch, before):
+    monkeypatch.chdir(tmp_path)
+    flag = ["--outdir", tmp_path / "x"]
+    argv = ["classify", "--s", 1, "--c", 2]
+    assert run(flag + argv if before else argv + flag) == 0
+    assert (tmp_path / "x" / "classify.csv").exists()
+    assert not (tmp_path / "classify.csv").exists()
+    # the one after the subcommand wins, so rerun's own --outdir does
+    assert run(["rerun", tmp_path / "x" / "classify_manifest.json", "--outdir", tmp_path / "y"]) == 0
+    assert (tmp_path / "y" / "classify.csv").read_bytes() == (tmp_path / "x" / "classify.csv").read_bytes()
+    assert run(["--outdir", tmp_path / "z"] + argv + ["--outdir", tmp_path / "w"]) == 0
+    assert (tmp_path / "w" / "classify.csv").exists() and not (tmp_path / "z").exists()
+
+
 def test_outdir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("QSU2_OUTDIR", str(tmp_path / "envdir"))
     assert run(["classify", "--s", 1.0, "--c", 2.0]) == 0
