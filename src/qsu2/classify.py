@@ -25,6 +25,7 @@ import numpy as np
 from .qnumbers import Deformation, qnumber
 
 MATCH_TOL = 1e-9  # tolerance for c = [(N+1)/2]^2 matches and m_f exclusion
+RADICAND_TOL = 1e-12  # relative rounding slack of the unitarity rule
 RATIONAL_MAX_DEN = 64
 
 
@@ -83,10 +84,22 @@ def thresholds(d: Deformation) -> Thresholds:
     )
 
 
-def unitary_ok(d: Deformation, c: float, m: float) -> bool:
-    """Both ladder-direction eigenvalues c - [m -+ 1/2]^2 non-negative."""
-    cs2 = c * d.sin_s**2
-    return cs2 >= math.sin(d.s * (m - 0.5)) ** 2 and cs2 >= math.sin(d.s * (m + 0.5)) ** 2
+def ladder_radicand(d: Deformation, c: float, m, sign: int):
+    """c - [m + sign/2]^2, the squared ladder coefficient from m towards
+    m + sign (sign = +1 raises, -1 lowers); m is a float or an array."""
+    return c - qnumber(m + 0.5 * sign, d) ** 2
+
+
+def radicand_ok(rad, c: float):
+    """The unitarity rule: rad >= 0 up to RADICAND_TOL * max(1, |c|), the
+    rounding left where a ladder closes (a radicand that is exactly zero
+    there).  NaN is never admissible."""
+    return rad >= -RADICAND_TOL * max(1.0, abs(c))
+
+
+def unitary_ok(d: Deformation, c: float, m):
+    """Both ladder directions from m admissible (elementwise for an array m)."""
+    return radicand_ok(ladder_radicand(d, c, m, -1), c) & radicand_ok(ladder_radicand(d, c, m, +1), c)
 
 
 def _alpha(d: Deformation, c: float) -> float:
@@ -178,14 +191,6 @@ def rational_pi_fraction(s: float, max_den: int = RATIONAL_MAX_DEN, tol: float =
     return None
 
 
-def _orbit_valid(d: Deformation, c: float, m0: float, N: int) -> bool:
-    """All interior ladder moves of the orbit m0..m0+N stay unitary."""
-    for l in range(N):
-        if c - qnumber(m0 + l + 0.5, d) ** 2 < -1e-12 * max(1.0, c):
-            return False
-    return True
-
-
 @functools.lru_cache(maxsize=256)
 def finite_orbit_candidates(d: Deformation, n_max: int | None = None) -> tuple:
     """Valid finite ladders: (N, c) with c = [(N+1)/2]^2, orbit -N/2 .. N/2.
@@ -202,18 +207,15 @@ def finite_orbit_candidates(d: Deformation, n_max: int | None = None) -> tuple:
         c = qnumber((N + 1) / 2.0, d) ** 2
         if c <= 0.0:
             continue
-        if _orbit_valid(d, c, -N / 2.0, N):
+        # the N interior moves m -> m + 1 of the orbit -N/2 .. N/2
+        if radicand_ok(ladder_radicand(d, c, np.arange(N) - N / 2.0, +1), c).all():
             out.append((N, c))
     return tuple(out)
 
 
-def _matching_dims(d: Deformation, c: float, n_max: int | None = None):
+def _matching_dims(d: Deformation, c: float):
     """Integers N with |c - [(N+1)/2]^2| <= MATCH_TOL and a valid orbit."""
-    dims = []
-    for N, cN in finite_orbit_candidates(d, n_max):
-        if abs(c - cN) <= MATCH_TOL:
-            dims.append(N)
-    return dims
+    return [N for N, cN in finite_orbit_candidates(d) if abs(c - cN) <= MATCH_TOL]
 
 
 def classify(d: Deformation, c: float) -> list[RepDescriptor]:
@@ -288,38 +290,26 @@ def classify(d: Deformation, c: float) -> list[RepDescriptor]:
                     extra={"p": p, "l": l, "delta": iv.delta, "Delta": iv.Delta},
                 )
             )
-        for N in _matching_dims(d, c):
-            m0 = -N / 2.0
-            out.append(
-                RepDescriptor(
-                    rep_class=RepClass.Finite2b,
-                    c=c,
-                    s=s,
-                    m_rule=f"m = m0 + l, l = 0..{N}, m0 = -N/2 + k pi/s",
-                    N=N,
-                    m_list=tuple(m0 + l for l in range(N + 1)),
-                )
-            )
-        return out
-
-    if s < math.pi / 2.0 and th.c2 < c < th.c1:
+        rep_class, dims = RepClass.Finite2b, _matching_dims(d, c)
+    elif s < math.pi / 2.0 and th.c2 < c < th.c1:
         n_bound = math.pi / s - 2.0
-        for N in _matching_dims(d, c):
-            if not (0 < N < n_bound):
-                continue
-            m0 = -N / 2.0
-            out.append(
-                RepDescriptor(
-                    rep_class=RepClass.Discrete3,
-                    c=c,
-                    s=s,
-                    m_rule=f"m = m0 + l, l = 0..{N}, m0 = -N/2 + k pi/s",
-                    N=N,
-                    m_list=tuple(m0 + l for l in range(N + 1)),
-                )
-            )
+        rep_class, dims = RepClass.Discrete3, [N for N in _matching_dims(d, c) if 0 < N < n_bound]
+    else:
         return out
 
+    # finite ladders: Finite2b in the mixed band, Discrete3 below it
+    for N in dims:
+        m0 = -N / 2.0
+        out.append(
+            RepDescriptor(
+                rep_class=rep_class,
+                c=c,
+                s=s,
+                m_rule=f"m = m0 + l, l = 0..{N}, m0 = -N/2 + k pi/s",
+                N=N,
+                m_list=tuple(m0 + l for l in range(N + 1)),
+            )
+        )
     return out
 
 
@@ -351,12 +341,11 @@ def class2a_enumerate(d: Deformation, c: float, epsilon: float, periods: int = 3
     m0 = math.pi / (2.0 * d.s) - iv.delta / 2.0 + epsilon
     window = int(math.ceil(periods * iv.period)) + 1
     ms = m0 + np.arange(-window, window + 1, dtype=float)
-    ok = np.array([unitary_ok(d, c, m) for m in ms])
-    if not ok.all():
+    if not unitary_ok(d, c, ms).all():
         raise ValueError("lattice point escaped the allowed intervals (invalid epsilon/c)")
 
     one_period = m0 + np.arange(k + 1, dtype=float)
-    coeffs = np.sqrt(np.maximum(c - np.sin(d.s * (one_period + 0.5)) ** 2 / d.sin_s**2, 0.0))
+    coeffs = np.sqrt(np.maximum(ladder_radicand(d, c, one_period, +1), 0.0))
     distinct = len(np.unique(np.round(coeffs / MATCH_TOL).astype(np.int64)))
 
     return RepDescriptor(

@@ -465,9 +465,7 @@ def _cmd_hopf(args, outdir: Path):
     if args.what in ("all", "axioms"):
         rep = build_gen_rep(gd, args.dim, args.c)
         report = hopf_axiom_report(gd, rep)
-        cas = casimir_gen(gd, rep)
-        diag = np.real(np.diag(cas))
-        inner = diag[2:-2]
+        inner = casimir_gen(gd, rep).real[2:-2]
         payload = {k: getattr(report, k) for k in report.__dataclass_fields__}
         payload["casimir_diag_drift"] = float(inner.max() - inner.min()) if inner.size else 0.0
         payload["q1"] = gd.q1
@@ -518,11 +516,16 @@ def main(argv=None, defaults: dict | None = None) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: cannot read config {cfg_path}: {exc}", file=sys.stderr)
             return EXIT_ARGS
+    parser = build_parser(defaults)
     try:
-        args = build_parser(defaults).parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    undeclared = sorted(defaults.keys() - (vars(args).keys() - {"command"}))
+    # a key must name a flag of the root parser or of the subcommand; a
+    # positional argument (rerun's manifest) takes no config default
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    declared = _flag_dests(parser) | _flag_dests(sub.choices[args.command])
+    undeclared = sorted(defaults.keys() - declared)
     if undeclared:
         print(f"error: config keys name no flag of {args.command}: {', '.join(undeclared)}",
               file=sys.stderr)

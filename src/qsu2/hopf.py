@@ -77,6 +77,9 @@ def _profile_geometric(params, q1, alpha):
 
 
 def _profile_tabulated(params):
+    missing = [k for k in ("m", "b") if k not in params]
+    if missing:
+        raise ValueError(f"tabulated profile needs the {' and '.join(missing)} arrays")
     m_pts = np.asarray(params["m"], dtype=float)
     b_pts = np.asarray(params["b"], dtype=float)
     if np.any(b_pts <= 0.0):
@@ -360,13 +363,13 @@ def _interior_block(n: int) -> slice:
 
 
 def casimir_gen(gd: GenDeformation, rep) -> np.ndarray:
-    """Quartic Casimir C1 (g~ - g~^-1)^2 + c2 J_+ J_- of the built rep, a
-    diagonal matrix."""
+    """Diagonal of the quartic Casimir C1 (g~ - g~^-1)^2 + c2 J_+ J_- of the
+    built rep, a diagonal matrix."""
     _, jp, jm, g = rep
     gt = g.band.real
     quad = (gt - 1.0 / gt) ** 2
     pm = np.concatenate(([0j], jp.band * jm.band))  # diagonal of J_+ J_-
-    return np.diag(gd.C1 * quad + _c2_casimir(gd) * pm)
+    return gd.C1 * quad + _c2_casimir(gd) * pm
 
 
 def conjugation_residual(gd: GenDeformation, rep) -> float:

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classify import ladder_radicand, radicand_ok
 from .qnumbers import Deformation, bracket_sequence, qnumber
 
 EDGE_BUFFER = 2
 CLOSURE_TOL = 1e-10
-RADICAND_TOL = 1e-12
 
 
 class UnitarityError(ValueError):
@@ -91,12 +91,14 @@ def _dir_sign(direction) -> int:
 
 
 def ladder_coeff(d: Deformation, c: float, m: float, direction) -> float:
-    """sqrt(c - [m +- 1/2]^2) >= 0, raising on unitarity violation."""
+    """sqrt(c - [m +- 1/2]^2) >= 0, raising on unitarity violation; a NaN
+    radicand (NaN c) gives a NaN coefficient."""
     sign = _dir_sign(direction)
-    rad = c - qnumber(m + 0.5 * sign, d) ** 2
-    if rad < -RADICAND_TOL * max(1.0, abs(c)):
+    rad = ladder_radicand(d, c, m, sign)
+    if not (radicand_ok(rad, c) or math.isnan(rad)):
         raise UnitarityError(
-            f"c - [m {'+' if sign > 0 else '-'} 1/2]^2 = {rad!r} < 0 at c={c!r}, m={m!r}"
+            f"c - [m {'+' if sign > 0 else '-'} 1/2]^2 = {float(rad)!r} < 0 "
+            f"at c={float(c)!r}, m={float(m)!r}"
         )
     return math.sqrt(max(rad, 0.0))
 
@@ -143,9 +145,8 @@ def _ladder_bands(triple):
 def edge_coefficients(d: Deformation, c: float, triple) -> tuple[float, float]:
     """Ladder coefficients that would leave the basis at the bottom/top."""
     ms = triple[0].basis
-    bottom = math.sqrt(max(c - qnumber(ms[0] - 0.5, d) ** 2, 0.0))
-    top = math.sqrt(max(c - qnumber(ms[-1] + 0.5, d) ** 2, 0.0))
-    return bottom, top
+    bottom, top = ladder_radicand(d, c, ms[0], -1), ladder_radicand(d, c, ms[-1], +1)
+    return math.sqrt(max(bottom, 0.0)), math.sqrt(max(top, 0.0))
 
 
 def verify_algebra(triple, d: Deformation, c: float) -> AlgebraReport:

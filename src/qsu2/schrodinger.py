@@ -352,7 +352,6 @@ def build_potential(
     m: float,
     fns: RealizationFns,
     grid=(-6.0, 1e-3, 12001),
-    regime: str | None = None,
     kappa_mode: str = "exact",
     f1_derivative_form: str = "first",
     transform: str = "eliminate",
@@ -362,8 +361,7 @@ def build_potential(
     Terms: the transform term for -kappa f1 d_r, [2m][2m-2] f1^2/4,
     -f1 f2 [2m-1], -(f1'/2)[2m] (or the f1'' variant), f2^2 + f2',
     [m]^2, and [m-1/2]^2.  Samples within POLE_MASK_STEPS grid steps of an
-    f1/f2 pole are masked.  regime is a consistency declaration only
-    ("near0" | "nearPi" | "nearHalfPi"); it does not alter the terms.
+    f1/f2 pole are masked.
 
     transform = "eliminate" (default) eliminates the first-derivative
     coefficient exactly; "literal" uses -a''/a with a = exp(-int f1 dr),
@@ -422,7 +420,6 @@ def build_potential(
             "kappa_mode": kappa_mode,
             "f1_derivative_form": f1_derivative_form,
             "transform": transform,
-            "regime": regime,
             "grid": [start, step, count],
         },
         casimir_offset=float(offset),
@@ -507,7 +504,6 @@ def _refine_profile(p: PotentialProfile) -> PotentialProfile:
         pr["m"],
         fns,
         grid=(start, step / 2.0, 2 * count - 1),
-        regime=pr["regime"],
         kappa_mode=pr["kappa_mode"],
         f1_derivative_form=pr["f1_derivative_form"],
         transform=pr.get("transform", "eliminate"),

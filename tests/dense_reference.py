@@ -3,7 +3,8 @@
 These are the dense n x n and Kronecker-product forms that `build_rep`,
 `verify_algebra`, `casimir_gen`, `conjugation_residual` and
 `hopf_axiom_report` replace, and the Python loops that the array code of
-`spectral_flow`, `level_section`, `_cells` and `write_csv` replaces.  The
+`spectral_flow`, `level_section`, `_cells`, `write_csv` and
+`finite_orbit_candidates` replaces.  The
 property tests compare the library against them; they are slow (O(n^3)
 products, n^3 x n^3 Kronecker matrices, per-element loops) and run only on
 small sizes.
@@ -212,3 +213,26 @@ def csv_text(header, rows) -> str:
     for row in rows:
         lines.append(",".join(fmt(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def _orbit_valid(d, c, m0, N) -> bool:
+    """All interior ladder moves of the orbit m0..m0+N stay unitary."""
+    for l in range(N):
+        if c - qnumber(m0 + l + 0.5, d) ** 2 < -1e-12 * max(1.0, c):
+            return False
+    return True
+
+
+def finite_orbit_candidates(d, n_max=None) -> tuple:
+    """(N, c = [(N+1)/2]^2) whose orbit -N/2 .. N/2 is valid, one scalar
+    radicand at a time (finite_orbit_candidates)."""
+    if n_max is None:
+        n_max = int(math.ceil(2.0 * math.pi / d.s)) + 4
+    out = []
+    for N in range(1, n_max + 1):
+        c = qnumber((N + 1) / 2.0, d) ** 2
+        if c <= 0.0:
+            continue
+        if _orbit_valid(d, c, -N / 2.0, N):
+            out.append((N, c))
+    return tuple(out)

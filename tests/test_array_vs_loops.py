@@ -1,6 +1,7 @@
 """The array code of the sweep path against its loop references
 (dense_reference.py): spectral-flow crossings, unmasked runs, CSV rows,
-record lists and the per-s orbit cache must all agree exactly.
+record lists, the per-s orbit cache and the finite orbit candidates must
+all agree exactly.
 """
 
 import json
@@ -178,3 +179,20 @@ def test_cached_orbit_candidates_match_recomputation(s, n_max):
     assert isinstance(got, tuple)
     assert got == tuple(finite_orbit_candidates.__wrapped__(d, n_max))
     assert finite_orbit_candidates(d, n_max) is got
+
+
+@settings(max_examples=300)
+@given(
+    s=st.floats(0.01, math.pi - 0.01)
+    | st.builds(lambda lp: math.pi * lp[1] / lp[0],
+                st.integers(2, 60).flatmap(lambda l: st.tuples(st.just(l), st.integers(1, l - 1)))),
+    n_max=st.none() | st.integers(1, 80),
+)
+@example(s=0.05, n_max=None)
+@example(s=math.pi / 3, n_max=None)
+@example(s=2 * math.pi / 5, n_max=40)
+def test_orbit_candidates_match_scalar_loop(s, n_max):
+    d = Deformation(s)
+    got = finite_orbit_candidates.__wrapped__(d, n_max)
+    want = ref.finite_orbit_candidates(d, n_max)
+    assert [(N, bits(c)) for N, c in got] == [(N, bits(c)) for N, c in want]

@@ -11,6 +11,7 @@ from qsu2.classify import (
     continuous_series_c,
     finite_orbit_candidates,
     interval_structure,
+    radicand_ok,
     rational_pi_fraction,
     thresholds,
     unitary_ok,
@@ -144,6 +145,28 @@ def test_classify_finite_matches_brute_force():
                 for m in x.m_list:
                     assert x.c - qnumber(m + 0.5, d) ** 2 >= -1e-12
                     assert x.c - qnumber(m - 0.5, d) ** 2 >= -1e-12
+
+
+def test_finite_ladder_states_pass_unitary_ok():
+    # classify and unitary_ok apply the same rule: every listed state of a
+    # finite ladder, closing edges included, passes it
+    for s in np.linspace(0.05, 3.0, 400):
+        d = Deformation(s)
+        for N, c in finite_orbit_candidates(d):
+            for x in classify(d, c):
+                if x.rep_class in (RepClass.Finite2b, RepClass.Discrete3):
+                    assert unitary_ok(d, c, np.array(x.m_list)).all(), (s, N, c)
+                    assert all(unitary_ok(d, c, m) for m in x.m_list), (s, N, c)
+
+
+def test_unitary_ok_tolerance_and_arrays():
+    d = Deformation(1.013)
+    ms = np.arange(-10, 10.5, 0.5)
+    assert unitary_ok(d, 1.2, ms).tolist() == [unitary_ok(d, 1.2, m) for m in ms]
+    # a radicand below zero by less than 1e-12 max(1, |c|) is rounding
+    assert radicand_ok(-0.9e-12, 0.5) and not radicand_ok(-1.1e-12, 0.5)
+    assert radicand_ok(-45e-12, 50.0) and not radicand_ok(-55e-12, 50.0)
+    assert not radicand_ok(math.nan, 1.0)
 
 
 def test_classify_discrete3_band():

@@ -185,6 +185,25 @@ def test_config_key_naming_no_flag_is_rejected(tmp_path, capsys):
     assert (out / "classify.csv").exists()
 
 
+def test_config_key_naming_a_positional_is_rejected(tmp_path, capsys):
+    first = tmp_path / "first"
+    assert run(["classify", "--s", 1, "--c", 2, "--outdir", first]) == 0
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("manifest = nothing.json\n")
+    out = tmp_path / "out"
+    assert run(["rerun", first / "classify_manifest.json", "--config", cfg, "--outdir", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "manifest" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("what", ["spectrum", "axioms", "all"])
+def test_hopf_tabulated_without_arrays_is_an_argument_error(tmp_path, capsys, what):
+    assert run(["hopf", "--profile", "tabulated", "--what", what, "--outdir", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: tabulated profile needs the m and b arrays")
+
+
 @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
 def test_outdir_either_side_of_the_subcommand(tmp_path, monkeypatch, before):
     monkeypatch.chdir(tmp_path)

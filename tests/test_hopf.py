@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import dense_reference as ref
 from qsu2.hopf import (
     GenDeformation,
     build_gen_rep,
@@ -163,7 +164,9 @@ def test_build_gen_rep_geometric_casimir_and_conjugation():
     gd = GenDeformation(alpha=2.0, profile="geometric", profile_params={"f0": 20.0})
     rep = build_gen_rep(gd, 9, 900.0)
     cas = casimir_gen(gd, rep)
-    diag = np.real(np.diag(cas))[2:-2]
+    # the dense quartic Casimir is diagonal: its off-diagonal entries are zeros
+    assert np.array_equal(np.diag(cas), ref.casimir_gen(gd, *(op.entries for op in rep[1:])))
+    diag = cas.real[2:-2]
     assert diag.max() - diag.min() < 1e-8
     assert np.abs(diag - 900.0).max() < 1e-8
     assert conjugation_residual(gd, rep) < 1e-10
@@ -244,6 +247,13 @@ def test_tabulated_profile():
         GenDeformation(
             alpha=2.0, profile="tabulated", profile_params={"m": m_pts, "b": -b_pts}
         ).b(0.0)
+
+
+def test_tabulated_profile_names_missing_arrays():
+    for params, missing in (({}, "m and b"), ({"m": [0.0, 1.0]}, "the b arrays")):
+        gd = GenDeformation(alpha=2.0, profile="tabulated", profile_params=params)
+        with pytest.raises(ValueError, match=missing):
+            gd.b(0.0)
 
 
 def test_profile_closure_built_once(monkeypatch):

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qsu2.classify import finite_orbit_candidates, thresholds
+from qsu2.classify import finite_orbit_candidates, ladder_radicand, thresholds
 from qsu2.operators import (
     UnitarityError,
     build_rep,
@@ -57,6 +59,49 @@ def test_ladder_coeff_error_names_inputs():
     d = Deformation(1.0)
     with pytest.raises(UnitarityError, match="c=0.1"):
         ladder_coeff(d, 0.1, 0.0, "+")
+    # numpy scalars are named as plain floats
+    with pytest.raises(UnitarityError, match=r"at c=0\.1, m=0\.0$"):
+        ladder_coeff(d, np.float64(0.1), np.float64(0.0), "+")
+
+
+def test_ladder_coeff_nan_casimir_propagates():
+    assert math.isnan(ladder_coeff(Deformation(1.0), math.nan, 0.0, "+"))
+
+
+def same_float(a, b) -> bool:
+    return float.__repr__(float(a)) == float.__repr__(float(b))
+
+
+def test_scalar_radicand_squares_with_libm_pow():
+    # rep.json is written from scalar radicands, squared by libm pow(x, 2);
+    # numpy's x*x differs from it in the last bit for ~0.1 % of values
+    for s in np.linspace(0.01, 3.1, 200):
+        d = Deformation(s)
+        for m in np.arange(-40.0, 40.5, 0.5).tolist():
+            for sign in (-1, 1):
+                want = 2.0 - math.pow(qnumber(m + 0.5 * sign, d), 2)
+                assert same_float(ladder_radicand(d, 2.0, m, sign), want), (s, m, sign)
+
+
+@settings(max_examples=300)
+@given(
+    s=st.floats(0.01, math.pi - 0.01),
+    c=st.floats(-1.0, 50.0),
+    m=st.floats(-60.0, 60.0) | st.integers(-60, 60).map(lambda k: k / 2.0),
+)
+def test_ladder_directions_are_antisymmetric(s, c, m):
+    # lowering from m is raising from -m: the same radicand, bit for bit
+    d = Deformation(s)
+    assert same_float(ladder_radicand(d, c, m, -1), ladder_radicand(d, c, -m, +1))
+    ms = np.array([m, -m, m + 1.0])
+    assert np.array_equal(ladder_radicand(d, c, ms, -1), ladder_radicand(d, c, -ms, +1))
+    try:
+        down = ladder_coeff(d, c, m, "-")
+    except UnitarityError:
+        with pytest.raises(UnitarityError):
+            ladder_coeff(d, c, -m, "+")
+    else:
+        assert same_float(down, ladder_coeff(d, c, -m, "+"))
 
 
 def test_continuous_coefficient_closed_form():
