@@ -91,9 +91,9 @@ def ladder_radicand(d: Deformation, c: float, m, sign: int):
 
 
 def radicand_ok(rad, c: float):
-    """The unitarity rule: rad >= 0 up to RADICAND_TOL * max(1, |c|), the
-    rounding left where a ladder closes (a radicand that is exactly zero
-    there).  NaN is never admissible."""
+    """The unitarity rule: rad >= 0 up to RADICAND_TOL * max(1, |c|) of
+    rounding, which the radicand where a ladder closes (zero in exact
+    arithmetic) carries.  NaN is never admissible."""
     return rad >= -RADICAND_TOL * max(1.0, abs(c))
 
 
