@@ -2,16 +2,18 @@
 
 Exit codes: 0 success, 2 argument error, 3 verification failure,
 4 numerical failure (NaN/overflow).  Each run writes a JSON manifest
-recording the argv it parsed, the config defaults it parsed them with, the
+recording the argv it parsed, the config lines it parsed them with, the
 resolved parameters and the output digests; `rerun` parses that argv again
-with those defaults and reproduces byte-identical files.  A config file of
-key=value lines supplies defaults; explicit flags override it.  The default output
-directory comes from --outdir or the QSU2_OUTDIR environment variable.
+with those lines and reproduces byte-identical files.  A config file's
+`key = value` lines are the flags they name, parsed ahead of the explicit
+flags, which win.  The default output directory comes from --outdir or the
+QSU2_OUTDIR environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -50,14 +52,25 @@ class VerificationFailure(Exception):
     pass
 
 
+def _finite(text: str) -> float:
+    """A float flag's value; NaN and inf would pass every bound check downstream."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_grid(spec: str):
     """start:stop:step grid specification."""
     try:
         start, stop, step = (float(tok) for tok in spec.split(":"))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid spec {spec!r}: {exc}") from None
-    if step <= 0 or stop <= start:
-        raise argparse.ArgumentTypeError(f"bad grid spec {spec!r}: need stop > start, step > 0")
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop <= start:
+        raise argparse.ArgumentTypeError(f"bad grid spec {spec!r}: need finite stop > start, step > 0")
     count = int(math.floor((stop - start) / step + 0.5)) + 1
     return start, step, count
 
@@ -66,6 +79,8 @@ def _parse_basis(spec: str):
     """m0:count basis specification (unit spacing)."""
     try:
         m0, count = spec.split(":")
+        if not math.isfinite(float(m0)):
+            raise ValueError("m0 is not finite")
         return float(m0), int(count)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad basis spec {spec!r}: {exc}") from None
@@ -78,35 +93,20 @@ def _deformation(s: float) -> Deformation:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _coerce(value: str):
-    for cast in (int, float):
-        try:
-            return cast(value)
-        except ValueError:
-            pass
-    if value.lower() in ("true", "false"):
-        return value.lower() == "true"
-    return value
-
-
 def _config_defaults(path):
+    """The file's `key = value` lines, keyed in flag-dest form, values as written."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot read config {path}: {exc}") from None
     out = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition("=")
-        out[key.strip().replace("-", "_")] = _coerce(value.strip())
+        out[key.strip().replace("-", "_")] = value.strip()
     return out
-
-
-def _extract_config(argv):
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if tok.startswith("--config="):
-            return tok.split("=", 1)[1]
-    return None
 
 
 def _common_flags(default) -> argparse.ArgumentParser:
@@ -115,30 +115,53 @@ def _common_flags(default) -> argparse.ArgumentParser:
     common.add_argument(
         "--outdir", default=default, help="output directory (default: $QSU2_OUTDIR or .)"
     )
-    common.add_argument("--config", default=default, help="key=value file with flag defaults")
+    common.add_argument("--config", default=default, help="file of key = value lines, each the flag it names")
     return common
 
 
-def _flag_dests(parser: argparse.ArgumentParser) -> set:
-    """Dests of the flags that give this parser's namespace a value."""
-    return {
-        a.dest for a in parser._actions if a.option_strings and a.default is not argparse.SUPPRESS
-    }
+def _config_argv(parser, command: str, defaults: dict):
+    """Each config line as the flag it names (`--key=value`, the bare switch for
+    `true`, nothing for `false`): the root's (--outdir, --config), which go
+    ahead of the root's explicit flags, and the subcommand's."""
+    sub = next(a for a in parser._actions if isinstance(a, _Subcommands))
+    declared = sub.choices[command]._option_string_actions
+    flags = {key: "--" + key.replace("_", "-") for key in defaults}
+    undeclared = sorted(key for key, flag in flags.items() if flag not in declared or key == "help")
+    if undeclared:
+        raise argparse.ArgumentTypeError(f"config keys name no flag of {command}: {', '.join(undeclared)}")
+    root_argv, config_argv = [], []
+    for key, value in defaults.items():
+        value = str(value)  # a manifest written before may hold numbers and booleans
+        if value.lower() != "false":
+            flag = flags[key] if value.lower() == "true" else f"{flags[key]}={value}"
+            (root_argv if flags[key] in parser._option_string_actions else config_argv).append(flag)
+    return root_argv, config_argv
 
 
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+class _Subcommands(argparse._SubParsersAction):
+    """Subcommand dispatch that parses the namespace's `config_argv` ahead of
+    the subcommand's explicit flags, through the same actions; the explicit ones win."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        config_argv = vars(namespace).pop("config_argv", [])
+        super().__call__(parser, namespace, values[:1] + config_argv + values[1:], option_string)
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: it holds no per-call state."""
     # a subcommand's copy of the common flags sets nothing unless given, so
     # the value given before the subcommand (or its default) stands
     common = _common_flags(argparse.SUPPRESS)
 
     potential = argparse.ArgumentParser(add_help=False)
-    potential.add_argument("--s", type=float, default=None)
-    potential.add_argument("--m", type=float, default=None)
+    potential.add_argument("--s", type=_finite, default=None)
+    potential.add_argument("--m", type=_finite, default=None)
     potential.add_argument("--f1-branch", default=None, choices=["tan", "tanh", "constant", "linear"])
     potential.add_argument("--f2-branch", default=None, choices=["sech", "exponential", "cosine", "constant"])
-    potential.add_argument("--F", type=float, default=1.0, help="integration constant of the f2 branch")
-    potential.add_argument("--d1", type=float, default=0.0)
-    potential.add_argument("--d2", type=float, default=0.0)
+    potential.add_argument("--F", type=_finite, default=1.0, help="integration constant of the f2 branch")
+    potential.add_argument("--d1", type=_finite, default=0.0)
+    potential.add_argument("--d2", type=_finite, default=0.0)
     potential.add_argument("--grid", type=_parse_grid, default=(-6.0, 1e-3, 12001), help="start:stop:step")
     potential.add_argument("--kappa-mode", default="exact", choices=["exact", "unit", "parity"])
     potential.add_argument("--f1-derivative-form", default="first", choices=["first", "second"])
@@ -146,18 +169,18 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
 
     ap = argparse.ArgumentParser(prog="qsu2", description=__doc__, parents=[_common_flags(None)])
     ap.add_argument("--version", action="version", version=f"qsu2 {__version__}")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, action=_Subcommands)
 
     p = sub.add_parser(
         "classify", parents=[common], help="representation classes for s and a c value or range"
     )
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--c", type=float, default=None)
+    p.add_argument("--s", type=_finite, default=None)
+    p.add_argument("--c", type=_finite, default=None)
     p.add_argument("--c-range", type=_parse_grid, default=None, help="start:stop:step sweep of c")
 
     p = sub.add_parser("rep", parents=[common], help="matrix representation on an explicit basis")
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--c", type=float, default=None)
+    p.add_argument("--s", type=_finite, default=None)
+    p.add_argument("--c", type=_finite, default=None)
     p.add_argument("--basis", type=_parse_basis, default=None, help="m0:count, unit spacing")
     p.add_argument("--verify", action="store_true", help="exit 3 if asserted residuals exceed tolerance")
 
@@ -170,24 +193,24 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p.add_argument("--with-vectors", action="store_true")
 
     p = sub.add_parser("flow", parents=[common], help="spectral flow [2m](s) long-format CSV")
-    p.add_argument("--m-max", type=float, default=4.5)
+    p.add_argument("--m-max", type=_finite, default=4.5)
     p.add_argument("--s-grid", type=_parse_grid, default=(0.05, (math.pi - 0.1) / 499, 500))
 
     p = sub.add_parser("surface", parents=[common], help="constant-Casimir section or topology transition")
-    p.add_argument("--c", type=float, default=None)
-    p.add_argument("--s", type=float, default=None, help="section at this s")
+    p.add_argument("--c", type=_finite, default=None)
+    p.add_argument("--s", type=_finite, default=None, help="section at this s")
     p.add_argument("--jz-grid", type=_parse_grid, default=(-12.0, 0.01, 2401))
     p.add_argument("--transition", action="store_true", help="scan s for the transition instead")
     p.add_argument("--s-grid", type=_parse_grid, default=(0.05, (math.pi - 0.1) / 2999, 3000))
 
     p = sub.add_parser("hopf", parents=[common], help="generalized-deformation window, spectrum, and axiom report")
-    p.add_argument("--alpha", type=float, default=-1.0)
+    p.add_argument("--alpha", type=_finite, default=-1.0)
     p.add_argument("--profile", default="constant", choices=["constant", "sech", "geometric", "tabulated"])
-    p.add_argument("--b0", type=float, default=1.0)
-    p.add_argument("--f0", type=float, default=4.0)
-    p.add_argument("--f-lo", type=float, default=None)
-    p.add_argument("--f-hi", type=float, default=None)
-    p.add_argument("--c", type=float, default=2.0)
+    p.add_argument("--b0", type=_finite, default=1.0)
+    p.add_argument("--f0", type=_finite, default=4.0)
+    p.add_argument("--f-lo", type=_finite, default=None)
+    p.add_argument("--f-hi", type=_finite, default=None)
+    p.add_argument("--c", type=_finite, default=2.0)
     p.add_argument("--dim", type=int, default=9)
     p.add_argument("--m-range", type=_parse_grid, default=(-20.0, 1.0, 41))
     p.add_argument("--what", default="all", choices=["all", "window", "spectrum", "axioms"])
@@ -195,13 +218,6 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("rerun", parents=[common], help="re-run a previous invocation from its manifest")
     p.add_argument("manifest")
 
-    if defaults:
-        # a subparser parses into a fresh namespace that overwrites the
-        # root's, so each config default goes on the parser whose flag
-        # gives the namespace its value
-        for parser in (ap, *sub.choices.values()):
-            dests = _flag_dests(parser)
-            parser.set_defaults(**{k: v for k, v in defaults.items() if k in dests})
     return ap
 
 
@@ -276,7 +292,7 @@ def _cmd_rep(args, outdir: Path):
             report.hermiticity,
             report.maekawa_shift_dev,
         )
-        if any(v > ASSERTED_RESIDUAL_TOL for v in asserted):
+        if not all(v <= ASSERTED_RESIDUAL_TOL for v in asserted):  # NaN fails
             raise VerificationFailure(f"algebra residuals exceed {ASSERTED_RESIDUAL_TOL}: {asserted}")
     return {}, [out]
 
@@ -470,7 +486,7 @@ def _cmd_hopf(args, outdir: Path):
         payload["casimir_diag_drift"] = float(inner.max() - inner.min()) if inner.size else 0.0
         payload["q1"] = gd.q1
         outputs.append(write_json(outdir / "hopf_axioms.json", payload))
-        if report.coassoc_jp > ASSERTED_RESIDUAL_TOL or report.counit_jp > ASSERTED_RESIDUAL_TOL:
+        if not (report.coassoc_jp <= ASSERTED_RESIDUAL_TOL and report.counit_jp <= ASSERTED_RESIDUAL_TOL):
             raise VerificationFailure("coassociativity/counit residual exceeded tolerance")
     return computed, outputs
 
@@ -487,7 +503,7 @@ DISPATCH = {
 
 
 def _rerun(manifest_path: str, outdir: Path) -> int:
-    """Parse the recorded argv again with the recorded config defaults,
+    """Parse the recorded argv again with the recorded config lines,
     writing into outdir (argparse keeps the last --outdir)."""
     try:
         manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
@@ -506,42 +522,24 @@ def _rerun(manifest_path: str, outdir: Path) -> int:
 
 def main(argv=None, defaults: dict | None = None) -> int:
     """Run one invocation.  `defaults` stands in for the --config file's
-    values; rerun passes the ones its manifest recorded."""
+    lines; rerun passes the ones its manifest recorded."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    if defaults is None:
-        # config supplies parse-time defaults; explicit flags override them
-        cfg_path = _extract_config(argv)
-        try:
-            defaults = _config_defaults(cfg_path) if cfg_path else {}
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot read config {cfg_path}: {exc}", file=sys.stderr)
-            return EXIT_ARGS
-    parser = build_parser(defaults)
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if defaults is None:
+            defaults = _config_defaults(args.config) if args.config else {}
+        if defaults:
+            root_argv, config_argv = _config_argv(parser, args.command, defaults)
+            args = parser.parse_args(root_argv + argv, argparse.Namespace(config_argv=config_argv))
+        outdir = Path(args.outdir or os.environ.get("QSU2_OUTDIR", "."))
+        if args.command == "rerun":
+            return _rerun(args.manifest, outdir)
+        outdir.mkdir(parents=True, exist_ok=True)
+        computed, outputs = DISPATCH[args.command](args, outdir)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    # a key must name a flag of the root parser or of the subcommand; a
-    # positional argument (rerun's manifest) takes no config default
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    declared = _flag_dests(parser) | _flag_dests(sub.choices[args.command])
-    undeclared = sorted(defaults.keys() - declared)
-    if undeclared:
-        print(f"error: config keys name no flag of {args.command}: {', '.join(undeclared)}",
-              file=sys.stderr)
-        return EXIT_ARGS
-
-    outdir = Path(args.outdir or os.environ.get("QSU2_OUTDIR", "."))
-    if args.command == "rerun":
-        return _rerun(args.manifest, outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    try:
-        computed, outputs = DISPATCH[args.command](args, outdir)
-    except argparse.ArgumentTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ARGS
-    except (SingularDeformation, ValueError) as exc:
+    except (argparse.ArgumentTypeError, SingularDeformation, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARGS
     except VerificationFailure as exc:

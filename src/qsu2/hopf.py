@@ -31,6 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .classify import radicand_ok
 from .operators import OperatorMatrix, _absmax, _ladder_bands
 
 EDGE_BUFFER = 2
@@ -335,14 +336,14 @@ def build_gen_rep(gd: GenDeformation, dim: int, c: float, m0: float | None = Non
     n2 = np.empty(dim - 1)
     anchor = (c - gd.C1 * phi[a]) / c2c  # |N|^2 feeding row a from below
     if anchor < -1e-12:
-        raise ValueError(f"no unitary truncation at this anchor: |N|^2 = {anchor!r}")
+        raise ValueError(f"no unitary truncation at this anchor: |N|^2 = {float(anchor)!r}")
     n2[a - 1] = max(anchor, 0.0)
     for i in range(a, dim - 1):  # upward: N_i^2 = N_{i-1}^2 - K(m_i)
         n2[i] = n2[i - 1] - k_diag[i]
     for i in range(a - 2, -1, -1):  # downward
         n2[i] = n2[i + 1] + k_diag[i + 1]
-    if np.any(n2 < -1e-12 * max(1.0, abs(c))):
-        raise ValueError(f"no unitary truncation at this anchor: min |N|^2 = {n2.min()!r}")
+    if not np.all(radicand_ok(n2, c)):
+        raise ValueError(f"no unitary truncation at this anchor: min |N|^2 = {float(n2.min())!r}")
     n2 = np.maximum(n2, 0.0)
 
     basis = tuple(ms)

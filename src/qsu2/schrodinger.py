@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .classify import rational_pi_fraction, unitary_ok
 from .geometry import unmasked_runs
@@ -467,6 +466,7 @@ def eigensolve(p: PotentialProfile, n_states: int, cell: str | int = "largest") 
     diag = 2.0 / h**2 + v
     off = np.full(n - 1, -1.0 / h**2)
     n_states = min(n_states, n)
+    from scipy.linalg import eigh_tridiagonal  # not at the top: scipy is most of `import qsu2.cli`
     w, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_states - 1))
     full = np.zeros((hi - lo, vecs.shape[1]))
     full[1:-1, :] = vecs

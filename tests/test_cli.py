@@ -320,3 +320,72 @@ def test_spectrum_rejects_bad_potential_csv(tmp_path, capsys, edit):
 def test_spectrum_rejects_missing_potential_csv(tmp_path, capsys):
     assert run(["spectrum", "--potential-csv", tmp_path / "absent.csv", "--outdir", tmp_path]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_import_leaves_scipy_out():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, qsu2.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["rep", "--s", 1, "--c", "nan", "--basis=0:8", "--verify"], "--c"),
+        (["rep", "--s", 1, "--c=-inf", "--basis=0:8"], "--c"),
+        (["rep", "--s", 1, "--c", 2, "--basis=nan:8"], "--basis"),
+        (["hopf", "--alpha", 2, "--profile", "geometric", "--f0", 20, "--c", "nan", "--dim", 7], "--c"),
+        (["hopf", "--alpha", "inf", "--what", "window"], "--alpha"),
+        (["potential", "--s", 0.25, "--m", 1, "--grid=0:inf:1"], "--grid"),
+        (["flow", "--s-grid=0.1:nan:0.1"], "--s-grid"),
+        (["classify", "--s", "1e400", "--c", 2], "--s"),
+    ],
+    ids=["rep-c-nan", "rep-c-minus-inf", "rep-basis-nan", "hopf-c-nan", "hopf-alpha-inf",
+         "potential-grid-inf", "flow-grid-nan", "classify-s-overflow"],
+)
+def test_non_finite_input_is_an_argument_error(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    assert run(argv + ["--outdir", out]) == 2
+    assert f"error: argument {flag}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rep_verify_fails_a_nan_residual(tmp_path, monkeypatch):
+    import dataclasses
+
+    import qsu2.cli
+
+    real = qsu2.cli.verify_algebra
+    monkeypatch.setattr(qsu2.cli, "verify_algebra",
+                        lambda *a: dataclasses.replace(real(*a), res_casimir=math.nan))
+    argv = ["rep", "--s", 1.0, "--c", 3.0, "--basis=-5:11", "--outdir", tmp_path]
+    assert run(argv) == 0
+    assert run(argv + ["--verify"]) == 3
+
+
+def test_hopf_gate_fails_a_nan_residual(tmp_path, monkeypatch):
+    import dataclasses
+
+    import qsu2.cli
+
+    real = qsu2.cli.hopf_axiom_report
+    monkeypatch.setattr(qsu2.cli, "hopf_axiom_report",
+                        lambda *a: dataclasses.replace(real(*a), coassoc_jp=math.nan))
+    argv = ["hopf", "--alpha", 3, "--profile", "geometric", "--f0", 20, "--c", 500, "--dim", 7]
+    assert run(argv + ["--outdir", tmp_path]) == 3
+
+
+def test_hopf_infeasible_anchor_prints_a_float(tmp_path, capsys):
+    # the README's sech example: the telescoped |N|^2 goes negative
+    assert run(["hopf", "--alpha", 3, "--profile", "sech", "--c", 1.0, "--outdir", tmp_path]) == 2
+    err = capsys.readouterr().err
+    head, value = err.rstrip("\n").rsplit(" = ", 1)
+    assert head == "error: no unitary truncation at this anchor: min |N|^2"
+    assert float(value) == pytest.approx(-0.61121492313517, rel=1e-9)

@@ -178,6 +178,16 @@ def test_build_gen_rep_anchor_failure():
         build_gen_rep(gd, 9, 1e-3)
 
 
+def test_build_gen_rep_applies_the_unitarity_rule():
+    gd = GenDeformation(alpha=2.0, profile="geometric", profile_params={"f0": 20.0})
+    # NaN is never admissible: a NaN c gives NaN |N|^2, which the rule rejects
+    with pytest.raises(ValueError, match=r"min \|N\|\^2 = nan$"):
+        build_gen_rep(gd, 9, math.nan)
+    # the error prints a float, not a numpy repr
+    with pytest.raises(ValueError, match=r"= -[0-9.e+-]+$"):
+        build_gen_rep(GenDeformation(alpha=-1.0), 9, 2.0)
+
+
 def test_reduction_of_spectrum():
     gd = GenDeformation(alpha=2.0, profile="constant", profile_params={"b0": 0.3})
     for m in (-2.0, 1.0, 3.0):
