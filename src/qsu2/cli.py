@@ -38,7 +38,7 @@ from .hopf import (
 from .operators import UnitarityError, build_rep, verify_algebra
 from .qnumbers import Deformation, SingularDeformation
 from .schrodinger import build_potential, eigensolve, realization
-from .serialize import Records, complex_pairs, write_csv, write_json, write_manifest
+from .serialize import Records, complex_pairs, rows_of, write_csv, write_json, write_manifest
 
 EXIT_OK = 0
 EXIT_ARGS = 2
@@ -319,7 +319,7 @@ def _potential_from_args(args):
 
 def _cmd_potential(args, outdir: Path):
     prof, branches = _potential_from_args(args)
-    rows = zip(prof.r, prof.values, prof.pole_mask)
+    rows = rows_of(prof.r, prof.values, prof.pole_mask)
     return branches, [write_csv(outdir / "potential.csv", ["r", "V", "mask"], rows)]
 
 
@@ -340,13 +340,17 @@ def _load_potential_csv(path):
         raise ValueError(f"{path}: header {header!r} is not 'r,V,mask'")
     if len(rows) < 2:
         raise ValueError(f"{path}: {len(rows)} rows, need at least 2")
-    r, v, mask = [], [], []
-    for row in rows:
-        a, b, c = row.split(",")
-        r.append(float(a))
-        v.append(float(b) if b != "nan" else math.nan)
-        mask.append(c == "1")
-    r = np.asarray(r)
+    try:
+        table = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+        r, v, mask = table.T.copy()  # contiguous columns
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if len(table) != len(rows):
+        raise ValueError(f"{path}: {len(rows) - len(table)} blank rows")
+    not_flag = (mask != 0) & (mask != 1)
+    if not_flag.any():
+        line = int(np.argmax(not_flag))
+        raise ValueError(f"{path}: mask cell {rows[line].rsplit(',', 1)[1]!r} on line {line + 2} is not 0 or 1")
     step = (r[-1] - r[0]) / (len(r) - 1)
     if not (step > 0 and np.all(np.abs(np.diff(r) - step) <= GRID_RTOL * step)):
         raise ValueError(f"{path}: r is not an increasing uniform grid")
@@ -354,8 +358,8 @@ def _load_potential_csv(path):
         start=float(r[0]),
         step=float(step),
         count=len(r),
-        values=np.asarray(v),
-        pole_mask=np.asarray(mask, dtype=bool),
+        values=v,
+        pole_mask=mask == 1,
         params={"source": str(path), "sha256": hashlib.sha256(data).hexdigest()},
         casimir_offset=0.0,
         terms={},
@@ -380,20 +384,15 @@ def _cmd_spectrum(args, outdir: Path):
         cells = ["largest"]
     else:
         cells = [int(args.cell)]
-    rows = []
+    # every cell is solved (and a bad --cell rejected) before anything is written
+    solved = [(cell, eigensolve(prof, args.n, cell, vectors=args.with_vectors)) for cell in cells]
     vec_files = []
-    for cell in cells:
-        res = eigensolve(prof, args.n, cell)
-        for k, val in enumerate(res.eigenvalues):
-            rows.append((cell, k, val))
-        if args.with_vectors:
-            vec_files.append(
-                write_csv(
-                    outdir / f"spectrum_vectors_{cell}.csv",
-                    ["r"] + [f"psi_{k}" for k in range(len(res.eigenvalues))],
-                    zip(res.r, *res.eigenvectors.T),
-                )
-            )
+    if args.with_vectors:
+        for cell, res in solved:
+            header = ["r"] + [f"psi_{k}" for k in range(len(res.eigenvalues))]
+            rows = rows_of(res.r, *res.eigenvectors.T)
+            vec_files.append(write_csv(outdir / f"spectrum_vectors_{cell}.csv", header, rows))
+    rows = [(cell, k, val) for cell, res in solved for k, val in enumerate(res.eigenvalues)]
     out = write_csv(outdir / "spectrum.csv", ["cell", "k", "eigenvalue"], rows)
     return computed, [out] + vec_files
 
@@ -403,11 +402,7 @@ def _cmd_flow(args, outdir: Path):
     s = start + step * np.arange(count)
     table = spectral_flow(args.m_max, s)
     n_m, n_s = table.values.shape
-    rows = zip(
-        np.tile(table.s_grid, n_m).tolist(),
-        np.repeat(table.m_values, n_s).tolist(),
-        table.values.ravel().tolist(),
-    )
+    rows = rows_of(np.tile(table.s_grid, n_m), np.repeat(table.m_values, n_s), table.values.ravel())
     out = write_csv(outdir / "flow.csv", ["s", "m", "value"], rows)
     # the (s, m_low, m_high) triples as columns; no columns when there are none
     crossings = dict(zip(("s", "m_low", "m_high"), zip(*table.crossings)))
@@ -434,12 +429,7 @@ def _cmd_surface(args, outdir: Path):
     jz = start + step * np.arange(count)
     sec = level_section(d, args.c, jz)
     jx = np.nan_to_num(sec.jx)
-    rows = zip(
-        sec.jz.tolist(),
-        np.where(sec.mask, np.nan, jx).tolist(),
-        np.where(sec.mask, np.nan, -jx).tolist(),
-        sec.mask.tolist(),
-    )
+    rows = rows_of(sec.jz, np.where(sec.mask, np.nan, jx), np.where(sec.mask, np.nan, -jx), sec.mask)
     out = write_csv(outdir / "surface.csv", ["Jz", "Jx_plus", "Jx_minus", "mask"], rows)
     return {"connectivity": sec.connectivity, "components": sec.components}, [out]
 
@@ -474,7 +464,7 @@ def _cmd_hopf(args, outdir: Path):
         start, step, count = args.m_range
         ms = start + step * np.arange(count)
         spec = spectrum_2jz(gd, ms)
-        outputs.append(write_csv(outdir / "hopf_spectrum.csv", ["m", "value"], zip(ms, spec)))
+        outputs.append(write_csv(outdir / "hopf_spectrum.csv", ["m", "value"], rows_of(ms, spec)))
         outputs.append(
             write_json(outdir / "hopf_accumulation.json", detect_accumulation(ms, spec))
         )
@@ -535,8 +525,7 @@ def main(argv=None, defaults: dict | None = None) -> int:
         outdir = Path(args.outdir or os.environ.get("QSU2_OUTDIR", "."))
         if args.command == "rerun":
             return _rerun(args.manifest, outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        computed, outputs = DISPATCH[args.command](args, outdir)
+        computed, outputs = DISPATCH[args.command](args, outdir)  # the first output creates outdir
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     except (argparse.ArgumentTypeError, SingularDeformation, ValueError) as exc:

@@ -92,7 +92,7 @@ class PotentialProfile:
 @dataclass(frozen=True)
 class EigenResult:
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # column k is the k-th state, L2-normalized
+    eigenvectors: np.ndarray | None  # column k is the k-th state, L2-normalized; None if not asked for
     h: float
     boundary: str
     cell: tuple  # (start index, stop index) into the profile grid
@@ -442,22 +442,33 @@ def _cells(mask: np.ndarray):
     return list(zip(starts.tolist(), ends.tolist()))
 
 
-def eigensolve(p: PotentialProfile, n_states: int, cell: str | int = "largest") -> EigenResult:
+def _cell_bounds(p: PotentialProfile, cell: str | int = "largest") -> tuple:
+    """The (lo, hi) sample range of a well: the largest unmasked run, or
+    the run with index cell; ValueError for an index outside the runs."""
+    runs = _cells(p.pole_mask)
+    if not runs:
+        raise ValueError("grid fully masked")
+    if cell == "largest":
+        return max(runs, key=lambda ab: ab[1] - ab[0])
+    k = int(cell)
+    if not 0 <= k < len(runs):
+        raise ValueError(f"cell {k} is out of range: the grid has {len(runs)} cells (0 to {len(runs) - 1})")
+    return runs[k]
+
+
+def eigensolve(
+    p: PotentialProfile, n_states: int, cell: str | int = "largest", vectors: bool = True
+) -> EigenResult:
     """Lowest n_states of the central-difference discretization, hard walls.
 
     The walls sit at the outermost samples of the cell (psi pinned to zero
     there), so the well geometry is independent of the step and halving h
     refines at second order.  On masked grids each contiguous unmasked run
     is an independent well; cell selects which one ("largest" or an index
-    into the run list).
+    into the run list).  With vectors=False only the eigenvalues are
+    computed (the same values) and eigenvectors is None.
     """
-    runs = _cells(p.pole_mask)
-    if not runs:
-        raise ValueError("grid fully masked")
-    if cell == "largest":
-        lo, hi = max(runs, key=lambda ab: ab[1] - ab[0])
-    else:
-        lo, hi = runs[int(cell)]
+    lo, hi = _cell_bounds(p, cell)
     if hi - lo < MIN_CELL_SAMPLES:
         raise ValueError(f"cell has {hi - lo} samples; need >= {MIN_CELL_SAMPLES}")
     h = p.step
@@ -467,10 +478,14 @@ def eigensolve(p: PotentialProfile, n_states: int, cell: str | int = "largest") 
     off = np.full(n - 1, -1.0 / h**2)
     n_states = min(n_states, n)
     from scipy.linalg import eigh_tridiagonal  # not at the top: scipy is most of `import qsu2.cli`
-    w, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_states - 1))
-    full = np.zeros((hi - lo, vecs.shape[1]))
-    full[1:-1, :] = vecs
-    full = full / np.sqrt(h * np.sum(full**2, axis=0))
+    found = eigh_tridiagonal(diag, off, eigvals_only=not vectors, select="i", select_range=(0, n_states - 1))
+    if vectors:
+        w, vecs = found
+        full = np.zeros((hi - lo, vecs.shape[1]))
+        full[1:-1, :] = vecs
+        full = full / np.sqrt(h * np.sum(full**2, axis=0))
+    else:
+        w, full = found, None
     r = p.r[lo:hi]
     return EigenResult(
         eigenvalues=w, eigenvectors=full, h=h, boundary="hard-wall", cell=(lo, hi), r=r
@@ -479,9 +494,9 @@ def eigensolve(p: PotentialProfile, n_states: int, cell: str | int = "largest") 
 
 def eigen_discretization_error(p: PotentialProfile, state: int, cell="largest") -> float:
     """Richardson estimate of the h^2 eigenvalue error: (4/3)|c_h - c_{h/2}|."""
-    res_h = eigensolve(p, state + 1, cell)
+    res_h = eigensolve(p, state + 1, cell, vectors=False)
     fine = _refine_profile(p)
-    res_h2 = eigensolve(fine, state + 1, cell)
+    res_h2 = eigensolve(fine, state + 1, cell, vectors=False)
     return 4.0 / 3.0 * abs(res_h.eigenvalues[state] - res_h2.eigenvalues[state])
 
 
@@ -698,6 +713,68 @@ def disjoint_support_pair(i1, i2, heights1, heights2, epsilon: float, grid):
     return f1, f2
 
 
+# a lag's FFT correlation is trusted when both of its windows' variances
+# exceed this fraction of n max(x^2), the scale of the sums' FFT rounding
+FFT_VARIANCE_FLOOR = 1e-5
+# trusted lags this close to the best FFT correlation are evaluated directly
+FFT_TIE_BAND = 1e-8
+MIN_LAG_PAIRS = 200
+
+
+def _lag_correlation(w: np.ndarray, lag: int):
+    """Pearson correlation of w[:-lag] with w[lag:] over the pairs where both
+    are finite; None below MIN_LAG_PAIRS pairs or at zero variance."""
+    a, b = w[:-lag], w[lag:]
+    ok = np.isfinite(a) & np.isfinite(b)
+    if int(ok.sum()) < MIN_LAG_PAIRS:
+        return None
+    aa = a[ok] - a[ok].mean()
+    bb = b[ok] - b[ok].mean()
+    den = math.sqrt(float(np.sum(aa * aa)) * float(np.sum(bb * bb)))
+    if den == 0.0:
+        return None
+    return float(np.sum(aa * bb)) / den
+
+
+def _candidate_lags(w: np.ndarray, lag_lo: int, lag_hi: int) -> list:
+    """The lags in [lag_lo, lag_hi] that may hold the best correlation.
+
+    One masked-FFT scan (Padfield, IEEE TIP 21(5), 2012) gives every lag's
+    pair count and Pearson correlation from three forward FFTs: of the
+    values x (0 where w is not finite), of x^2 and of the validity mask.
+    A lag with at least MIN_LAG_PAIRS pairs is a candidate when its
+    correlation is within FFT_TIE_BAND of the best, or when a variance is
+    too small for the FFT sums to resolve (zero-variance lags among them).
+    """
+    if lag_hi < lag_lo:
+        return []
+    ok = np.isfinite(w)
+    x = np.where(ok, w, 0.0)
+    x2 = x * x
+    size = 1 << (len(w) + lag_hi - 1).bit_length()  # no wrap-around up to lag_hi
+    fx, fx2, fm = (np.fft.rfft(f, size) for f in (x, x2, ok.astype(float)))
+
+    def corr(f, g):
+        """sum_i f[i] g[i + L] at index L, sum_i g[i] f[i + L] at index size - L."""
+        return np.fft.irfft(f.conj() * g, size)
+
+    lags = np.arange(lag_lo, lag_hi + 1)
+    pairs = np.rint(corr(fm, fm)[lags])
+    enough = pairs >= MIN_LAG_PAIRS
+    lags, pairs = lags[enough], pairs[enough]
+    s_x, s_xx = corr(fx, fm), corr(fx2, fm)
+    sa, sb = s_x[lags], s_x[size - lags]
+    var_a = s_xx[lags] - sa * sa / pairs
+    var_b = s_xx[size - lags] - sb * sb / pairs
+    cov = corr(fx, fx)[lags] - sa * sb / pairs
+    floor = FFT_VARIANCE_FLOOR * len(w) * float(np.max(x2, initial=0.0))
+    trusted = (var_a > floor) & (var_b > floor)
+    rho = np.full(len(lags), -np.inf)
+    rho[trusted] = cov[trusted] / np.sqrt(var_a[trusted] * var_b[trusted])
+    near = rho >= rho.max(initial=-np.inf) - FFT_TIE_BAND
+    return lags[near | ~trusted].tolist()
+
+
 def commensurability_peak(
     values: np.ndarray,
     step: float,
@@ -712,8 +789,11 @@ def commensurability_peak(
     excluded, so the correlation reflects the mid-well structure where the
     second profile acts.  The normalized autocorrelation is scanned over
     lags in (base_period/2, max_periods * base_period] with pairwise
-    deletion of excluded samples.  Returns (peak, lag); a peak >= 0.95
-    marks a commensurate pair.
+    deletion of excluded samples: lags with fewer than MIN_LAG_PAIRS pairs
+    or zero variance are skipped, and the earliest lag wins a tie.  The
+    FFT scan narrows the lags down; the candidates are evaluated directly.
+    Returns (peak, lag), or (-1.0, 0.0) when no lag qualifies; a peak >=
+    0.95 marks a commensurate pair.
     """
     v = np.asarray(values, dtype=float)
     thr = np.percentile(np.abs(v), clip_percentile)
@@ -723,17 +803,8 @@ def commensurability_peak(
     lag_lo = max(1, int(round(0.5 * base_period / step)))
     lag_hi = min(n - 2, int(round(max_periods * base_period / step)))
     best, best_lag = -1.0, 0
-    for lag in range(lag_lo, lag_hi + 1):
-        a, b = w[:-lag], w[lag:]
-        ok = np.isfinite(a) & np.isfinite(b)
-        if int(ok.sum()) < 200:
-            continue
-        aa = a[ok] - a[ok].mean()
-        bb = b[ok] - b[ok].mean()
-        den = math.sqrt(float(np.sum(aa * aa)) * float(np.sum(bb * bb)))
-        if den == 0.0:
-            continue
-        rho = float(np.sum(aa * bb)) / den
-        if rho > best:
+    for lag in _candidate_lags(w, lag_lo, lag_hi):
+        rho = _lag_correlation(w, lag)
+        if rho is not None and rho > best:
             best, best_lag = rho, lag
     return best, best_lag * step

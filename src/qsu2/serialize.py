@@ -8,11 +8,11 @@ output, so a run can be replayed and its outputs compared.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain, groupby, islice
 from pathlib import Path
 
 import numpy as np
@@ -37,29 +37,47 @@ def fmt(x) -> str:
 # the %-conversion of each cell type that has one; it prints what fmt does
 _CELL_FORMATS = {float: "%.17g", np.float64: "%.17g", bool: "%d", np.bool_: "%d", int: "%d"}
 
+# rows rendered per % operation (and converted per .tolist() in rows_of)
+CSV_BLOCK_ROWS = 1024
 
-@functools.cache
-def _row_format(types: tuple) -> tuple[str, tuple | None]:
-    """The %-template of a row with these cell types, and which cells fmt
-    must format first (types without a conversion), or None if none."""
-    convs = [_CELL_FORMATS.get(t) for t in types]
-    by_fmt = tuple(c is None for c in convs)
-    return ",".join(c or "%s" for c in convs), by_fmt if any(by_fmt) else None
+
+def _render_block(block: list) -> str:
+    """The CSV lines of rows of one length, each ending in a newline.  A
+    column whose cells share one type with a %-conversion uses it; every
+    other column's cells go through fmt."""
+    columns = list(zip(*block))
+    convs = []
+    for j, col in enumerate(columns):
+        types = set(map(type, col))
+        conv = _CELL_FORMATS.get(types.pop()) if len(types) == 1 else None
+        if conv is None:
+            columns[j] = map(fmt, col)
+        convs.append(conv or "%s")
+    rows = zip(*columns) if "%s" in convs else block
+    return ((",".join(convs) + "\n") * len(block)) % tuple(chain.from_iterable(rows))
 
 
 def write_csv(path, header, rows) -> Path:
     """Header line, then one line per row (any iterable of cell sequences),
-    each cell as fmt formats it."""
+    each cell as fmt formats it.  Rows are rendered and written
+    CSV_BLOCK_ROWS at a time.  The directory is created if missing."""
     path = Path(path)
-    lines = [",".join(header)]
-    for row in rows:
-        row = tuple(row)
-        template, by_fmt = _row_format(tuple(map(type, row)))
-        if by_fmt:
-            row = tuple(fmt(v) if f else v for v, f in zip(row, by_fmt))
-        lines.append(template % row)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    rows = iter(rows)
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        while block := list(islice(rows, CSV_BLOCK_ROWS)):
+            for _, same_length in groupby(block, len):
+                fh.write(_render_block(list(same_length)))
     return path
+
+
+def rows_of(*columns):
+    """Rows of Python scalars from equal-length numpy columns, converted
+    with .tolist() CSV_BLOCK_ROWS rows at a time."""
+    n = min(map(len, columns))
+    for lo in range(0, n, CSV_BLOCK_ROWS):
+        yield from zip(*(c[lo : lo + CSV_BLOCK_ROWS].tolist() for c in columns))
 
 
 @dataclass(frozen=True)
@@ -152,6 +170,8 @@ _STAND_IN_JSON = json.dumps(_STAND_IN)
 
 
 def write_json(path, payload) -> Path:
+    """The payload as json.dumps(indent=2, sort_keys=True) writes it, with
+    pre-rendered values written in place.  The directory is created if missing."""
     path = Path(path)
     rendered = []
 
@@ -165,6 +185,7 @@ def write_json(path, payload) -> Path:
     pieces = text.split(_STAND_IN_JSON)
     if len(pieces) != len(rendered) + 1:
         raise ValueError("payload text contains the pre-rendered marker")
+    path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(pieces[0])
         for obj, before, after in zip(rendered, pieces, pieces[1:]):

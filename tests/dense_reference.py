@@ -3,8 +3,8 @@
 These are the dense n x n and Kronecker-product forms that `build_rep`,
 `verify_algebra`, `casimir_gen`, `conjugation_residual` and
 `hopf_axiom_report` replace, and the Python loops that the array code of
-`spectral_flow`, `level_section`, `_cells`, `write_csv` and
-`finite_orbit_candidates` replaces.  The
+`spectral_flow`, `level_section`, `_cells`, `write_csv`,
+`finite_orbit_candidates` and `commensurability_peak` replaces.  The
 property tests compare the library against them; they are slow (O(n^3)
 products, n^3 x n^3 Kronecker matrices, per-element loops) and run only on
 small sizes.
@@ -236,3 +236,39 @@ def finite_orbit_candidates(d, n_max=None) -> tuple:
         if _orbit_valid(d, c, -N / 2.0, N):
             out.append((N, c))
     return tuple(out)
+
+
+def lag_correlations(values, step, base_period, max_periods=10, clip_percentile=40.0) -> dict:
+    """lag -> Pearson correlation over the pairwise-valid samples, one lag at
+    a time, for every lag commensurability_peak scans that has at least 200
+    pairs and non-zero variance."""
+    v = np.asarray(values, dtype=float)
+    thr = np.percentile(np.abs(v), clip_percentile)
+    w = np.where(np.abs(v) > thr, np.nan, v)
+    w = w - np.nanmean(w)
+    n = len(w)
+    lag_lo = max(1, int(round(0.5 * base_period / step)))
+    lag_hi = min(n - 2, int(round(max_periods * base_period / step)))
+    out = {}
+    for lag in range(lag_lo, lag_hi + 1):
+        a, b = w[:-lag], w[lag:]
+        ok = np.isfinite(a) & np.isfinite(b)
+        if int(ok.sum()) < 200:
+            continue
+        aa = a[ok] - a[ok].mean()
+        bb = b[ok] - b[ok].mean()
+        den = math.sqrt(float(np.sum(aa * aa)) * float(np.sum(bb * bb)))
+        if den == 0.0:
+            continue
+        out[lag] = float(np.sum(aa * bb)) / den
+    return out
+
+
+def commensurability_peak(values, step, base_period, max_periods=10, clip_percentile=40.0):
+    """(peak, lag * step) of the lag loop: the earliest lag with the largest
+    correlation, (-1.0, 0.0) when no lag qualifies."""
+    best, best_lag = -1.0, 0
+    for lag, rho in lag_correlations(values, step, base_period, max_periods, clip_percentile).items():
+        if rho > best:
+            best, best_lag = rho, lag
+    return best, best_lag * step

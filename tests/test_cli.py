@@ -317,22 +317,76 @@ def test_spectrum_rejects_bad_potential_csv(tmp_path, capsys, edit):
     assert not (out / "spectrum.csv").exists()
 
 
+@pytest.mark.parametrize("cell", ["2", "true", "nan"])
+def test_spectrum_rejects_a_mask_cell_other_than_0_or_1(tmp_path, capsys, cell):
+    assert run(["potential", "--s", 0.25, "--m", 1, "--grid=-6:6:0.01", "--outdir", tmp_path]) == 0
+    lines = (tmp_path / "potential.csv").read_text().splitlines()
+    lines[5] = lines[5].rsplit(",", 1)[0] + "," + cell
+    bad = tmp_path / "bad.csv"
+    bad.write_text("".join(ln + "\n" for ln in lines))
+    out = tmp_path / "out"
+    assert run(["spectrum", "--potential-csv", bad, "--n", 2, "--outdir", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(cell) in err
+    assert not out.exists()
+
+
+def test_potential_csv_reads_back_bit_identical(tmp_path):
+    from qsu2.cli import _load_potential_csv
+    from qsu2.qnumbers import Deformation
+    from qsu2.schrodinger import build_potential, realization
+    from qsu2.serialize import rows_of, write_csv
+
+    # every value the potential command writes, NaN and infinities included
+    d = Deformation(0.25)
+    prof = build_potential(d, 1.0, realization(d, 1.0), grid=(-6.0, 0.001, 12001))
+    values = prof.values.copy()
+    values[:4] = [math.nan, math.inf, -math.inf, -0.0]
+    write_csv(tmp_path / "p.csv", ["r", "V", "mask"], rows_of(prof.r, values, prof.pole_mask))
+    back = _load_potential_csv(tmp_path / "p.csv")
+    assert back.values.tobytes() == values.tobytes()
+    assert back.pole_mask.tobytes() == prof.pole_mask.tobytes()
+    assert (back.start, back.count) == (prof.start, prof.count)
+
+
+@pytest.mark.parametrize("cell", ["99", "-1", "5"])
+def test_spectrum_cell_out_of_range_is_an_argument_error(tmp_path, capsys, cell):
+    out = tmp_path / "out"
+    argv = ["spectrum", "--s", 0.25, "--m", 1, "--grid=-6:6:0.01", "--cell", cell, "--outdir", out]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "5 cells" in err
+    assert not out.exists()
+    # index 4, the last well, is in range; it is too small to solve
+    assert run(argv[:-3] + ["4", "--outdir", out]) == 2
+    assert "need >= 200" in capsys.readouterr().err
+
+
 def test_spectrum_rejects_missing_potential_csv(tmp_path, capsys):
     assert run(["spectrum", "--potential-csv", tmp_path / "absent.csv", "--outdir", tmp_path]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_import_leaves_scipy_out():
+def _loaded_by_cli_import(module: str) -> bool:
+    """Whether a fresh `import qsu2.cli` loads the module."""
     import os
     import subprocess
     import sys
     from pathlib import Path
 
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, qsu2.cli; print('scipy' in sys.modules)"
+    code = f"import sys, qsu2.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(src)}).stdout
-    assert out.strip() == "False"
+    return out.strip() == "True"
+
+
+def test_import_leaves_scipy_out():
+    assert not _loaded_by_cli_import("scipy")
+
+
+def test_import_leaves_numpy_fft_out():
+    assert not _loaded_by_cli_import("numpy.fft")
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,197 @@
+"""The array code of the realization path against its references
+(dense_reference.py): the masked-FFT lag scan against the lag loop, the
+values-only eigensolve against the full one, and the block-rendered CSV
+against per-cell fmt, byte for byte.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import dense_reference as ref
+from qsu2.cli import main
+from qsu2.qnumbers import Deformation
+from qsu2.schrodinger import (
+    PotentialProfile,
+    RadialProfile,
+    RealizationFns,
+    build_potential,
+    commensurability_peak,
+    eigensolve,
+    realization,
+    solve_f1,
+)
+from qsu2.serialize import CSV_BLOCK_ROWS, rows_of, write_csv
+
+STEP = 0.01
+
+
+@st.composite
+def lag_profiles(draw):
+    """(values, period in samples, max_periods): a periodic profile with
+    noise, constant stretches and NaN or infinite samples, scanned over a
+    range that may run past the end of the grid."""
+    n = draw(st.integers(100, 2000))
+    period = draw(st.integers(10, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    noise = draw(st.sampled_from([0.0, 0.01, 0.5]))
+    v = np.sin(2.0 * np.pi * np.arange(n) / period) + noise * rng.standard_normal(n)
+    for _ in range(draw(st.integers(0, 3))):
+        lo = draw(st.integers(0, n - 1))
+        v[lo : lo + draw(st.integers(1, n))] = draw(st.sampled_from([0.0, 0.3, -1.0]))
+    bad = rng.random(n) < draw(st.sampled_from([0.0, 0.05, 0.5]))
+    v[bad] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return v, period, draw(st.integers(1, 2 * n // period + 2))
+
+
+def sine(n, period):
+    return np.sin(2.0 * np.pi * np.arange(n) / period)
+
+
+@settings(max_examples=200)
+@given(case=lag_profiles())
+@example(case=(np.zeros(1000), 50, 3))  # every lag has zero variance
+@example(case=(np.r_[sine(600, 50), np.full(600, 0.2)], 50, 20))  # constant stretch
+@example(case=(sine(150, 20), 20, 3))  # every lag below 200 pairs
+@example(case=(sine(1000, 50), 50, 100))  # exact ties, scan past the grid end
+@example(case=(np.where(np.arange(1200) % 7 == 0, np.nan, sine(1200, 40)), 40, 5))  # NaN samples
+def test_commensurability_fft_matches_lag_loop(case):
+    v, period, max_periods = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # nanmean of an all-NaN profile
+        peak, lag = commensurability_peak(v, STEP, period * STEP, max_periods)
+        rhos = ref.lag_correlations(v, STEP, period * STEP, max_periods)
+        want_peak, want_lag = ref.commensurability_peak(v, STEP, period * STEP, max_periods)
+    assert type(peak) is float and type(lag) is float
+    if want_lag == 0.0:  # no lag qualifies
+        assert (peak, lag) == (-1.0, 0.0)
+        return
+    assert abs(peak - want_peak) <= 1e-12
+    ranked = sorted(rhos.values(), reverse=True)
+    if len(ranked) == 1 or ranked[0] - ranked[1] > 1e-12:
+        assert lag == want_lag
+    else:
+        assert abs(rhos[round(lag / STEP)] - want_peak) <= 1e-12
+
+
+@pytest.mark.parametrize("ratio", [1.0, math.sqrt(2.0)], ids=["commensurate", "incommensurate"])
+@pytest.mark.parametrize("max_periods", [2, 3, 10])
+def test_commensurability_matches_lag_loop_bit_for_bit(ratio, max_periods):
+    # the profiles commensurability is meant for: the candidates the FFT
+    # scan keeps are evaluated as the loop does, so the result is the loop's
+    d = Deformation(0.25)
+    period = math.pi / math.sqrt(d.cos_s)
+    omega = 2.0 * math.pi * ratio / period
+    f2 = RadialProfile("cos", lambda r: np.cos(omega * r), lambda r: -omega * np.sin(omega * r),
+                       lambda r: -(omega**2) * np.cos(omega * r))
+    fns = RealizationFns(f1=solve_f1(d, "tan"), f2=f2, s=d.s, m=1.0)
+    values = build_potential(d, 1.0, fns, grid=(-60.0, STEP, 12001)).values
+    got = commensurability_peak(values, STEP, period, max_periods)
+    assert got == ref.commensurability_peak(values, STEP, period, max_periods)
+
+
+def test_commensurability_leaves_the_input_alone():
+    v = np.r_[sine(900, 45), [np.nan, 5.0]]
+    before = v.copy()
+    commensurability_peak(v, STEP, 45 * STEP, 4)
+    assert np.array_equal(v, before, equal_nan=True)
+
+
+# ----------------------------------------------------------------------
+# eigenvalues without eigenvectors
+
+
+@settings(max_examples=100)
+@given(n=st.integers(210, 800), seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 8))
+def test_eigenvalues_only_are_bit_identical(n, seed, n_states):
+    values = np.random.default_rng(seed).uniform(-50.0, 50.0, n)
+    prof = PotentialProfile(0.0, 0.01, n, values, np.zeros(n, dtype=bool), {}, 0.0, {})
+    full = eigensolve(prof, n_states)
+    only = eigensolve(prof, n_states, vectors=False)
+    assert only.eigenvalues.tobytes() == full.eigenvalues.tobytes()
+    assert only.eigenvectors is None
+    assert (only.cell, only.h, only.boundary) == (full.cell, full.h, full.boundary)
+    assert np.array_equal(only.r, full.r)
+
+
+@pytest.mark.parametrize("cell", ["largest", 0, 1, 2])
+def test_eigenvalues_only_are_bit_identical_per_cell(cell):
+    d = Deformation(0.25)
+    prof = build_potential(d, 1.0, realization(d, 1.0), grid=(-6.0, 1e-3, 12001))
+    full = eigensolve(prof, 4, cell)
+    only = eigensolve(prof, 4, cell, vectors=False)
+    assert only.eigenvalues.tobytes() == full.eigenvalues.tobytes()
+    assert only.cell == full.cell
+
+
+# ----------------------------------------------------------------------
+# block-rendered CSV
+
+K = CSV_BLOCK_ROWS
+SWITCHES = {
+    "float-to-empty": (0.25, ""),
+    "bool-to-int": (np.bool_(True), 7),
+    "float-to-text": (-1.5, "a,b"),
+}
+
+
+@pytest.mark.parametrize("at", [K - 1, K])
+@pytest.mark.parametrize("n", [K - 1, K, K + 1])
+@pytest.mark.parametrize("switch", sorted(SWITCHES))
+def test_write_csv_across_block_boundaries(switch, n, at, tmp_path):
+    before, after = SWITCHES[switch]
+    rows = [(i * 0.1, i % 3 == 0, before if i < at else after, i) for i in range(n)]
+    path = tmp_path / "t.csv"
+    write_csv(path, ["x", "flag", "cell", "i"], iter(rows))
+    assert path.read_bytes() == ref.csv_text(["x", "flag", "cell", "i"], rows).encode("utf-8")
+
+
+@pytest.mark.parametrize("n", [0, 1, K - 1, K, K + 1, 2 * K + 3])
+def test_rows_of_renders_as_numpy_rows(n, tmp_path):
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    special = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324])
+    x[: min(n, 5)] = special[: min(n, 5)]
+    y = np.arange(n, dtype=float) / 3.0
+    mask = rng.random(n) < 0.5
+    path = tmp_path / "t.csv"
+    write_csv(path, ["r", "V", "mask"], rows_of(x, y, mask))
+    # the rows the numpy columns gave before: numpy scalars, one fmt per cell
+    assert path.read_bytes() == ref.csv_text(["r", "V", "mask"], zip(x, y, mask)).encode("utf-8")
+
+
+def test_rows_of_yields_python_scalars():
+    rows = list(rows_of(np.array([1.5, 2.5]), np.array([True, False]), np.array([3, 4])))
+    assert rows == [(1.5, True, 3), (2.5, False, 4)]
+    assert [tuple(map(type, row)) for row in rows] == [(float, bool, int)] * 2
+
+
+@pytest.mark.parametrize(
+    "s, F, grid, cell, cells",
+    [
+        (0.25, 1.0, (-6.0, 6.0, 0.001), "all", [0, 1, 2, 3]),
+        (3.0, 0.3, (-5.0, 5.0, 0.0005), "largest", ["largest"]),
+    ],
+    ids=["wells-all-cells", "tanh-sech"],
+)
+def test_cli_tables_match_numpy_rows(s, F, grid, cell, cells, tmp_path):
+    # potential.csv and spectrum_vectors_*.csv as the numpy rows the
+    # commands zipped before rows_of, rendered one fmt call per cell
+    argv = ["--s", str(s), "--m", "1", "--F", str(F), "--grid={!r}:{!r}:{!r}".format(*grid),
+            "--outdir", str(tmp_path)]
+    assert main(["potential", *argv]) == 0
+    assert main(["spectrum", *argv, "--n", "3", "--cell", cell, "--with-vectors"]) == 0
+    d = Deformation(s)
+    start, stop, step = grid
+    count = int(math.floor((stop - start) / step + 0.5)) + 1
+    prof = build_potential(d, 1.0, realization(d, 1.0, F=F), grid=(start, step, count))
+    want = ref.csv_text(["r", "V", "mask"], zip(prof.r, prof.values, prof.pole_mask))
+    assert (tmp_path / "potential.csv").read_text(encoding="utf-8") == want
+    for c in cells:
+        res = eigensolve(prof, 3, c)
+        want = ref.csv_text(["r", "psi_0", "psi_1", "psi_2"], zip(res.r, *res.eigenvectors.T))
+        assert (tmp_path / f"spectrum_vectors_{c}.csv").read_text(encoding="utf-8") == want
