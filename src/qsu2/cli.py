@@ -37,7 +37,7 @@ from .hopf import (
 )
 from .operators import UnitarityError, build_rep, verify_algebra
 from .qnumbers import Deformation, SingularDeformation
-from .schrodinger import build_potential, eigensolve, realization
+from .schrodinger import MIN_CELL_SAMPLES, build_potential, eigensolve, realization
 from .serialize import Records, complex_pairs, rows_of, write_csv, write_json, write_manifest
 
 EXIT_OK = 0
@@ -379,7 +379,13 @@ def _cmd_spectrum(args, outdir: Path):
     if args.cell == "all":
         from .schrodinger import _cells
 
-        cells = list(range(len(_cells(prof.pole_mask))))
+        # every well with enough samples to solve; the shorter ones go in the manifest
+        sizes = [hi - lo for lo, hi in _cells(prof.pole_mask)]
+        cells = [k for k, size in enumerate(sizes) if size >= MIN_CELL_SAMPLES]
+        if not cells:
+            raise ValueError(f"no cell has >= {MIN_CELL_SAMPLES} samples (the grid has {len(sizes)} cells)")
+        if len(cells) < len(sizes):
+            computed["skipped_cells"] = [k for k, size in enumerate(sizes) if size < MIN_CELL_SAMPLES]
     elif args.cell == "largest":
         cells = ["largest"]
     else:
@@ -404,9 +410,7 @@ def _cmd_flow(args, outdir: Path):
     n_m, n_s = table.values.shape
     rows = rows_of(np.tile(table.s_grid, n_m), np.repeat(table.m_values, n_s), table.values.ravel())
     out = write_csv(outdir / "flow.csv", ["s", "m", "value"], rows)
-    # the (s, m_low, m_high) triples as columns; no columns when there are none
-    crossings = dict(zip(("s", "m_low", "m_high"), zip(*table.crossings)))
-    out2 = write_json(outdir / "flow_crossings.json", Records(crossings))
+    out2 = write_json(outdir / "flow_crossings.json", Records(table.crossing_columns))
     return {}, [out, out2]
 
 

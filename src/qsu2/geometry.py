@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +34,12 @@ class FlowTable:
     s_grid: np.ndarray
     m_values: np.ndarray
     values: np.ndarray  # shape (len(m_values), len(s_grid))
-    crossings: tuple  # (s, m_low, m_high) triples
+    crossing_columns: dict  # "s", "m_low", "m_high" -> float64 arrays, sorted by (s, m_low, m_high)
+
+    @cached_property
+    def crossings(self) -> tuple:
+        """The crossings as (s, m_low, m_high) triples."""
+        return tuple(zip(*(self.crossing_columns[k].tolist() for k in ("s", "m_low", "m_high"))))
 
 
 def unmasked_runs(mask) -> tuple[np.ndarray, np.ndarray]:
@@ -110,8 +116,8 @@ def spectral_flow(m_max: float, s_grid) -> FlowTable:
     at, low, high = (np.concatenate(a) if a else np.empty(0) for a in (at, low, high))
     # a stable sort, so equal keys keep the pair loop's order
     order = np.lexsort((high, low, at))
-    crossings = tuple(zip(at[order].tolist(), low[order].tolist(), high[order].tolist()))
-    return FlowTable(s_grid=s, m_values=m_vals, values=vals, crossings=crossings)
+    columns = {"s": at[order], "m_low": low[order], "m_high": high[order]}
+    return FlowTable(s_grid=s, m_values=m_vals, values=vals, crossing_columns=columns)
 
 
 def flow_bound_excess(table: FlowTable) -> float:

@@ -796,7 +796,7 @@ def commensurability_peak(
     0.95 marks a commensurate pair.
     """
     v = np.asarray(values, dtype=float)
-    thr = np.percentile(np.abs(v), clip_percentile)
+    thr = np.nanpercentile(np.abs(v), clip_percentile)
     w = np.where(np.abs(v) > thr, np.nan, v)
     w = w - np.nanmean(w)
     n = len(w)

@@ -80,6 +80,24 @@ def rows_of(*columns):
         yield from zip(*(c[lo : lo + CSV_BLOCK_ROWS].tolist() for c in columns))
 
 
+# characters of a dense matrix's JSON text joined per write.  Blocks stay below
+# glibc's default mmap threshold (128 KiB) and reuse heap memory; one string per
+# matrix (8 MB at n = 400) is fresh memory every time and wrote about 2x slower
+JSON_BLOCK_CHARS = 1 << 16
+
+# json.dumps spells the non-finite floats as JavaScript does
+_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_texts(values: np.ndarray) -> list[str]:
+    """Each float of the array as json.dumps spells it: float.__repr__,
+    with NaN and Infinity for the non-finite ones."""
+    texts = list(map(float.__repr__, values.tolist()))
+    if not np.isfinite(values).all():
+        texts = [_JSON_SPELLING.get(t, t) for t in texts]
+    return texts
+
+
 @dataclass(frozen=True)
 class DensePairs:
     """The row-major (n, n, 2) [re, im] layout of a banded matrix.
@@ -96,52 +114,45 @@ class DensePairs:
         op = self.matrix
         n = len(op.basis)
         row_pad, pair_pad, num_pad = ("\n" + " " * (indent + k) for k in (2, 4, 6))
-
-        def pair(z) -> str:
-            # json.dumps spells floats as float.__repr__ does, NaN and Infinity too
-            return f"[{num_pad}{json.dumps(z.real)},{num_pad}{json.dumps(z.imag)}{pair_pad}]"
-
+        pair = f"[{num_pad}%s,{num_pad}%s{pair_pad}]"
         sep = "," + pair_pad
-        zero = pair(op.fill) + sep
-        zeros = zero * n  # every run of zero pairs is cut from this block
-
-        def run(k: int) -> str:
-            """k zero pairs, comma separated."""
-            return zeros[: k * len(zero) - len(sep)] if k else ""
-
-        fh.write("[" + row_pad)
+        fill = pair % tuple(_float_texts(np.array([op.fill.real, op.fill.imag])))
+        # the first k * width characters of `before` are k zero pairs, each
+        # followed by a separator, of `after` k pairs each preceded by one:
+        # every run of zeros is one slice
+        width = len(fill) + len(sep)
+        before, after = (fill + sep) * n, (sep + fill) * n
+        band = [pair % re_im for re_im in zip(_float_texts(op.band.real), _float_texts(op.band.imag))]
+        row_sep = f"{row_pad}],{row_pad}[{pair_pad}"
+        rows_per_write = max(1, JSON_BLOCK_CHARS // (n * width))
+        pieces = [f"[{row_pad}[{pair_pad}"]
         for r in range(n):
-            if r:
-                fh.write("," + row_pad)
             col = r + op.offset
             if 0 <= col < n:
                 # band entry k sits in row k (offset >= 0) or column k (offset < 0)
-                entry = pair(op.band[min(r, col)])
-                items = sep.join(t for t in (run(col), entry, run(n - col - 1)) if t)
+                pieces += (before[: col * width], band[min(r, col)], after[: (n - col - 1) * width])
             else:
-                items = run(n)
-            fh.write(f"[{pair_pad}{items}{row_pad}]")
-        fh.write("\n" + " " * indent + "]")
-
-
-# json.dumps spells the non-finite floats as JavaScript does
-_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+                pieces.append(before[: n * width - len(sep)])
+            pieces.append(row_sep if r < n - 1 else f"{row_pad}]\n{' ' * indent}]")
+            if (r + 1) % rows_per_write == 0 or r == n - 1:
+                fh.write("".join(pieces))
+                pieces.clear()
 
 
 def _json_texts(values) -> list[str]:
     """Each JSON scalar as json.dumps spells it."""
-    if all(isinstance(v, float) for v in values):
-        return [_JSON_SPELLING.get(t, t) for t in map(float.__repr__, values)]
+    if isinstance(values, np.ndarray) or all(isinstance(v, float) for v in values):
+        return _float_texts(np.asarray(values, dtype=np.float64))
     return list(map(json.dumps, values))
 
 
 @dataclass(frozen=True)
 class Records:
     """A list of flat JSON objects, stored as columns: str key -> equal-length
-    sequence of JSON scalars (no columns: no objects).
+    float64 array or sequence of JSON scalars (no columns: no objects).
 
     write_json renders it byte for byte as json.dumps renders the list of
-    dicts, one format operation per object.
+    dicts, one format operation for the whole list.
     """
 
     columns: dict
@@ -159,7 +170,8 @@ class Records:
         pad = "\n" + " " * indent
         fields = ",".join(f"{pad}    " + json.dumps(k).replace("%", "%%") + ": %s" for k in keys)
         template = f"{pad}  {{{fields}{pad}  }}"
-        fh.write("[" + ",".join([template % row for row in zip(*texts)]) + pad + "]")
+        records = ",".join([template] * len(texts[0])) % tuple(chain.from_iterable(zip(*texts)))
+        fh.write("[" + records + pad + "]")
 
 
 # stands in for each pre-rendered value (an object with write(fh, indent),

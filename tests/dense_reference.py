@@ -243,7 +243,7 @@ def lag_correlations(values, step, base_period, max_periods=10, clip_percentile=
     a time, for every lag commensurability_peak scans that has at least 200
     pairs and non-zero variance."""
     v = np.asarray(values, dtype=float)
-    thr = np.percentile(np.abs(v), clip_percentile)
+    thr = np.nanpercentile(np.abs(v), clip_percentile)
     w = np.where(np.abs(v) > thr, np.nan, v)
     w = w - np.nanmean(w)
     n = len(w)

@@ -171,6 +171,27 @@ def test_records_match_json_dumps(columns, tmp_path_factory):
         assert path.read_text(encoding="utf-8") == dumped
 
 
+@st.composite
+def float64_columns(draw):
+    """Float64 array columns of one length, the empty length included."""
+    n = draw(st.integers(0, 12))
+    keys = draw(st.lists(text, min_size=1, max_size=4, unique=True))
+    return {k: np.array(draw(st.lists(floats, min_size=n, max_size=n)), dtype=np.float64) for k in keys}
+
+
+@settings(max_examples=300)
+@given(columns=float64_columns())
+@example(columns={"s": np.empty(0), "m_low": np.empty(0), "m_high": np.empty(0)})
+@example(columns={"x": np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324])})
+def test_records_from_float64_arrays_match_json_dumps(columns, tmp_path_factory):
+    path = tmp_path_factory.mktemp("json") / "t.json"
+    n = len(next(iter(columns.values())))
+    dicts = [{k: col[i] for k, col in columns.items()} for i in range(n)]
+    write_json(path, {"x": Records(columns), "y": [Records(columns)]})
+    want = json.dumps({"x": dicts, "y": [dicts]}, indent=2, sort_keys=True, allow_nan=True) + "\n"
+    assert path.read_text(encoding="utf-8") == want
+
+
 @settings(max_examples=60)
 @given(s=st.floats(0.05, math.pi - 0.05), n_max=st.none() | st.integers(1, 40))
 def test_cached_orbit_candidates_match_recomputation(s, n_max):

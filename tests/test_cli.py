@@ -98,6 +98,28 @@ def test_spectrum_all_cells(tmp_path):
     assert len(cells) >= 3  # one spectrum per inter-pole well
 
 
+def test_spectrum_all_cells_skips_shallow_wells(tmp_path):
+    # at step 0.01 the two edge wells are cut to 120 samples: they are
+    # skipped and named in the manifest, the inner wells are solved
+    argv = ["spectrum", "--s", 0.25, "--m", 1, "--grid=-6:6:0.01", "--cell", "all"]
+    assert run(argv + ["--outdir", tmp_path]) == 0
+    lines = (tmp_path / "spectrum.csv").read_text().splitlines()
+    assert {row.split(",")[0] for row in lines[1:]} == {"1", "2", "3"}
+    manifest = json.loads((tmp_path / "spectrum_manifest.json").read_text())
+    assert manifest["params"]["skipped_cells"] == [0, 4]
+    # a run that skips nothing records no skipped cells
+    fine = tmp_path / "fine"
+    assert run(["spectrum", "--s", 0.25, "--m", 1, "--grid=-6:6:0.002", "--cell", "all", "--outdir", fine]) == 0
+    assert "skipped_cells" not in json.loads((fine / "spectrum_manifest.json").read_text())["params"]
+
+
+def test_spectrum_all_cells_exits_2_when_no_well_qualifies(tmp_path, capsys):
+    argv = ["spectrum", "--s", 0.25, "--m", 1, "--grid=-6:6:0.05", "--cell", "all", "--outdir", tmp_path]
+    assert run(argv) == 2
+    assert "no cell has >= 200 samples" in capsys.readouterr().err
+    assert not tmp_path.exists() or not any(tmp_path.iterdir())
+
+
 def test_surface_section_csv(tmp_path):
     assert run(["surface", "--c", 0.5, "--s", 0.5, "--jz-grid=-12:12:0.01", "--outdir", tmp_path]) == 0
     lines = (tmp_path / "surface.csv").read_text().splitlines()

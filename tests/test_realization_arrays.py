@@ -78,20 +78,41 @@ def test_commensurability_fft_matches_lag_loop(case):
         assert abs(rhos[round(lag / STEP)] - want_peak) <= 1e-12
 
 
-@pytest.mark.parametrize("ratio", [1.0, math.sqrt(2.0)], ids=["commensurate", "incommensurate"])
-@pytest.mark.parametrize("max_periods", [2, 3, 10])
-def test_commensurability_matches_lag_loop_bit_for_bit(ratio, max_periods):
-    # the profiles commensurability is meant for: the candidates the FFT
-    # scan keeps are evaluated as the loop does, so the result is the loop's
+def well_profile(ratio):
+    """The 12001-sample V(r) of the tan wells against a cosine f2 whose
+    period is the well period over ratio; returns (values, well period)."""
     d = Deformation(0.25)
     period = math.pi / math.sqrt(d.cos_s)
     omega = 2.0 * math.pi * ratio / period
     f2 = RadialProfile("cos", lambda r: np.cos(omega * r), lambda r: -omega * np.sin(omega * r),
                        lambda r: -(omega**2) * np.cos(omega * r))
     fns = RealizationFns(f1=solve_f1(d, "tan"), f2=f2, s=d.s, m=1.0)
-    values = build_potential(d, 1.0, fns, grid=(-60.0, STEP, 12001)).values
+    return build_potential(d, 1.0, fns, grid=(-60.0, STEP, 12001)).values, period
+
+
+@pytest.mark.parametrize("ratio", [1.0, math.sqrt(2.0)], ids=["commensurate", "incommensurate"])
+@pytest.mark.parametrize("max_periods", [2, 3, 10])
+def test_commensurability_matches_lag_loop_bit_for_bit(ratio, max_periods):
+    # the profiles commensurability is meant for: the candidates the FFT
+    # scan keeps are evaluated as the loop does, so the result is the loop's
+    values, period = well_profile(ratio)
     got = commensurability_peak(values, STEP, period, max_periods)
     assert got == ref.commensurability_peak(values, STEP, period, max_periods)
+
+
+@pytest.mark.parametrize("bad", [[np.nan], [np.nan, np.inf]], ids=["nan", "nan-and-inf"])
+def test_nan_samples_keep_the_clip(bad):
+    # a NaN sample must not switch the percentile clip off: the clip is
+    # taken over the samples that have a value, like the centring, and an
+    # infinite sample is clipped instead of making the mean infinite
+    values, period = well_profile(1.0)
+    peak, lag = commensurability_peak(values, STEP, period)
+    assert peak >= 0.95
+    values[len(values) // 3 + np.arange(len(bad))] = bad
+    peak_bad, lag_bad = commensurability_peak(values, STEP, period)
+    assert peak_bad >= 0.95 and abs(peak_bad - peak) < 1e-3
+    assert lag_bad == lag
+    assert (peak_bad, lag_bad) == ref.commensurability_peak(values, STEP, period)
 
 
 def test_commensurability_leaves_the_input_alone():

@@ -5,12 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dense_reference as ref
+from qsu2 import serialize
 from qsu2.cli import main
-from qsu2.operators import build_rep
+from qsu2.geometry import spectral_flow
+from qsu2.operators import OperatorMatrix, build_rep
 from qsu2.qnumbers import Deformation, qnumber
-from qsu2.serialize import complex_pairs, write_json
+from qsu2.serialize import DensePairs, Records, complex_pairs, write_json
 
 
 def dense_rep_json(s, c, m0, n) -> bytes:
@@ -69,3 +73,65 @@ def test_band_rendering_at_any_depth(tmp_path):
 def test_payload_string_equal_to_the_stand_in_is_rejected(tmp_path):
     with pytest.raises(ValueError, match="marker"):
         write_json(tmp_path / "x.json", {"note": "\x00dense-pairs"})
+
+
+# band entries of every spelling: NaN, infinities, signed zeros, subnormals
+band_floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]
+)
+
+
+@st.composite
+def banded_matrices(draw):
+    n = draw(st.integers(1, 40))
+    offset = draw(st.sampled_from([-1, 0, 1]))
+    if n == 1 and offset:
+        offset = 0
+    k = n - abs(offset)
+    band = np.empty(k, dtype=complex)  # set part by part: 1j * inf would make a NaN real part
+    band.real = draw(st.lists(band_floats, min_size=k, max_size=k))
+    band.imag = draw(st.lists(band_floats, min_size=k, max_size=k))
+    fill = complex(draw(st.sampled_from([0.0, -0.0])), draw(st.sampled_from([0.0, -0.0])))
+    return OperatorMatrix(band, offset, tuple(range(n)), 0.5, fill)
+
+
+@settings(max_examples=200)
+@given(op=banded_matrices(), depth=st.integers(0, 2))
+@example(op=OperatorMatrix(np.array([math.nan + 0j]), 0, (0.0,), 0.5, complex(-0.0, -0.0)), depth=0)
+def test_dense_pairs_match_json_dumps(op, depth, tmp_path_factory):
+    path = tmp_path_factory.mktemp("json") / "m.json"
+    payload, dense = DensePairs(op), complex_pairs(op.entries)
+    for _ in range(depth):  # deeper nesting, a deeper indent
+        payload, dense = {"m": [payload]}, {"m": [dense]}
+    write_json(path, payload)
+    want = json.dumps(dense, indent=2, sort_keys=True, allow_nan=True) + "\n"
+    assert path.read_text(encoding="utf-8") == want
+
+
+class CountingDumps:
+    """json.dumps, counting its calls."""
+
+    def __init__(self):
+        self.calls = 0
+        self.dumps = json.dumps
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.dumps(*args, **kwargs)
+
+
+def test_json_renderers_spell_floats_without_json_dumps(tmp_path, monkeypatch):
+    # the floats are spelled in bulk, not one json.dumps call each: the
+    # count of calls does not grow with the matrix or the record list
+    d = Deformation(0.77)
+    triple = build_rep(d, 2.5 / math.sin(0.77) ** 2, [-40.5 + i for i in range(81)])
+    table = spectral_flow(16.0, 0.05 + 0.07 * np.arange(45))
+    columns = table.crossing_columns
+    assert len(columns["s"]) >= 5000
+    counting = CountingDumps()
+    monkeypatch.setattr(serialize.json, "dumps", counting)
+    write_json(tmp_path / "rep.json", {"m": [complex_pairs(op) for op in triple]})
+    assert counting.calls <= 2
+    counting.calls = 0
+    write_json(tmp_path / "records.json", Records(columns))
+    assert counting.calls <= 1 + len(columns)
