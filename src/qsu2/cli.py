@@ -63,6 +63,17 @@ def _finite(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    """A count flag's value: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _parse_grid(spec: str):
     """start:stop:step grid specification."""
     try:
@@ -188,12 +199,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", parents=[common, potential], help="eigenvalues of a potential")
     p.add_argument("--potential-csv", default=None, help="r,V,mask table from the potential command")
-    p.add_argument("--n", type=int, default=5)
+    p.add_argument("--n", type=_count, default=5, help="eigenvalues per cell, >= 1")
     p.add_argument("--cell", default="largest", help='"largest", "all", or a cell index')
     p.add_argument("--with-vectors", action="store_true")
 
     p = sub.add_parser("flow", parents=[common], help="spectral flow [2m](s) long-format CSV")
-    p.add_argument("--m-max", type=_finite, default=4.5)
+    p.add_argument("--m-max", type=_finite, default=4.5, help="largest m of the curves, >= 0.5")
     p.add_argument("--s-grid", type=_parse_grid, default=(0.05, (math.pi - 0.1) / 499, 500))
 
     p = sub.add_parser("surface", parents=[common], help="constant-Casimir section or topology transition")
@@ -222,11 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ----------------------------------------------------------------------
-# Each command returns the values it computed beyond the parsed flags, and
-# its output paths.
+# Each command computes and checks everything, then writes its outputs to
+# `outdir / name` (see _Outputs), and returns the values it computed beyond
+# the parsed flags, and the paths it wrote.
 
 
-def _cmd_classify(args, outdir: Path):
+def _cmd_classify(args, outdir: _Outputs):
     if args.s is None:
         raise argparse.ArgumentTypeError("classify needs --s")
     d = _deformation(args.s)
@@ -261,7 +273,7 @@ def _cmd_classify(args, outdir: Path):
     return {"thresholds": {"c0": th.c0, "c1": th.c1, "c2": th.c2}}, [out]
 
 
-def _cmd_rep(args, outdir: Path):
+def _cmd_rep(args, outdir: _Outputs):
     if args.s is None or args.c is None or args.basis is None:
         raise argparse.ArgumentTypeError("rep needs --s, --c, and --basis")
     d = _deformation(args.s)
@@ -282,7 +294,6 @@ def _cmd_rep(args, outdir: Path):
         },
         "report": {k: getattr(report, k) for k in report.__dataclass_fields__},
     }
-    out = write_json(outdir / "rep.json", payload)
     if args.verify:
         asserted = (
             report.res_jz_jpm,
@@ -294,7 +305,7 @@ def _cmd_rep(args, outdir: Path):
         )
         if not all(v <= ASSERTED_RESIDUAL_TOL for v in asserted):  # NaN fails
             raise VerificationFailure(f"algebra residuals exceed {ASSERTED_RESIDUAL_TOL}: {asserted}")
-    return {}, [out]
+    return {}, [write_json(outdir / "rep.json", payload)]
 
 
 def _potential_from_args(args):
@@ -317,7 +328,7 @@ def _potential_from_args(args):
     return prof, {"f1_branch": prof.params["f1_branch"], "f2_branch": prof.params["f2_branch"]}
 
 
-def _cmd_potential(args, outdir: Path):
+def _cmd_potential(args, outdir: _Outputs):
     prof, branches = _potential_from_args(args)
     rows = rows_of(prof.r, prof.values, prof.pole_mask)
     return branches, [write_csv(outdir / "potential.csv", ["r", "V", "mask"], rows)]
@@ -366,7 +377,7 @@ def _load_potential_csv(path):
     )
 
 
-def _cmd_spectrum(args, outdir: Path):
+def _cmd_spectrum(args, outdir: _Outputs):
     if args.potential_csv is not None:
         prof = _load_potential_csv(args.potential_csv)
         computed = {"potential_sha256": prof.params["sha256"]}
@@ -403,10 +414,12 @@ def _cmd_spectrum(args, outdir: Path):
     return computed, [out] + vec_files
 
 
-def _cmd_flow(args, outdir: Path):
+def _cmd_flow(args, outdir: _Outputs):
     start, step, count = args.s_grid
     s = start + step * np.arange(count)
     table = spectral_flow(args.m_max, s)
+    if not len(table.m_values):
+        raise argparse.ArgumentTypeError(f"--m-max {args.m_max!r} gives no curve: the first is m = 0.5")
     n_m, n_s = table.values.shape
     rows = rows_of(np.tile(table.s_grid, n_m), np.repeat(table.m_values, n_s), table.values.ravel())
     out = write_csv(outdir / "flow.csv", ["s", "m", "value"], rows)
@@ -414,7 +427,7 @@ def _cmd_flow(args, outdir: Path):
     return {}, [out, out2]
 
 
-def _cmd_surface(args, outdir: Path):
+def _cmd_surface(args, outdir: _Outputs):
     if args.c is None:
         raise argparse.ArgumentTypeError("surface needs --c")
     if args.transition:
@@ -438,7 +451,7 @@ def _cmd_surface(args, outdir: Path):
     return {"connectivity": sec.connectivity, "components": sec.components}, [out]
 
 
-def _cmd_hopf(args, outdir: Path):
+def _cmd_hopf(args, outdir: _Outputs):
     computed = {}
     profile_params = {}
     if args.profile == "constant":
@@ -454,34 +467,34 @@ def _cmd_hopf(args, outdir: Path):
         profile_params.update({"f_lo": f_lo, "f_hi": f_hi})
         computed.update({"f_lo": f_lo, "f_hi": f_hi})
     gd = GenDeformation(alpha=args.alpha, profile=args.profile, profile_params=profile_params)
-    outputs = []
 
+    window = spectrum = axioms = None
     if args.what in ("all", "window"):
         win = unitarity_window(args.c, gd)
-        outputs.append(
-            write_json(
-                outdir / "hopf_window.json",
-                {k: getattr(win, k) for k in win.__dataclass_fields__} | {"q1": gd.q1, "c": args.c},
-            )
-        )
+        window = {k: getattr(win, k) for k in win.__dataclass_fields__} | {"q1": gd.q1, "c": args.c}
     if args.what in ("all", "spectrum"):
         start, step, count = args.m_range
         ms = start + step * np.arange(count)
         spec = spectrum_2jz(gd, ms)
-        outputs.append(write_csv(outdir / "hopf_spectrum.csv", ["m", "value"], rows_of(ms, spec)))
-        outputs.append(
-            write_json(outdir / "hopf_accumulation.json", detect_accumulation(ms, spec))
-        )
+        spectrum = (rows_of(ms, spec), detect_accumulation(ms, spec))
     if args.what in ("all", "axioms"):
         rep = build_gen_rep(gd, args.dim, args.c)
         report = hopf_axiom_report(gd, rep)
         inner = casimir_gen(gd, rep).real[2:-2]
-        payload = {k: getattr(report, k) for k in report.__dataclass_fields__}
-        payload["casimir_diag_drift"] = float(inner.max() - inner.min()) if inner.size else 0.0
-        payload["q1"] = gd.q1
-        outputs.append(write_json(outdir / "hopf_axioms.json", payload))
+        axioms = {k: getattr(report, k) for k in report.__dataclass_fields__}
+        axioms["casimir_diag_drift"] = float(inner.max() - inner.min()) if inner.size else 0.0
+        axioms["q1"] = gd.q1
         if not (report.coassoc_jp <= ASSERTED_RESIDUAL_TOL and report.counit_jp <= ASSERTED_RESIDUAL_TOL):
             raise VerificationFailure("coassociativity/counit residual exceeded tolerance")
+
+    outputs = []
+    if window is not None:
+        outputs.append(write_json(outdir / "hopf_window.json", window))
+    if spectrum is not None:
+        outputs.append(write_csv(outdir / "hopf_spectrum.csv", ["m", "value"], spectrum[0]))
+        outputs.append(write_json(outdir / "hopf_accumulation.json", spectrum[1]))
+    if axioms is not None:
+        outputs.append(write_json(outdir / "hopf_axioms.json", axioms))
     return computed, outputs
 
 
@@ -514,6 +527,37 @@ def _rerun(manifest_path: str, outdir: Path) -> int:
     return main(manifest["argv"] + [f"--outdir={outdir}"], manifest["defaults"])
 
 
+class _Outputs:
+    """The output directory of one run, as the commands see it: `outputs / name`
+    is outdir / name, recorded so that a run that fails while writing removes
+    what it wrote.  A command computes and verifies everything before its
+    first write, so a run that fails otherwise writes nothing, and the files
+    an earlier run left in outdir stay."""
+
+    def __init__(self, outdir: Path):
+        self.outdir = outdir
+        self.paths = []
+
+    def __truediv__(self, name: str) -> Path:
+        self.paths.append(self.outdir / name)
+        return self.paths[-1]
+
+
+def _run_command(command: str, args, outdir: Path):
+    """What the command computed beyond the parsed flags, and its output
+    paths; when it fails, the outputs it was writing are removed."""
+    outputs = _Outputs(outdir)
+    try:
+        return DISPATCH[command](args, outputs)
+    except BaseException:
+        for path in outputs.paths:
+            try:
+                path.unlink()
+            except OSError:  # never written, or outdir is no directory
+                pass
+        raise
+
+
 def main(argv=None, defaults: dict | None = None) -> int:
     """Run one invocation.  `defaults` stands in for the --config file's
     lines; rerun passes the ones its manifest recorded."""
@@ -529,7 +573,7 @@ def main(argv=None, defaults: dict | None = None) -> int:
         outdir = Path(args.outdir or os.environ.get("QSU2_OUTDIR", "."))
         if args.command == "rerun":
             return _rerun(args.manifest, outdir)
-        computed, outputs = DISPATCH[args.command](args, outdir)  # the first output creates outdir
+        computed, outputs = _run_command(args.command, args, outdir)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     except (argparse.ArgumentTypeError, SingularDeformation, ValueError) as exc:

@@ -34,50 +34,113 @@ def fmt(x) -> str:
     return str(x).replace(",", ";")
 
 
-# the %-conversion of each cell type that has one; it prints what fmt does
-_CELL_FORMATS = {float: "%.17g", np.float64: "%.17g", bool: "%d", np.bool_: "%d", int: "%d"}
+# each cell type with a %-conversion, which prints what fmt does, and the
+# dtype a column of such cells takes in csvcells.render_columns
+_CELL_FORMATS = {
+    float: ("%.17g", np.float64),
+    np.float64: ("%.17g", np.float64),
+    bool: ("%d", np.bool_),
+    np.bool_: ("%d", np.bool_),
+    int: ("%d", np.int64),
+}
 
-# rows rendered per % operation (and converted per .tolist() in rows_of)
+# rows of an iterable rendered per block, and converted per .tolist() when a
+# column table is iterated
 CSV_BLOCK_ROWS = 1024
 
+# rows of a column table rendered per block: csvcells' fixed cost per block is
+# about 0.4 ms, and a block of three float columns is about 0.25 MB of slots
+CSV_TABLE_BLOCK_ROWS = 4096
 
-def _render_block(block: list) -> str:
-    """The CSV lines of rows of one length, each ending in a newline.  A
-    column whose cells share one type with a %-conversion uses it; every
-    other column's cells go through fmt."""
+# blocks with fewer rows stay on the % path: csvcells' fixed cost of about
+# 0.4 ms per block is what % spends on 256 to 384 rows of 2-3 columns
+CSV_KERNEL_MIN_ROWS = 384
+
+
+def _render_block(block: list) -> bytes:
+    """The CSV lines of rows of one length, each ending in a newline.  When
+    each column's cells share one type with a %-conversion, a block of
+    CSV_KERNEL_MIN_ROWS rows or more goes through csvcells.  Otherwise a
+    column whose cells share such a type uses its conversion, every other
+    column's cells go through fmt, and one % renders the block."""
     columns = list(zip(*block))
-    convs = []
-    for j, col in enumerate(columns):
+    kinds = []
+    for col in columns:
         types = set(map(type, col))
-        conv = _CELL_FORMATS.get(types.pop()) if len(types) == 1 else None
-        if conv is None:
-            columns[j] = map(fmt, col)
-        convs.append(conv or "%s")
-    rows = zip(*columns) if "%s" in convs else block
-    return ((",".join(convs) + "\n") * len(block)) % tuple(chain.from_iterable(rows))
+        kinds.append(_CELL_FORMATS.get(types.pop()) if len(types) == 1 else None)
+    if columns and len(block) >= CSV_KERNEL_MIN_ROWS and None not in kinds:
+        from .csvcells import render_columns
+
+        try:
+            return render_columns([np.array(col, dtype=kind[1]) for col, kind in zip(columns, kinds)])
+        except OverflowError:  # an int beyond int64
+            pass
+    for j, kind in enumerate(kinds):
+        if kind is None:
+            columns[j] = map(fmt, columns[j])
+    convs = [kind[0] if kind else "%s" for kind in kinds]
+    rows = zip(*columns) if None in kinds else block
+    return (((",".join(convs) + "\n") * len(block)) % tuple(chain.from_iterable(rows))).encode("utf-8")
+
+
+class ColumnTable:
+    """Equal-length numpy columns (cut to the shortest) that write_csv renders
+    column-wise.  Iterating gives the rows of Python scalars that .tolist()
+    gives, converted CSV_BLOCK_ROWS rows at a time."""
+
+    def __init__(self, columns: tuple):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return min(map(len, self.columns))
+
+    def __iter__(self):
+        n = len(self)
+        for lo in range(0, n, CSV_BLOCK_ROWS):
+            yield from zip(*(c[lo : min(n, lo + CSV_BLOCK_ROWS)].tolist() for c in self.columns))
+
+    def blocks(self):
+        """The rendered CSV lines, CSV_TABLE_BLOCK_ROWS rows at a time: by
+        csvcells when every column is numeric, by % below CSV_KERNEL_MIN_ROWS
+        rows."""
+        n = len(self)
+        numeric = False
+        if n >= CSV_KERNEL_MIN_ROWS:
+            from .csvcells import render_columns, spelling
+
+            numeric = all(spelling(c) is not None for c in self.columns)
+        for lo in range(0, n, CSV_TABLE_BLOCK_ROWS):
+            block = [c[lo : min(n, lo + CSV_TABLE_BLOCK_ROWS)] for c in self.columns]
+            if numeric and len(block[0]) >= CSV_KERNEL_MIN_ROWS:
+                yield render_columns(block)
+            else:
+                yield _render_block(list(zip(*(c.tolist() for c in block))))
+
+
+def rows_of(*columns) -> ColumnTable:
+    """The table of equal-length numpy columns, rendered column-wise by
+    write_csv and iterable as rows of Python scalars."""
+    return ColumnTable(tuple(np.asarray(c) for c in columns))
 
 
 def write_csv(path, header, rows) -> Path:
-    """Header line, then one line per row (any iterable of cell sequences),
-    each cell as fmt formats it.  Rows are rendered and written
-    CSV_BLOCK_ROWS at a time.  The directory is created if missing."""
+    """Header line, then one line per row, each cell as fmt formats it.  rows
+    is a ColumnTable (from rows_of), rendered and written CSV_TABLE_BLOCK_ROWS
+    rows at a time, or any iterable of cell sequences, CSV_BLOCK_ROWS rows at
+    a time.  The directory is created if missing."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    rows = iter(rows)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+    with path.open("wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
+        if isinstance(rows, ColumnTable):
+            for text in rows.blocks():
+                fh.write(text)
+            return path
+        rows = iter(rows)
         while block := list(islice(rows, CSV_BLOCK_ROWS)):
             for _, same_length in groupby(block, len):
                 fh.write(_render_block(list(same_length)))
     return path
-
-
-def rows_of(*columns):
-    """Rows of Python scalars from equal-length numpy columns, converted
-    with .tolist() CSV_BLOCK_ROWS rows at a time."""
-    n = min(map(len, columns))
-    for lo in range(0, n, CSV_BLOCK_ROWS):
-        yield from zip(*(c[lo : lo + CSV_BLOCK_ROWS].tolist() for c in columns))
 
 
 # characters of a dense matrix's JSON text joined per write.  Blocks stay below

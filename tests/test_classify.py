@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsu2.classify import (
     RepClass,
@@ -280,3 +282,27 @@ def test_forbidden_points():
     th = thresholds(d)
     mf = period * 0.5 - 0.5
     assert th.c0 - qnumber(mf + 0.5, d) ** 2 == pytest.approx(0.0, abs=1e-12)
+
+
+# s anywhere in (0, pi), and at the roots of unity s = pi p / l
+any_s = st.floats(0.05, math.pi - 0.05)
+root_s = st.builds(
+    lambda l, p: math.pi * p / l, st.integers(2, 24), st.integers(1, 23)
+).filter(lambda s: 0.05 <= s <= math.pi - 0.05 and abs(s / math.pi - round(s / math.pi)) > 1e-9)
+
+
+@settings(max_examples=300)
+@given(s=any_s | root_s, c_scale=st.floats(0.0, 3.0), m0=st.floats(-1.0, 1.0) | st.just(0.0))
+def test_allowed_m_set_matches_brute_force_scan(s, c_scale, m0):
+    """The interval partition of the m line, against both ladder radicands
+    evaluated at every grid point; points within 1e-9 of a radicand's zero
+    are on a partition edge and decide nothing."""
+    d = Deformation(s)
+    c = c_scale / d.sin_s**2
+    grid = m0 + np.arange(-20.0, 20.5, 0.5)
+    cs2 = c * d.sin_s**2
+    lo, hi = (cs2 - np.sin(s * (grid + shift)) ** 2 for shift in (-0.5, 0.5))
+    brute = (lo >= 0) & (hi >= 0)
+    clear = ((lo > 1e-9) & (hi > 1e-9)) | (lo < -1e-9) | (hi < -1e-9)
+    mask = allowed_m_set(d, c, grid)
+    assert np.array_equal(mask[clear], brute[clear]), grid[clear][mask[clear] != brute[clear]]

@@ -465,3 +465,91 @@ def test_hopf_infeasible_anchor_prints_a_float(tmp_path, capsys):
     head, value = err.rstrip("\n").rsplit(" = ", 1)
     assert head == "error: no unitary truncation at this anchor: min |N|^2"
     assert float(value) == pytest.approx(-0.61121492313517, rel=1e-9)
+
+
+# ----------------------------------------------------------------------
+# a failing run leaves nothing behind; counts are checked where they enter
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hopf", "--alpha", 2, "--profile", "geometric", "--f0", 20, "--c", 900, "--dim", 0],
+        ["hopf"],
+    ],
+    ids=["dim-0", "defaults"],
+)
+@pytest.mark.parametrize("outdir_exists", [True, False])
+def test_failing_hopf_leaves_no_outputs(tmp_path, argv, outdir_exists):
+    out = tmp_path / "out"
+    if outdir_exists:
+        out.mkdir()
+        (out / "keep.txt").write_text("mine")
+    # the window and spectrum are computed before the axioms fail
+    assert run(argv + ["--outdir", out]) == 2
+    if outdir_exists:
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+    else:
+        assert not out.exists()
+
+
+def test_outputs_and_wrote_lines_repeat_over_earlier_outputs(tmp_path, capsys):
+    out = tmp_path / "a" / "b"
+    argv = ["hopf", "--alpha", 2, "--profile", "geometric", "--f0", 20, "--c", 900, "--dim", 7, "--outdir", out]
+    assert run(argv) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(first) == [
+        "hopf_accumulation.json", "hopf_axioms.json", "hopf_manifest.json", "hopf_spectrum.csv", "hopf_window.json"
+    ]
+    assert capsys.readouterr().out.splitlines() == [f"wrote {out / name}" for name in (
+        "hopf_window.json", "hopf_spectrum.csv", "hopf_accumulation.json", "hopf_axioms.json")]
+    assert run(argv) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+
+
+def test_failing_verification_writes_no_rep_json(tmp_path):
+    (tmp_path / "rep.json").write_text("earlier")
+    assert run(["rep", "--s", 0.01, "--c", 1e6, "--basis=0:400", "--verify", "--outdir", tmp_path]) == 3
+    assert [p.name for p in tmp_path.iterdir()] == ["rep.json"]
+    assert (tmp_path / "rep.json").read_text() == "earlier"
+
+
+def test_a_run_failing_while_writing_removes_what_it_wrote(tmp_path, monkeypatch):
+    import qsu2.cli
+
+    write_json = qsu2.cli.write_json
+
+    def full_disk(path, payload):
+        if path.name == "hopf_accumulation.json":
+            raise OSError(28, "No space left on device")
+        return write_json(path, payload)
+
+    monkeypatch.setattr(qsu2.cli, "write_json", full_disk)
+    argv = ["hopf", "--alpha", 2, "--profile", "geometric", "--f0", 20, "--c", 900, "--dim", 7, "--outdir", tmp_path]
+    with pytest.raises(OSError):
+        run(argv)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_spectrum_n_below_one_is_an_argument_error(tmp_path, capsys, n):
+    out = tmp_path / "out"
+    assert run(["spectrum", "--s", 0.25, "--m", 1, "--grid=-6:6:0.01", "--n", n, "--outdir", out]) == 2
+    assert f"argument --n: must be >= 1, got {n}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("m_max", [0, -3, 0.2])
+def test_flow_without_curves_is_an_argument_error(tmp_path, capsys, m_max):
+    out = tmp_path / "out"
+    assert run(["flow", "--m-max", m_max, "--outdir", out]) == 2
+    err = capsys.readouterr().err
+    assert "--m-max" in err and "no curve" in err
+    assert not out.exists()
+
+
+def test_flow_smallest_m_max_writes_one_curve(tmp_path):
+    assert run(["flow", "--m-max", 0.5, "--s-grid", "0.5:1.0:0.25", "--outdir", tmp_path]) == 0
+    lines = (tmp_path / "flow.csv").read_text().splitlines()
+    assert lines == ["s,m,value", "0.5,0.5,1", "0.75,0.5,1", "1,0.5,1"]
+    assert json.loads((tmp_path / "flow_crossings.json").read_text()) == []

@@ -1,0 +1,142 @@
+"""The column-wise CSV renderer against '%': the float64 kernel on raw bit
+patterns (with and without its long-double fast path), write_csv around the
+block size and the small-block crossover, and the column table read as rows.
+"""
+
+import math
+import struct
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import dense_reference as ref
+from qsu2 import csvcells
+from qsu2.serialize import CSV_BLOCK_ROWS, CSV_KERNEL_MIN_ROWS, CSV_TABLE_BLOCK_ROWS, rows_of, write_csv
+
+K = CSV_TABLE_BLOCK_ROWS
+SIGN = 1 << 63
+
+
+def from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def percent_lines(values, conv="%.17g") -> bytes:
+    return "".join(conv % v + "\n" for v in values).encode()
+
+
+# 10^k and its neighbours one ulp away, for every power in the double range
+_POWERS = [10.0**k for k in range(-307, 309)]
+_NEAR_POWERS = _POWERS + [math.nextafter(p, math.inf) for p in _POWERS] + [math.nextafter(p, 0.0) for p in _POWERS]
+
+any_bits = st.integers(0, (1 << 64) - 1)
+signs = st.sampled_from([0, SIGN])
+subnormal = st.builds(int.__or__, st.integers(1, (1 << 52) - 1), signs)
+nan_payload = st.builds(int.__or__, st.integers(0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF), signs)
+fixed_bits = st.sampled_from([0, SIGN, 0x7FF0000000000000, 0xFFF0000000000000])
+floats_from_bits = st.one_of(any_bits, subnormal, nan_payload, fixed_bits).map(from_bits)
+near_powers = st.builds(math.copysign, st.sampled_from(_NEAR_POWERS), st.sampled_from([1.0, -1.0]))
+# 15 integer digits and an odd number of eighths: 18 significant digits ending
+# in 5, an exact tie at 17 digits (and the same with 14 digits and sixteenths)
+odd = st.integers(0, 7).map(lambda j: 2 * j + 1)
+ties = st.builds(lambda i, k: i + (k % 8) / 8.0, st.integers(10**14, 10**15 - 1), odd) | st.builds(
+    lambda i, k: i + k / 16.0, st.integers(10**13, 10**14 - 1), odd
+)
+cells = floats_from_bits | near_powers | ties | st.floats(1e-12, 1e44) | st.floats(-6.0, 6.0)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["kernel", "all-fallback"])
+@settings(max_examples=200)
+@given(values=st.lists(cells, min_size=1, max_size=300))
+@example(values=[1234567890123456.75, 123456789012345.625, 99999999999999999.0, 1e17, 1e16, 9.999999999999999e16])
+@example(values=[0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-4, 9.9999999999999999e-5])
+def test_float_kernel_matches_percent(exact, values):
+    column = np.array(values, dtype=np.float64)
+    with mock.patch.object(csvcells, "LONG_DOUBLE_EXACT", exact):
+        assert csvcells.render_columns([column]) == percent_lines(values)
+
+
+def test_float_kernel_on_a_million_bit_patterns():
+    rng = np.random.default_rng(11)
+    columns = [
+        rng.integers(0, 2**64, 400_000, dtype=np.uint64).view(np.float64),
+        rng.standard_normal(300_000) * 10.0 ** rng.integers(-14, 47, 300_000),
+        np.array(_NEAR_POWERS) * rng.choice([-1.0, 1.0], len(_NEAR_POWERS)),
+        np.arange(10**14, 10**14 + 100_000) + 0.125 * (2 * rng.integers(0, 4, 100_000) + 1),
+    ]
+    for column in columns:
+        assert csvcells.render_columns([column]) == percent_lines(column.tolist())
+
+
+def test_long_double_check_holds_where_the_kernel_runs():
+    # on x86-64 and quad-precision platforms long double carries the bound
+    if np.finfo(np.longdouble).nmant >= 63:
+        assert csvcells.LONG_DOUBLE_EXACT
+
+
+@given(values=st.lists(st.integers(-(2**63), 2**63 - 1) | st.sampled_from([0, -1, -(2**63), 2**63 - 1]), min_size=1))
+def test_int_kernel_matches_percent(values):
+    assert csvcells.render_columns([np.array(values, dtype=np.int64)]) == percent_lines(values, "%d")
+
+
+def mixed_columns(n, seed=0):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+    x[rng.random(n) < 0.2] = np.nan
+    return [x, np.arange(n) / 7.0, rng.random(n) < 0.5, rng.integers(-(10**6), 10**6, n).astype(np.int32)]
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, CSV_KERNEL_MIN_ROWS - 1, CSV_KERNEL_MIN_ROWS, K - 1, K, K + 1, K + CSV_KERNEL_MIN_ROWS - 1]
+)
+def test_write_csv_column_table_matches_per_cell_fmt(n, tmp_path):
+    cols = mixed_columns(n)
+    header = ["x", "y", "flag", "i"]
+    expected = ref.csv_text(header, zip(*cols)).encode("utf-8")
+    write_csv(tmp_path / "table.csv", header, rows_of(*cols))
+    assert (tmp_path / "table.csv").read_bytes() == expected
+    # the same rows as a one-shot generator of Python scalars (the tracer's
+    # stand-in) go through the kernel block by block too
+    write_csv(tmp_path / "rows.csv", header, (row for row in rows_of(*cols)))
+    assert (tmp_path / "rows.csv").read_bytes() == expected
+
+
+def test_write_csv_row_blocks_that_the_kernel_cannot_take(tmp_path):
+    n = K + 1
+    big = [(i * 0.5, 10**30 if i == 3 else i) for i in range(n)]  # an int beyond int64
+    mixed = [(i * 0.5, np.float64(i) if i % 2 else float(i)) for i in range(n)]  # two cell types
+    for rows in (big, mixed):
+        write_csv(tmp_path / "t.csv", ["a", "b"], rows)
+        assert (tmp_path / "t.csv").read_bytes() == ref.csv_text(["a", "b"], rows).encode("utf-8")
+
+
+def spelled(rows) -> list:
+    """repr keeps NaN cells comparable and the cell types apart."""
+    return [tuple(map(repr, row)) for row in rows]
+
+
+def test_column_table_iterates_as_the_old_rows_of():
+    def old_rows_of(*columns):
+        n = min(map(len, columns))
+        for lo in range(0, n, CSV_BLOCK_ROWS):
+            yield from zip(*(c[lo : lo + CSV_BLOCK_ROWS].tolist() for c in columns))
+
+    cols = mixed_columns(2 * K + 5) + [np.linspace(0.0, 1.0, 2 * K + 3)]  # the shortest cuts the table
+    table = rows_of(*cols)
+    assert len(table) == 2 * K + 3
+    assert spelled(table) == spelled(old_rows_of(*cols))
+    assert spelled(table) == spelled(table)  # a table can be read again
+    assert {tuple(map(type, row)) for row in table} == {(float, float, bool, int, float)}
+
+
+def test_columns_the_kernel_does_not_spell_stay_on_the_percent_path(tmp_path):
+    n = K + 2
+    text = np.array([f"c{i},x" for i in range(n)])
+    wide = np.arange(n, dtype=np.uint64) + np.uint64(2**63)
+    cols = [np.arange(n) / 3.0, text, wide]
+    write_csv(tmp_path / "t.csv", ["a", "b", "c"], rows_of(*cols))
+    rows = list(zip(*(c.tolist() for c in cols)))
+    assert (tmp_path / "t.csv").read_bytes() == ref.csv_text(["a", "b", "c"], rows).encode("utf-8")
