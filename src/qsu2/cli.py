@@ -35,7 +35,7 @@ from .hopf import (
     unitarity_window,
     detect_accumulation,
 )
-from .operators import UnitarityError, build_rep, verify_algebra
+from .operators import EDGE_BUFFER, UnitarityError, build_rep, verify_algebra
 from .qnumbers import Deformation, SingularDeformation
 from .schrodinger import MIN_CELL_SAMPLES, build_potential, eigensolve, realization
 from .serialize import Records, complex_pairs, rows_of, write_csv, write_json, write_manifest
@@ -72,6 +72,16 @@ def _count(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _cell(text: str) -> str:
+    """A --cell value, "largest", "all" or a cell index, kept as written."""
+    if text not in ("largest", "all"):
+        try:
+            int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f'expected "largest", "all" or a cell index, got {text!r}') from None
+    return text
 
 
 def _parse_grid(spec: str):
@@ -200,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", parents=[common, potential], help="eigenvalues of a potential")
     p.add_argument("--potential-csv", default=None, help="r,V,mask table from the potential command")
     p.add_argument("--n", type=_count, default=5, help="eigenvalues per cell, >= 1")
-    p.add_argument("--cell", default="largest", help='"largest", "all", or a cell index')
+    p.add_argument("--cell", type=_cell, default="largest", help='"largest", "all", or a cell index')
     p.add_argument("--with-vectors", action="store_true")
 
     p = sub.add_parser("flow", parents=[common], help="spectral flow [2m](s) long-format CSV")
@@ -476,11 +486,14 @@ def _cmd_hopf(args, outdir: _Outputs):
         start, step, count = args.m_range
         ms = start + step * np.arange(count)
         spec = spectrum_2jz(gd, ms)
-        spectrum = (rows_of(ms, spec), detect_accumulation(ms, spec))
+        try:
+            spectrum = (rows_of(ms, spec), detect_accumulation(ms, spec))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"argument --m-range: {exc}") from None
     if args.what in ("all", "axioms"):
         rep = build_gen_rep(gd, args.dim, args.c)
         report = hopf_axiom_report(gd, rep)
-        inner = casimir_gen(gd, rep).real[2:-2]
+        inner = casimir_gen(gd, rep).real[EDGE_BUFFER:-EDGE_BUFFER]
         axioms = {k: getattr(report, k) for k in report.__dataclass_fields__}
         axioms["casimir_diag_drift"] = float(inner.max() - inner.min()) if inner.size else 0.0
         axioms["q1"] = gd.q1

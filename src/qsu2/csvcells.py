@@ -3,8 +3,8 @@
 A block of columns becomes one uint8 buffer with a row per CSV line and a
 fixed run of slots per cell; the slots a cell does not use hold NUL, which
 bytes.translate deletes.  render_columns returns the bytes that '%.17g' %
-(float columns) and '%d' % (bool and int columns) write for the .tolist()
-rows.  serialize imports this module for the first block large enough, so
+(float columns) and '%d' % (bool columns) write for the .tolist() rows.
+serialize imports this module for the first block large enough, so
 `import qsu2.cli` does not compile it.
 """
 
@@ -188,57 +188,18 @@ def _spell_floats(x: np.ndarray, cells: np.ndarray) -> None:
             cells[rest] = np.array(texts, dtype=f"S{FLOAT_SLOTS}").view(np.uint8).reshape(-1, FLOAT_SLOTS)
 
 
-# an int cell's slots: sign and 19 digits
-INT_SLOTS = 20
-_U64_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
-# row nd keeps the last nd of 19 digit slots
-_INT_MASKS = np.where(np.arange(19) >= 19 - np.arange(20)[:, None], 0xFF, 0).astype(np.uint8)
-
-
-def _spell_ints(v: np.ndarray, cells: np.ndarray) -> None:
-    """Spell each int64 of v into its row of cells (n, INT_SLOTS) as '%d'
-    spells it, NUL in the slots it does not use."""
-    n = len(v)
-    neg = v < 0
-    u = v.astype(np.uint64)
-    u[neg] = np.uint64(0) - u[neg]  # |v|, 2^63 included
-    top, rest = np.divmod(u, np.uint64(10**16))
-    groups = np.empty((n, 5), np.int64)
-    groups[:, 0] = top
-    rest = rest.astype(np.int64)
-    for j in (4, 3, 2, 1):
-        rest, groups[:, j] = np.divmod(rest, 10**4)
-    digits = _quads()[0].take(groups).view(np.uint8)[:, 1:]  # 19 digits; the first is always 0
-    cells[:, 0] = neg * ord("-")
-    cells[:, 1:] = digits & _INT_MASKS.take(np.searchsorted(_U64_POW10, u, side="right") + 1, axis=0)
-
-
-def spelling(column: np.ndarray):
-    """(spell, slots, the column as spell takes it), or None for a column the
-    kernel does not spell."""
-    kind, size = column.dtype.kind, column.dtype.itemsize
-    if kind == "f" and size <= 8:
-        return _spell_floats, FLOAT_SLOTS, column.astype(np.float64, copy=False)
-    if kind == "b":
-        return _spell_bools, 1, column
-    if kind == "i" or (kind == "u" and size < 8):
-        return _spell_ints, INT_SLOTS, column.astype(np.int64, copy=False)
-    return None
-
-
-def _spell_bools(b: np.ndarray, cells: np.ndarray) -> None:
-    cells[:, 0] = b
-    cells[:, 0] += ord("0")
-
-
 def render_columns(columns) -> bytes:
-    """The CSV lines of equal-length numeric columns, each ending in a newline,
-    byte for byte as % renders their .tolist() rows."""
-    spellings = [spelling(c) for c in columns]
-    buf = np.empty((len(columns[0]), sum(s[1] + 1 for s in spellings)), np.uint8)
+    """The CSV lines of equal-length float or bool columns, each ending in a
+    newline, byte for byte as % renders their .tolist() rows."""
+    widths = [1 if c.dtype.kind == "b" else FLOAT_SLOTS for c in columns]
+    buf = np.empty((len(columns[0]), sum(widths) + len(widths)), np.uint8)
     at = 0
-    for spell, slots, column in spellings:
-        spell(column, buf[:, at : at + slots])
+    for column, slots in zip(columns, widths):
+        if column.dtype.kind == "b":
+            buf[:, at] = column
+            buf[:, at] += ord("0")
+        else:
+            _spell_floats(column.astype(np.float64, copy=False), buf[:, at : at + slots])
         buf[:, at + slots] = ord(",")
         at += slots + 1
     buf[:, -1] = ord("\n")

@@ -32,9 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .classify import radicand_ok
-from .operators import OperatorMatrix, _absmax, _ladder_bands
-
-EDGE_BUFFER = 2
+from .operators import EDGE_BUFFER, OperatorMatrix, _absmax, _ladder_bands
 
 
 def _profile_constant(params):
@@ -281,16 +279,16 @@ def spectrum_2jz(gd: GenDeformation, m_range):
     return 2.0 * (f - 1.0 / f) / gd.h
 
 
-gen_commutator_diag = spectrum_2jz
-
-
 def detect_accumulation(m_values, values, tail: int = 8):
     """Monotone-tail detection of a two-sided accumulation point.
 
     Returns a dict with the one-sided limit estimates, whether both tails
     are monotone, and whether they agree (single two-sided limit point).
+    Raises ValueError when the samples do not fill two disjoint tails.
     """
     m = np.asarray(m_values, dtype=float)
+    if len(m) < 2 * tail:
+        raise ValueError(f"{len(m)} samples cannot fill two disjoint tails of {tail}")
     v = np.asarray(values, dtype=float)
     order = np.argsort(m)
     m, v = m[order], v[order]
@@ -329,7 +327,7 @@ def build_gen_rep(gd: GenDeformation, dim: int, c: float, m0: float | None = Non
     f = np.asarray(gd.f_at_q1(ms), dtype=float)
     gt = f ** 0.5 * gd.q1 ** -0.25  # diag(sqrt(f)) * q1^{-1/4}
     phi = (gt - 1.0 / gt) ** 2
-    k_diag = gen_commutator_diag(gd, ms)
+    k_diag = spectrum_2jz(gd, ms)
 
     a = dim // 2
     c2c = _c2_casimir(gd)

@@ -34,53 +34,57 @@ def fmt(x) -> str:
     return str(x).replace(",", ";")
 
 
-# each cell type with a %-conversion, which prints what fmt does, and the
-# dtype a column of such cells takes in csvcells.render_columns
-_CELL_FORMATS = {
-    float: ("%.17g", np.float64),
-    np.float64: ("%.17g", np.float64),
-    bool: ("%d", np.bool_),
-    np.bool_: ("%d", np.bool_),
-    int: ("%d", np.int64),
-}
+# each cell type with a %-conversion, which prints what fmt does
+_CELL_FORMATS = {float: "%.17g", np.float64: "%.17g", bool: "%d", np.bool_: "%d", int: "%d"}
 
-# rows of an iterable rendered per block, and converted per .tolist() when a
-# column table is iterated
-CSV_BLOCK_ROWS = 1024
-
-# rows of a column table rendered per block: csvcells' fixed cost per block is
-# about 0.4 ms, and a block of three float columns is about 0.25 MB of slots
-CSV_TABLE_BLOCK_ROWS = 4096
+# rows per block, rendered and written at once: a block of two float columns
+# and a bool column is about 0.25 MB of csvcells slots
+CSV_BLOCK_ROWS = 4096
 
 # blocks with fewer rows stay on the % path: csvcells' fixed cost of about
 # 0.4 ms per block is what % spends on 256 to 384 rows of 2-3 columns
 CSV_KERNEL_MIN_ROWS = 384
 
 
-def _render_block(block: list) -> bytes:
-    """The CSV lines of rows of one length, each ending in a newline.  When
-    each column's cells share one type with a %-conversion, a block of
-    CSV_KERNEL_MIN_ROWS rows or more goes through csvcells.  Otherwise a
-    column whose cells share such a type uses its conversion, every other
-    column's cells go through fmt, and one % renders the block."""
-    columns = list(zip(*block))
-    kinds = []
-    for col in columns:
-        types = set(map(type, col))
-        kinds.append(_CELL_FORMATS.get(types.pop()) if len(types) == 1 else None)
-    if columns and len(block) >= CSV_KERNEL_MIN_ROWS and None not in kinds:
-        from .csvcells import render_columns
+def _cell_type(column):
+    """The type every cell of the column shares, or None."""
+    types = set(map(type, column))
+    return types.pop() if len(types) == 1 else None
 
-        try:
-            return render_columns([np.array(col, dtype=kind[1]) for col, kind in zip(columns, kinds)])
-        except OverflowError:  # an int beyond int64
-            pass
-    for j, kind in enumerate(kinds):
-        if kind is None:
-            columns[j] = map(fmt, columns[j])
-    convs = [kind[0] if kind else "%s" for kind in kinds]
-    rows = zip(*columns) if None in kinds else block
-    return (((",".join(convs) + "\n") * len(block)) % tuple(chain.from_iterable(rows))).encode("utf-8")
+
+def _kernel_column(column):
+    """The column as a float or bool array, which csvcells spells, or None."""
+    if not isinstance(column, np.ndarray):
+        if _cell_type(column) not in (float, np.float64, bool, np.bool_):
+            return None
+        column = np.array(column)
+    return column if column.dtype.kind in "fb" and column.dtype.itemsize <= 8 else None
+
+
+def _render(columns: list, n: int) -> bytes:
+    """The CSV lines of one block of n rows, given as its columns (numpy
+    arrays or sequences of cells), each line ending in a newline.  A block of
+    CSV_KERNEL_MIN_ROWS rows or more whose columns are all float or bool goes
+    through csvcells.  Otherwise one % renders it: a column whose cells share
+    a type with a %-conversion uses it, any other column goes through fmt."""
+    if columns and n >= CSV_KERNEL_MIN_ROWS:
+        arrays = []
+        for column in columns:
+            arrays.append(_kernel_column(column))
+            if arrays[-1] is None:
+                break
+        else:
+            from .csvcells import render_columns
+
+            return render_columns(arrays)
+    convs, cells = [], []
+    for column in columns:
+        if isinstance(column, np.ndarray):
+            column = column.tolist()
+        conv = _CELL_FORMATS.get(_cell_type(column))
+        convs.append(conv or "%s")
+        cells.append(column if conv else map(fmt, column))
+    return (((",".join(convs) + "\n") * n) % tuple(chain.from_iterable(zip(*cells)))).encode("utf-8")
 
 
 class ColumnTable:
@@ -99,23 +103,6 @@ class ColumnTable:
         for lo in range(0, n, CSV_BLOCK_ROWS):
             yield from zip(*(c[lo : min(n, lo + CSV_BLOCK_ROWS)].tolist() for c in self.columns))
 
-    def blocks(self):
-        """The rendered CSV lines, CSV_TABLE_BLOCK_ROWS rows at a time: by
-        csvcells when every column is numeric, by % below CSV_KERNEL_MIN_ROWS
-        rows."""
-        n = len(self)
-        numeric = False
-        if n >= CSV_KERNEL_MIN_ROWS:
-            from .csvcells import render_columns, spelling
-
-            numeric = all(spelling(c) is not None for c in self.columns)
-        for lo in range(0, n, CSV_TABLE_BLOCK_ROWS):
-            block = [c[lo : min(n, lo + CSV_TABLE_BLOCK_ROWS)] for c in self.columns]
-            if numeric and len(block[0]) >= CSV_KERNEL_MIN_ROWS:
-                yield render_columns(block)
-            else:
-                yield _render_block(list(zip(*(c.tolist() for c in block))))
-
 
 def rows_of(*columns) -> ColumnTable:
     """The table of equal-length numpy columns, rendered column-wise by
@@ -125,21 +112,25 @@ def rows_of(*columns) -> ColumnTable:
 
 def write_csv(path, header, rows) -> Path:
     """Header line, then one line per row, each cell as fmt formats it.  rows
-    is a ColumnTable (from rows_of), rendered and written CSV_TABLE_BLOCK_ROWS
-    rows at a time, or any iterable of cell sequences, CSV_BLOCK_ROWS rows at
-    a time.  The directory is created if missing."""
+    is a ColumnTable (from rows_of), whose column slices are rendered, or any
+    iterable of cell sequences, whose runs of rows of one length are
+    transposed and rendered; either CSV_BLOCK_ROWS rows at a time.  The
+    directory is created if missing."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("wb") as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
         if isinstance(rows, ColumnTable):
-            for text in rows.blocks():
-                fh.write(text)
+            n = len(rows)
+            for lo in range(0, n, CSV_BLOCK_ROWS):
+                hi = min(n, lo + CSV_BLOCK_ROWS)
+                fh.write(_render([c[lo:hi] for c in rows.columns], hi - lo))
             return path
         rows = iter(rows)
         while block := list(islice(rows, CSV_BLOCK_ROWS)):
             for _, same_length in groupby(block, len):
-                fh.write(_render_block(list(same_length)))
+                run = list(same_length)
+                fh.write(_render(list(zip(*run)), len(run)))
     return path
 
 

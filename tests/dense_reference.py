@@ -16,7 +16,6 @@ import math
 
 import numpy as np
 
-from qsu2.hopf import EDGE_BUFFER as HOPF_BUFFER
 from qsu2.hopf import HopfReport, _c2_casimir
 from qsu2.operators import CLOSURE_TOL, EDGE_BUFFER, AlgebraReport, ladder_coeff
 from qsu2.qnumbers import bracket_sequence, qnumber
@@ -109,7 +108,7 @@ def conjugation_residual(gd, jp, g):
     n = jp.shape[0]
     f = np.real(np.diag(g)) ** 2 * math.sqrt(gd.q1)
     res = np.diag(f) @ jp @ np.diag(1.0 / f) - gd.q1 * jp
-    lo, hi = HOPF_BUFFER, n - HOPF_BUFFER
+    lo, hi = EDGE_BUFFER, n - EDGE_BUFFER
     return float(np.abs(res[lo:hi, lo:hi]).max())
 
 
@@ -136,7 +135,7 @@ def hopf_axiom_report(gd, jp, jm, g_tilde) -> HopfReport:
     counit_g = float(np.abs(1.0 * g - g).max())
 
     keep = np.zeros(n, dtype=bool)
-    keep[HOPF_BUFFER : n - HOPF_BUFFER] = True
+    keep[EDGE_BUFFER : n - EDGE_BUFFER] = True
 
     def interior_max(a, idx):
         sub = a[np.ix_(idx, idx)]

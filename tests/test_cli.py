@@ -384,6 +384,30 @@ def test_spectrum_cell_out_of_range_is_an_argument_error(tmp_path, capsys, cell)
     assert "need >= 200" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cell", ["1.5", "first"])
+def test_spectrum_cell_that_is_no_index_is_an_argument_error(tmp_path, capsys, cell):
+    out = tmp_path / "out"
+    argv = ["spectrum", "--s", 0.25, "--m", 1, "--grid=-6:6:0.01", "--cell", cell, "--outdir", out]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f'error: argument --cell: expected "largest", "all" or a cell index, got {cell!r}' in err
+    assert not out.exists()
+    # an index is recorded as written
+    assert run(argv[:-3] + ["2", "--outdir", out]) == 0
+    assert json.loads((out / "spectrum_manifest.json").read_text())["params"]["cell"] == "2"
+
+
+def test_hopf_m_range_too_short_for_the_tails_is_an_argument_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["hopf", "--what", "spectrum", "--outdir", out]
+    assert run(argv + ["--m-range=0:1:1"]) == 2
+    assert "error: argument --m-range: 2 samples cannot fill two disjoint tails of 8" in capsys.readouterr().err
+    assert not out.exists()
+    # 16 samples fill two tails of 8
+    assert run(argv + ["--m-range=0:15:1"]) == 0
+    assert len((out / "hopf_spectrum.csv").read_text().splitlines()) == 17
+
+
 def test_spectrum_rejects_missing_potential_csv(tmp_path, capsys):
     assert run(["spectrum", "--potential-csv", tmp_path / "absent.csv", "--outdir", tmp_path]) == 2
     assert capsys.readouterr().err.startswith("error: ")
@@ -409,6 +433,10 @@ def test_import_leaves_scipy_out():
 
 def test_import_leaves_numpy_fft_out():
     assert not _loaded_by_cli_import("numpy.fft")
+
+
+def test_import_leaves_csvcells_out():
+    assert not _loaded_by_cli_import("qsu2.csvcells")
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """The column-wise CSV renderer against '%': the float64 kernel on raw bit
-patterns (with and without its long-double fast path), write_csv around the
-block size and the small-block crossover, and the column table read as rows.
+patterns (with and without its long-double fast path), int columns, write_csv
+around the block size and the small-block crossover, which blocks reach the
+kernel, and the column table read as rows.
 """
 
 import math
@@ -14,9 +15,9 @@ from hypothesis import strategies as st
 
 import dense_reference as ref
 from qsu2 import csvcells
-from qsu2.serialize import CSV_BLOCK_ROWS, CSV_KERNEL_MIN_ROWS, CSV_TABLE_BLOCK_ROWS, rows_of, write_csv
+from qsu2.serialize import CSV_BLOCK_ROWS, CSV_KERNEL_MIN_ROWS, rows_of, write_csv
 
-K = CSV_TABLE_BLOCK_ROWS
+K = CSV_BLOCK_ROWS
 SIGN = 1 << 63
 
 
@@ -78,8 +79,11 @@ def test_long_double_check_holds_where_the_kernel_runs():
 
 
 @given(values=st.lists(st.integers(-(2**63), 2**63 - 1) | st.sampled_from([0, -1, -(2**63), 2**63 - 1]), min_size=1))
-def test_int_kernel_matches_percent(values):
-    assert csvcells.render_columns([np.array(values, dtype=np.int64)]) == percent_lines(values, "%d")
+@example(values=[-(2**63), 2**63 - 1] * (K // 2 + CSV_KERNEL_MIN_ROWS))  # two blocks
+def test_int_columns_match_percent(values, tmp_path_factory):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    write_csv(path, ["i"], rows_of(np.array(values, dtype=np.int64)))
+    assert path.read_bytes() == b"i\n" + percent_lines(values, "%d")
 
 
 def mixed_columns(n, seed=0):
@@ -93,15 +97,34 @@ def mixed_columns(n, seed=0):
     "n", [0, 1, CSV_KERNEL_MIN_ROWS - 1, CSV_KERNEL_MIN_ROWS, K - 1, K, K + 1, K + CSV_KERNEL_MIN_ROWS - 1]
 )
 def test_write_csv_column_table_matches_per_cell_fmt(n, tmp_path):
-    cols = mixed_columns(n)
-    header = ["x", "y", "flag", "i"]
-    expected = ref.csv_text(header, zip(*cols)).encode("utf-8")
-    write_csv(tmp_path / "table.csv", header, rows_of(*cols))
-    assert (tmp_path / "table.csv").read_bytes() == expected
-    # the same rows as a one-shot generator of Python scalars (the tracer's
-    # stand-in) go through the kernel block by block too
-    write_csv(tmp_path / "rows.csv", header, (row for row in rows_of(*cols)))
-    assert (tmp_path / "rows.csv").read_bytes() == expected
+    # the float and bool columns alone go through the kernel from
+    # CSV_KERNEL_MIN_ROWS rows on; with the int column every block stays on %
+    mixed = mixed_columns(n)
+    for cols in (mixed[:3], mixed):
+        header = ["x", "y", "flag", "i"][: len(cols)]
+        expected = ref.csv_text(header, zip(*cols)).encode("utf-8")
+        write_csv(tmp_path / "table.csv", header, rows_of(*cols))
+        assert (tmp_path / "table.csv").read_bytes() == expected
+        # the same rows as a one-shot generator of Python scalars (the
+        # tracer's stand-in) take the same path block by block
+        write_csv(tmp_path / "rows.csv", header, (row for row in rows_of(*cols)))
+        assert (tmp_path / "rows.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("rows", ["table", "generator"])
+def test_float_and_bool_blocks_of_enough_rows_reach_the_kernel(rows, tmp_path):
+    def kernel_blocks(*cols):
+        table = rows_of(*cols)
+        if rows == "generator":
+            table = (row for row in table)
+        with mock.patch.object(csvcells, "render_columns", wraps=csvcells.render_columns) as kernel:
+            write_csv(tmp_path / "t.csv", ["a"] * len(cols), table)
+        return [len(call.args[0][0]) for call in kernel.call_args_list]
+
+    cols = mixed_columns(K + CSV_KERNEL_MIN_ROWS)
+    assert kernel_blocks(*cols[:3]) == [K, CSV_KERNEL_MIN_ROWS]
+    assert kernel_blocks(*(c[:-1] for c in cols[:3])) == [K]  # the last block is too short
+    assert kernel_blocks(*cols) == []  # an int column
 
 
 def test_write_csv_row_blocks_that_the_kernel_cannot_take(tmp_path):

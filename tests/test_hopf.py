@@ -11,7 +11,6 @@ from qsu2.hopf import (
     conjugation_residual,
     deformation_f,
     detect_accumulation,
-    gen_commutator_diag,
     hopf_axiom_report,
     reduction_residuals,
     sech_profile,
@@ -121,6 +120,16 @@ def test_spectrum_bounded_with_accumulation():
     assert info["limit"] == pytest.approx(limit, abs=1e-8)
 
 
+def test_accumulation_needs_two_disjoint_tails():
+    ms = np.arange(16.0)
+    vals = 1.0 / (1.0 + ms**2)
+    assert detect_accumulation(ms, vals)["monotone_tails"]
+    with pytest.raises(ValueError, match="15 samples cannot fill two disjoint tails of 8"):
+        detect_accumulation(ms[:-1], vals[:-1])
+    with pytest.raises(ValueError, match="5 samples"):
+        detect_accumulation(ms[:5], vals[:5], tail=3)
+
+
 def test_spectrum_trivial_deformation():
     # b -> 0 makes f -> 1 and the commutator spectrum vanish
     gd = GenDeformation(alpha=2.0, profile="constant", profile_params={"b0": 1e-12})
@@ -142,7 +151,7 @@ def test_build_gen_rep_commutator():
     jz, jp, jm, _ = rep
     ms = np.real(np.diag(jz.entries))
     comm = jp.entries @ jm.entries - jm.entries @ jp.entries
-    want = gen_commutator_diag(gd, ms)
+    want = spectrum_2jz(gd, ms)
     assert np.abs(np.diag(comm).real[2:-2] - want[2:-2]).max() < 1e-10
     assert np.abs(comm - np.diag(np.diag(comm))).max() == 0.0
 
@@ -154,7 +163,7 @@ def test_telescoping_consistency():
     n = jp.entries.shape[0]
     n2 = np.array([abs(jp.entries[i + 1, i]) ** 2 for i in range(n - 1)])
     ms = np.real(np.diag(jz.entries))
-    k_diag = gen_commutator_diag(gd, ms)
+    k_diag = spectrum_2jz(gd, ms)
     # summing the interior commutator diagonal telescopes the squared
     # coefficients between the ends
     assert np.sum(k_diag[1:-1]) == pytest.approx(n2[0] - n2[-1], rel=1e-12)
@@ -251,7 +260,7 @@ def test_tabulated_profile():
     jz, jp, jm, _ = rep
     ms = np.real(np.diag(jz.entries))
     comm = jp.entries @ jm.entries - jm.entries @ jp.entries
-    want = gen_commutator_diag(gd, ms)
+    want = spectrum_2jz(gd, ms)
     assert np.abs(np.diag(comm).real[2:-2] - want[2:-2]).max() < 1e-10
     with pytest.raises(ValueError):
         GenDeformation(

@@ -160,8 +160,13 @@ SWITCHES = {
 }
 
 
-@pytest.mark.parametrize("at", [K - 1, K])
-@pytest.mark.parametrize("n", [K - 1, K, K + 1])
+# the cell type switches at row `at`: inside the first block (rows 1023 and
+# 1024 of 1023 to 1025) and at the end of the first block
+INSIDE = [(n, at) for n in (1023, 1024, 1025) for at in (1023, 1024)]
+AT_THE_END = [(n, at) for n in (K - 1, K, K + 1) for at in (K - 1, K)]
+
+
+@pytest.mark.parametrize("n, at", INSIDE + AT_THE_END)
 @pytest.mark.parametrize("switch", sorted(SWITCHES))
 def test_write_csv_across_block_boundaries(switch, n, at, tmp_path):
     before, after = SWITCHES[switch]
@@ -171,7 +176,7 @@ def test_write_csv_across_block_boundaries(switch, n, at, tmp_path):
     assert path.read_bytes() == ref.csv_text(["x", "flag", "cell", "i"], rows).encode("utf-8")
 
 
-@pytest.mark.parametrize("n", [0, 1, K - 1, K, K + 1, 2 * K + 3])
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2051, K - 1, K, K + 1, 2 * K + 3])
 def test_rows_of_renders_as_numpy_rows(n, tmp_path):
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
