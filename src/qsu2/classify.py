@@ -84,17 +84,21 @@ def thresholds(d: Deformation) -> Thresholds:
     )
 
 
-def ladder_radicand(d: Deformation, c: float, m, sign: int):
+def ladder_radicand(d: Deformation, c, m, sign: int):
     """c - [m + sign/2]^2, the squared ladder coefficient from m towards
-    m + sign (sign = +1 raises, -1 lowers); m is a float or an array."""
+    m + sign (sign = +1 raises, -1 lowers); c and m are floats or arrays
+    that broadcast together."""
     return c - qnumber(m + 0.5 * sign, d) ** 2
 
 
-def radicand_ok(rad, c: float):
+def radicand_ok(rad, c):
     """The unitarity rule: rad >= 0 up to RADICAND_TOL * max(1, |c|) of
     rounding, which the radicand where a ladder closes (zero in exact
-    arithmetic) carries.  NaN is never admissible."""
-    return rad >= -RADICAND_TOL * max(1.0, abs(c))
+    arithmetic) carries.  NaN is never admissible.  rad and c are floats or
+    arrays that broadcast together."""
+    # rad >= -tol * max(1, |c|) as two comparisons: it holds elementwise for
+    # an array c, and on floats it is faster than calling max
+    return (rad >= -RADICAND_TOL) | (rad >= -RADICAND_TOL * abs(c))
 
 
 def unitary_ok(d: Deformation, c: float, m):
@@ -202,15 +206,23 @@ def finite_orbit_candidates(d: Deformation, n_max: int | None = None) -> tuple:
     """
     if n_max is None:
         n_max = int(math.ceil(2.0 * math.pi / d.s)) + 4
-    out = []
-    for N in range(1, n_max + 1):
-        c = qnumber((N + 1) / 2.0, d) ** 2
-        if c <= 0.0:
-            continue
-        # the N interior moves m -> m + 1 of the orbit -N/2 .. N/2
-        if radicand_ok(ladder_radicand(d, c, np.arange(N) - N / 2.0, +1), c).all():
-            out.append((N, c))
-    return tuple(out)
+    N = np.arange(1, n_max + 1)
+    # the bits of the scalar qnumber((N + 1) / 2, d) ** 2: np.sin is math.sin
+    # here, and float_power squares with the C library's pow, as ** does
+    c = np.float_power(qnumber((N + 1) / 2.0, d), 2)
+    # Orbit N moves m -> m + 1 from m = -N/2 .. N/2 - 1: the moves of orbit
+    # N - 2 and its two outermost ones.  Its radicands c - [m + 1/2]^2 are
+    # least at its largest [m + 1/2]^2, and rounding keeps that order, so
+    # the orbit is valid iff its least radicand is.  ladder_radicand at c = 0
+    # is -[m + 1/2]^2, and c + (-x) rounds as c - x.
+    outer = np.minimum(
+        ladder_radicand(d, 0.0, -N / 2.0, +1), ladder_radicand(d, 0.0, N / 2.0 - 1.0, +1)
+    )
+    least = np.empty(n_max)
+    for parity in (0, 1):
+        least[parity::2] = np.minimum.accumulate(outer[parity::2])
+    valid = radicand_ok(c + least, c)
+    return tuple((n, cn) for n, cn, ok in zip(N.tolist(), c.tolist(), valid.tolist()) if ok and cn > 0.0)
 
 
 def _matching_dims(d: Deformation, c: float):

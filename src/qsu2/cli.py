@@ -63,15 +63,19 @@ def _finite(text: str) -> float:
     return value
 
 
-def _count(text: str) -> int:
-    """A count flag's value: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _at_least(low: int):
+    """The type of an integer flag whose value must be >= low."""
+
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return count
 
 
 def _cell(text: str) -> str:
@@ -102,6 +106,8 @@ def _parse_basis(spec: str):
         m0, count = spec.split(":")
         if not math.isfinite(float(m0)):
             raise ValueError("m0 is not finite")
+        if int(count) < 1:
+            raise ValueError(f"count must be >= 1, got {int(count)}")
         return float(m0), int(count)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad basis spec {spec!r}: {exc}") from None
@@ -209,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", parents=[common, potential], help="eigenvalues of a potential")
     p.add_argument("--potential-csv", default=None, help="r,V,mask table from the potential command")
-    p.add_argument("--n", type=_count, default=5, help="eigenvalues per cell, >= 1")
+    p.add_argument("--n", type=_at_least(1), default=5, help="eigenvalues per cell, >= 1")
     p.add_argument("--cell", type=_cell, default="largest", help='"largest", "all", or a cell index')
     p.add_argument("--with-vectors", action="store_true")
 
@@ -232,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f-lo", type=_finite, default=None)
     p.add_argument("--f-hi", type=_finite, default=None)
     p.add_argument("--c", type=_finite, default=2.0)
-    p.add_argument("--dim", type=int, default=9)
+    # the axiom report checks the rows EDGE_BUFFER away from both edges
+    p.add_argument("--dim", type=_at_least(2 * EDGE_BUFFER + 1), default=9, help="basis states, >= 5")
     p.add_argument("--m-range", type=_parse_grid, default=(-20.0, 1.0, 41))
     p.add_argument("--what", default="all", choices=["all", "window", "spectrum", "axioms"])
 

@@ -67,12 +67,6 @@ def level_section(d, c: float, jz_grid) -> LevelSection:
     )
 
 
-def _disconnected(c: float, s: float) -> bool:
-    # gaps exist iff cos s > 0 and c sin^2 s < cos s (radicand negative at
-    # sin^2(s Jz) = 1)
-    return math.cos(s) > 0.0 and c * math.sin(s) ** 2 < math.cos(s)
-
-
 def topology_transition(c: float, s_grid):
     """Boundary s* between Disconnected and Connected sections on the grid.
 
@@ -81,7 +75,12 @@ def topology_transition(c: float, s_grid):
     (0, pi/2) it satisfies c = cos(s*)/sin^2(s*) within grid resolution.
     """
     s = np.asarray(s_grid, dtype=float)
-    flags = np.array([_disconnected(c, si) for si in s])
+    cos = np.cos(s)
+    # gaps exist iff cos s > 0 and c sin^2 s < cos s (radicand negative at
+    # sin^2(s Jz) = 1).  float_power squares with the C library's pow, as
+    # math.sin(s) ** 2 does; sin * sin rounds differently on about 0.1 % of
+    # points, which moves s* when c sits on the boundary
+    flags = (cos > 0.0) & (c * np.float_power(np.sin(s), 2) < cos)
     change = np.nonzero(flags[:-1] != flags[1:])[0]
     if len(change) == 0:
         return None

@@ -194,9 +194,13 @@ class DensePairs:
 
 
 def _json_texts(values) -> list[str]:
-    """Each JSON scalar as json.dumps spells it."""
+    """Each JSON scalar as json.dumps spells it.  A float column is spelled
+    once per distinct bit pattern (so 0.0 and -0.0 stay apart), because
+    record columns repeat few values, such as the m labels of the crossings."""
     if isinstance(values, np.ndarray) or all(isinstance(v, float) for v in values):
-        return _float_texts(np.asarray(values, dtype=np.float64))
+        bits = np.asarray(values, dtype=np.float64).view(np.int64)
+        patterns, inverse = np.unique(bits, return_inverse=True)
+        return list(map(_float_texts(patterns.view(np.float64)).__getitem__, inverse.tolist()))
     return list(map(json.dumps, values))
 
 

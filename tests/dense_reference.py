@@ -4,7 +4,8 @@ These are the dense n x n and Kronecker-product forms that `build_rep`,
 `verify_algebra`, `casimir_gen`, `conjugation_residual` and
 `hopf_axiom_report` replace, and the Python loops that the array code of
 `spectral_flow`, `level_section`, `_cells`, `write_csv`,
-`finite_orbit_candidates` and `commensurability_peak` replaces.  The
+`finite_orbit_candidates`, `topology_transition` and
+`commensurability_peak` replaces.  The
 property tests compare the library against them; they are slow (O(n^3)
 products, n^3 x n^3 Kronecker matrices, per-element loops) and run only on
 small sizes.
@@ -235,6 +236,23 @@ def finite_orbit_candidates(d, n_max=None) -> tuple:
         if _orbit_valid(d, c, -N / 2.0, N):
             out.append((N, c))
     return tuple(out)
+
+
+def disconnected(c: float, s: float) -> bool:
+    """The section at (c, s) has gaps: cos s > 0 and c sin^2 s < cos s
+    (radicand negative at sin^2(s Jz) = 1)."""
+    return math.cos(s) > 0.0 and c * math.sin(s) ** 2 < math.cos(s)
+
+
+def topology_transition(c: float, s_grid):
+    """The midpoint of the first grid step where `disconnected` flips, one
+    scalar test per grid point (topology_transition); None without a flip."""
+    s = np.asarray(s_grid, dtype=float)
+    flags = [disconnected(c, si) for si in s.tolist()]
+    for i in range(len(flags) - 1):
+        if flags[i] != flags[i + 1]:
+            return 0.5 * (s[i] + s[i + 1])
+    return None
 
 
 def lag_correlations(values, step, base_period, max_periods=10, clip_percentile=40.0) -> dict:

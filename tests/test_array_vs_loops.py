@@ -1,7 +1,7 @@
 """The array code of the sweep path against its loop references
-(dense_reference.py): spectral-flow crossings, unmasked runs, CSV rows,
-record lists, the per-s orbit cache and the finite orbit candidates must
-all agree exactly.
+(dense_reference.py): spectral-flow crossings, unmasked runs, the topology
+transition, CSV rows, record lists, the per-s orbit cache and the finite
+orbit candidates must all agree exactly.
 """
 
 import json
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import dense_reference as ref
 from qsu2.classify import finite_orbit_candidates
-from qsu2.geometry import CROSSING_TOL, level_section, spectral_flow, unmasked_runs
+from qsu2.geometry import CROSSING_TOL, level_section, spectral_flow, topology_transition, unmasked_runs
 from qsu2.qnumbers import Deformation
 from qsu2.schrodinger import _cells
 from qsu2.serialize import Records, write_csv, write_json
@@ -90,6 +90,30 @@ def test_level_section_components_match_scan(s, c, half):
     sec = level_section(Deformation(s), c, np.arange(-half, half, 0.05))
     assert sec.components == ref.components(sec.mask)
     assert type(sec.components) is int
+
+
+@st.composite
+def transition_cases(draw):
+    """Uniform grids from below to above s = pi/2, with c drawn freely or
+    set to cos s / sin^2 s at a grid point, give or take one ulp."""
+    count = draw(st.integers(2, 300))
+    s = np.linspace(draw(st.floats(0.01, 1.5)), draw(st.floats(1.65, 3.13)), count)
+    if draw(st.booleans()):
+        return draw(st.floats(0.01, 50.0)), s
+    at = float(s[draw(st.integers(0, count - 1))])
+    c = math.cos(at) / math.sin(at) ** 2
+    return float(np.nextafter(c, c + draw(st.sampled_from([-1.0, 0.0, 1.0])))), s
+
+
+@settings(max_examples=300)
+@given(case=transition_cases())
+# c sin s * sin s < cos s at s = 0.123...; with the pow square it is not
+@example(case=(65.85358906320685, np.array([0.1, 0.12307178089430208, 0.2, 2.0])))
+@example(case=(0.7, np.linspace(math.pi / 2, 3.1, 200)))
+def test_topology_transition_matches_scalar_loop(case):
+    c, s = case
+    got, want = topology_transition(c, s), ref.topology_transition(c, s)
+    assert (got is None and want is None) or bits(got) == bits(want)
 
 
 # cells of every type a CSV row may carry: NaN of either sign, infinities,
@@ -171,18 +195,36 @@ def test_records_match_json_dumps(columns, tmp_path_factory):
         assert path.read_text(encoding="utf-8") == dumped
 
 
+# NaNs of other payloads than math.nan, which json.dumps spells alike
+NAN_PAYLOADS = np.array(
+    [0x7FF8000000000001, 0xFFF0000000000001, 0x7FF4000000000000], dtype=np.uint64
+).view(np.float64)
+
+
 @st.composite
 def float64_columns(draw):
-    """Float64 array columns of one length, the empty length included."""
+    """Float64 array columns of one length, the empty length included, some
+    drawn from a few values so that they repeat, some strided."""
     n = draw(st.integers(0, 12))
     keys = draw(st.lists(text, min_size=1, max_size=4, unique=True))
-    return {k: np.array(draw(st.lists(floats, min_size=n, max_size=n)), dtype=np.float64) for k in keys}
+    columns = {}
+    for k in keys:
+        cells = floats | st.sampled_from(NAN_PAYLOADS.tolist())
+        if draw(st.booleans()):
+            cells = st.sampled_from(draw(st.lists(cells, min_size=1, max_size=3)))
+        step = draw(st.integers(1, 3))
+        strided = np.array(draw(st.lists(cells, min_size=n * step, max_size=n * step)), dtype=np.float64)
+        columns[k] = strided[::step]
+    return columns
 
 
 @settings(max_examples=300)
 @given(columns=float64_columns())
 @example(columns={"s": np.empty(0), "m_low": np.empty(0), "m_high": np.empty(0)})
 @example(columns={"x": np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324])})
+@example(columns={"x": np.array([0.0, -0.0, -0.0, 0.0, -0.0, 0.0]), "y": np.array([1.5, -0.0, 1.5, 0.0, 1.5, 1.5])})
+@example(columns={"x": np.array([math.nan, -math.nan, *NAN_PAYLOADS, math.nan])})
+@example(columns={"x": np.arange(12.0).reshape(6, 2)[:, 1], "y": np.array([0.5, -0.0] * 6)[::2]})
 def test_records_from_float64_arrays_match_json_dumps(columns, tmp_path_factory):
     path = tmp_path_factory.mktemp("json") / "t.json"
     n = len(next(iter(columns.values())))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsu2.classify import (
+    RADICAND_TOL,
     RepClass,
     allowed_m_set,
     class2a_enumerate,
@@ -169,6 +170,22 @@ def test_unitary_ok_tolerance_and_arrays():
     assert radicand_ok(-0.9e-12, 0.5) and not radicand_ok(-1.1e-12, 0.5)
     assert radicand_ok(-45e-12, 50.0) and not radicand_ok(-55e-12, 50.0)
     assert not radicand_ok(math.nan, 1.0)
+
+
+# radicands and Casimir values on and around the tolerance edge, of both signs
+edge_floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 50.0, -1e-12, -0.9e-12, -1.1e-12, -45e-12, -55e-12, -5e-324]
+)
+
+
+@settings(max_examples=300)
+@given(rad=st.lists(edge_floats, min_size=1, max_size=8), c=st.lists(edge_floats, min_size=1, max_size=8))
+def test_radicand_ok_on_arrays_matches_scalar_calls(rad, c):
+    # the rule as its docstring states it, one pair at a time
+    want = [[r >= -RADICAND_TOL * max(1.0, abs(x)) for x in c] for r in rad]
+    assert [[radicand_ok(r, x) for x in c] for r in rad] == want
+    # every radicand against every c, as an (n, 1) column against a row
+    assert radicand_ok(np.array(rad)[:, None], np.array(c)).tolist() == want
 
 
 def test_classify_discrete3_band():

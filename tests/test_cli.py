@@ -581,3 +581,24 @@ def test_flow_smallest_m_max_writes_one_curve(tmp_path):
     lines = (tmp_path / "flow.csv").read_text().splitlines()
     assert lines == ["s,m,value", "0.5,0.5,1", "0.75,0.5,1", "1,0.5,1"]
     assert json.loads((tmp_path / "flow_crossings.json").read_text()) == []
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_rep_basis_count_below_one_is_an_argument_error(tmp_path, capsys, count):
+    out = tmp_path / "out"
+    assert run(["rep", "--s", 1, "--c", 2, f"--basis=0:{count}", "--outdir", out]) == 2
+    err = capsys.readouterr().err
+    assert f"argument --basis: bad basis spec '0:{count}': count must be >= 1, got {count}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_hopf_dim_without_interior_rows_is_an_argument_error(tmp_path, capsys, dim):
+    out = tmp_path / "out"
+    argv = ["hopf", "--alpha", 2, "--profile", "geometric", "--f0", 20, "--c", 900, "--outdir", out]
+    assert run(argv + ["--dim", dim]) == 2
+    assert f"error: argument --dim: must be >= 5, got {dim}" in capsys.readouterr().err
+    assert not out.exists()
+    # five states leave one interior row at EDGE_BUFFER = 2
+    assert run(argv + ["--dim", 5]) == 0
+    assert json.loads((out / "hopf_manifest.json").read_text())["params"]["dim"] == 5
