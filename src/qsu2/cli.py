@@ -4,7 +4,9 @@ Exit codes: 0 success, 2 argument error, 3 verification failure,
 4 numerical failure (NaN/overflow).  Each run writes a JSON manifest
 recording the argv it parsed, the config lines it parsed them with, the
 resolved parameters and the output digests; `rerun` parses that argv again
-with those lines and reproduces byte-identical files.  A config file's
+with those lines and reproduces byte-identical files.  Each subcommand
+computes and returns its outputs, and main writes them afterwards, so a
+command that fails writes nothing.  A config file's
 `key = value` lines are the flags they name, parsed ahead of the explicit
 flags, which win.  The default output directory comes from --outdir or the
 QSU2_OUTDIR environment variable.
@@ -232,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hopf", parents=[common], help="generalized-deformation window, spectrum, and axiom report")
     p.add_argument("--alpha", type=_finite, default=-1.0)
-    p.add_argument("--profile", default="constant", choices=["constant", "sech", "geometric", "tabulated"])
+    p.add_argument("--profile", default="constant", choices=["constant", "sech", "geometric"])
     p.add_argument("--b0", type=_finite, default=1.0)
     p.add_argument("--f0", type=_finite, default=4.0)
     p.add_argument("--f-lo", type=_finite, default=None)
@@ -250,23 +252,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ----------------------------------------------------------------------
-# Each command computes and checks everything, then writes its outputs to
-# `outdir / name` (see _Outputs), and returns the values it computed beyond
-# the parsed flags, and the paths it wrote.
+# Each command is a pure function of the parsed flags: it computes and
+# checks everything, and returns the values it computed beyond the flags
+# and its outputs, {file name: (header, rows) for a .csv, else a JSON
+# payload}.  main writes them afterwards (_write_outputs), so a command
+# that fails writes nothing.
 
 
-def _cmd_classify(args, outdir: _Outputs):
+def _grid(spec) -> np.ndarray:
+    """The points start + step * i of a parsed start:stop:step grid."""
+    start, step, count = spec
+    return start + step * np.arange(count)
+
+
+def _cmd_classify(args):
     if args.s is None:
         raise argparse.ArgumentTypeError("classify needs --s")
     d = _deformation(args.s)
     th = thresholds(d)
     if args.c is None and args.c_range is None:
         raise argparse.ArgumentTypeError("classify needs --c or --c-range")
-    if args.c_range is not None:
-        start, step, count = args.c_range
-        cs = [start + step * i for i in range(count)]
-    else:
-        cs = [args.c]
+    cs = _grid(args.c_range).tolist() if args.c_range is not None else [args.c]
     rows = []
     for c in cs:
         for desc in classify(d, c):
@@ -282,15 +288,11 @@ def _cmd_classify(args, outdir: _Outputs):
                     desc.m_rule,
                 )
             )
-    out = write_csv(
-        outdir / "classify.csv",
-        ["class", "c", "s", "N", "k", "m_first", "m_last", "m_rule"],
-        rows,
-    )
-    return {"thresholds": {"c0": th.c0, "c1": th.c1, "c2": th.c2}}, [out]
+    header = ["class", "c", "s", "N", "k", "m_first", "m_last", "m_rule"]
+    return {"thresholds": {"c0": th.c0, "c1": th.c1, "c2": th.c2}}, {"classify.csv": (header, rows)}
 
 
-def _cmd_rep(args, outdir: _Outputs):
+def _cmd_rep(args):
     if args.s is None or args.c is None or args.basis is None:
         raise argparse.ArgumentTypeError("rep needs --s, --c, and --basis")
     d = _deformation(args.s)
@@ -322,7 +324,7 @@ def _cmd_rep(args, outdir: _Outputs):
         )
         if not all(v <= ASSERTED_RESIDUAL_TOL for v in asserted):  # NaN fails
             raise VerificationFailure(f"algebra residuals exceed {ASSERTED_RESIDUAL_TOL}: {asserted}")
-    return {}, [write_json(outdir / "rep.json", payload)]
+    return {}, {"rep.json": payload}
 
 
 def _potential_from_args(args):
@@ -345,10 +347,9 @@ def _potential_from_args(args):
     return prof, {"f1_branch": prof.params["f1_branch"], "f2_branch": prof.params["f2_branch"]}
 
 
-def _cmd_potential(args, outdir: _Outputs):
+def _cmd_potential(args):
     prof, branches = _potential_from_args(args)
-    rows = rows_of(prof.r, prof.values, prof.pole_mask)
-    return branches, [write_csv(outdir / "potential.csv", ["r", "V", "mask"], rows)]
+    return branches, {"potential.csv": (["r", "V", "mask"], rows_of(prof.r, prof.values, prof.pole_mask))}
 
 
 # accepts the rounding of 17-digit grid points, rejects any dropped or moved row
@@ -394,7 +395,7 @@ def _load_potential_csv(path):
     )
 
 
-def _cmd_spectrum(args, outdir: _Outputs):
+def _cmd_spectrum(args):
     if args.potential_csv is not None:
         prof = _load_potential_csv(args.potential_csv)
         computed = {"potential_sha256": prof.params["sha256"]}
@@ -418,57 +419,41 @@ def _cmd_spectrum(args, outdir: _Outputs):
         cells = ["largest"]
     else:
         cells = [int(args.cell)]
-    # every cell is solved (and a bad --cell rejected) before anything is written
     solved = [(cell, eigensolve(prof, args.n, cell, vectors=args.with_vectors)) for cell in cells]
-    vec_files = []
+    rows = [(cell, k, val) for cell, res in solved for k, val in enumerate(res.eigenvalues)]
+    outputs = {"spectrum.csv": (["cell", "k", "eigenvalue"], rows)}
     if args.with_vectors:
         for cell, res in solved:
             header = ["r"] + [f"psi_{k}" for k in range(len(res.eigenvalues))]
-            rows = rows_of(res.r, *res.eigenvectors.T)
-            vec_files.append(write_csv(outdir / f"spectrum_vectors_{cell}.csv", header, rows))
-    rows = [(cell, k, val) for cell, res in solved for k, val in enumerate(res.eigenvalues)]
-    out = write_csv(outdir / "spectrum.csv", ["cell", "k", "eigenvalue"], rows)
-    return computed, [out] + vec_files
+            outputs[f"spectrum_vectors_{cell}.csv"] = (header, rows_of(res.r, *res.eigenvectors.T))
+    return computed, outputs
 
 
-def _cmd_flow(args, outdir: _Outputs):
-    start, step, count = args.s_grid
-    s = start + step * np.arange(count)
-    table = spectral_flow(args.m_max, s)
+def _cmd_flow(args):
+    table = spectral_flow(args.m_max, _grid(args.s_grid))
     if not len(table.m_values):
         raise argparse.ArgumentTypeError(f"--m-max {args.m_max!r} gives no curve: the first is m = 0.5")
     n_m, n_s = table.values.shape
     rows = rows_of(np.tile(table.s_grid, n_m), np.repeat(table.m_values, n_s), table.values.ravel())
-    out = write_csv(outdir / "flow.csv", ["s", "m", "value"], rows)
-    out2 = write_json(outdir / "flow_crossings.json", Records(table.crossing_columns))
-    return {}, [out, out2]
+    return {}, {"flow.csv": (["s", "m", "value"], rows), "flow_crossings.json": Records(table.crossing_columns)}
 
 
-def _cmd_surface(args, outdir: _Outputs):
+def _cmd_surface(args):
     if args.c is None:
         raise argparse.ArgumentTypeError("surface needs --c")
     if args.transition:
-        start, step, count = args.s_grid
-        s = start + step * np.arange(count)
-        s_star = topology_transition(args.c, s)
-        out = write_json(
-            outdir / "surface_transition.json",
-            {"c": args.c, "s_star": s_star, "s_grid": list(args.s_grid)},
-        )
-        return {}, [out]
+        s_star = topology_transition(args.c, _grid(args.s_grid))
+        return {}, {"surface_transition.json": {"c": args.c, "s_star": s_star, "s_grid": list(args.s_grid)}}
     if args.s is None:
         raise argparse.ArgumentTypeError("surface needs --s (or --transition)")
     d = _deformation(args.s)
-    start, step, count = args.jz_grid
-    jz = start + step * np.arange(count)
-    sec = level_section(d, args.c, jz)
-    jx = np.nan_to_num(sec.jx)
-    rows = rows_of(sec.jz, np.where(sec.mask, np.nan, jx), np.where(sec.mask, np.nan, -jx), sec.mask)
-    out = write_csv(outdir / "surface.csv", ["Jz", "Jx_plus", "Jx_minus", "mask"], rows)
-    return {"connectivity": sec.connectivity, "components": sec.components}, [out]
+    sec = level_section(d, args.c, _grid(args.jz_grid))
+    rows = rows_of(sec.jz, sec.jx, -sec.jx, sec.mask)  # level_section puts NaN where masked
+    computed = {"connectivity": sec.connectivity, "components": sec.components}
+    return computed, {"surface.csv": (["Jz", "Jx_plus", "Jx_minus", "mask"], rows)}
 
 
-def _cmd_hopf(args, outdir: _Outputs):
+def _cmd_hopf(args):
     computed = {}
     profile_params = {}
     if args.profile == "constant":
@@ -485,18 +470,20 @@ def _cmd_hopf(args, outdir: _Outputs):
         computed.update({"f_lo": f_lo, "f_hi": f_hi})
     gd = GenDeformation(alpha=args.alpha, profile=args.profile, profile_params=profile_params)
 
-    window = spectrum = axioms = None
+    outputs = {}
     if args.what in ("all", "window"):
         win = unitarity_window(args.c, gd)
-        window = {k: getattr(win, k) for k in win.__dataclass_fields__} | {"q1": gd.q1, "c": args.c}
+        window = {k: getattr(win, k) for k in win.__dataclass_fields__}
+        outputs["hopf_window.json"] = window | {"q1": gd.q1, "c": args.c}
     if args.what in ("all", "spectrum"):
-        start, step, count = args.m_range
-        ms = start + step * np.arange(count)
+        ms = _grid(args.m_range)
         spec = spectrum_2jz(gd, ms)
         try:
-            spectrum = (rows_of(ms, spec), detect_accumulation(ms, spec))
+            accumulation = detect_accumulation(ms, spec)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"argument --m-range: {exc}") from None
+        outputs["hopf_spectrum.csv"] = (["m", "value"], rows_of(ms, spec))
+        outputs["hopf_accumulation.json"] = accumulation
     if args.what in ("all", "axioms"):
         rep = build_gen_rep(gd, args.dim, args.c)
         report = hopf_axiom_report(gd, rep)
@@ -506,15 +493,7 @@ def _cmd_hopf(args, outdir: _Outputs):
         axioms["q1"] = gd.q1
         if not (report.coassoc_jp <= ASSERTED_RESIDUAL_TOL and report.counit_jp <= ASSERTED_RESIDUAL_TOL):
             raise VerificationFailure("coassociativity/counit residual exceeded tolerance")
-
-    outputs = []
-    if window is not None:
-        outputs.append(write_json(outdir / "hopf_window.json", window))
-    if spectrum is not None:
-        outputs.append(write_csv(outdir / "hopf_spectrum.csv", ["m", "value"], spectrum[0]))
-        outputs.append(write_json(outdir / "hopf_accumulation.json", spectrum[1]))
-    if axioms is not None:
-        outputs.append(write_json(outdir / "hopf_axioms.json", axioms))
+        outputs["hopf_axioms.json"] = axioms
     return computed, outputs
 
 
@@ -529,53 +508,43 @@ DISPATCH = {
 }
 
 
+def _write_outputs(outdir: Path, outputs: dict) -> list[Path]:
+    """Write each output to outdir / name in the dict's order, a .csv name by
+    write_csv and any other by write_json, and return the paths; when a write
+    fails, the outputs written so far are removed."""
+    paths = []
+    try:
+        for name, data in outputs.items():
+            paths.append(outdir / name)
+            if name.endswith(".csv"):
+                header, rows = data
+                write_csv(paths[-1], header, rows)
+            else:
+                write_json(paths[-1], data)
+    except BaseException:
+        for path in paths:
+            try:
+                path.unlink()
+            except OSError:  # never written, or outdir is no directory
+                pass
+        raise
+    return paths
+
+
 def _rerun(manifest_path: str, outdir: Path) -> int:
     """Parse the recorded argv again with the recorded config lines,
     writing into outdir (argparse keeps the last --outdir)."""
     try:
         manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
-        print(f"error: cannot read manifest {manifest_path}: {exc}", file=sys.stderr)
-        return EXIT_ARGS
+        raise argparse.ArgumentTypeError(f"cannot read manifest {manifest_path}: {exc}") from None
     if not (
         isinstance(manifest, dict)
         and isinstance(manifest.get("argv"), list)
         and isinstance(manifest.get("defaults"), dict)
     ):
-        print(f"error: {manifest_path} records no argv and defaults to replay", file=sys.stderr)
-        return EXIT_ARGS
+        raise argparse.ArgumentTypeError(f"{manifest_path} records no argv and defaults to replay")
     return main(manifest["argv"] + [f"--outdir={outdir}"], manifest["defaults"])
-
-
-class _Outputs:
-    """The output directory of one run, as the commands see it: `outputs / name`
-    is outdir / name, recorded so that a run that fails while writing removes
-    what it wrote.  A command computes and verifies everything before its
-    first write, so a run that fails otherwise writes nothing, and the files
-    an earlier run left in outdir stay."""
-
-    def __init__(self, outdir: Path):
-        self.outdir = outdir
-        self.paths = []
-
-    def __truediv__(self, name: str) -> Path:
-        self.paths.append(self.outdir / name)
-        return self.paths[-1]
-
-
-def _run_command(command: str, args, outdir: Path):
-    """What the command computed beyond the parsed flags, and its output
-    paths; when it fails, the outputs it was writing are removed."""
-    outputs = _Outputs(outdir)
-    try:
-        return DISPATCH[command](args, outputs)
-    except BaseException:
-        for path in outputs.paths:
-            try:
-                path.unlink()
-            except OSError:  # never written, or outdir is no directory
-                pass
-        raise
 
 
 def main(argv=None, defaults: dict | None = None) -> int:
@@ -593,7 +562,8 @@ def main(argv=None, defaults: dict | None = None) -> int:
         outdir = Path(args.outdir or os.environ.get("QSU2_OUTDIR", "."))
         if args.command == "rerun":
             return _rerun(args.manifest, outdir)
-        computed, outputs = _run_command(args.command, args, outdir)
+        computed, outputs = DISPATCH[args.command](args)
+        paths = _write_outputs(outdir, outputs)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     except (argparse.ArgumentTypeError, SingularDeformation, ValueError) as exc:
@@ -607,8 +577,8 @@ def main(argv=None, defaults: dict | None = None) -> int:
         return EXIT_NUMERIC
 
     params = {k: v for k, v in vars(args).items() if k not in ("command", "outdir", "config")}
-    write_manifest(outdir, args.command, params | computed, outputs, __version__, argv, defaults)
-    for path in outputs:
+    write_manifest(outdir, args.command, params | computed, paths, __version__, argv, defaults)
+    for path in paths:
         print(f"wrote {path}")
     return EXIT_OK
 

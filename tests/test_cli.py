@@ -219,11 +219,13 @@ def test_config_key_naming_a_positional_is_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("what", ["spectrum", "axioms", "all"])
+@pytest.mark.parametrize("what", ["window", "spectrum", "axioms", "all"])
 def test_hopf_tabulated_without_arrays_is_an_argument_error(tmp_path, capsys, what):
-    assert run(["hopf", "--profile", "tabulated", "--what", what, "--outdir", tmp_path]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: tabulated profile needs the m and b arrays")
+    # the CLI cannot pass the tabulated profile's m and b arrays, so it offers no such profile
+    out = tmp_path / "out"
+    assert run(["hopf", "--profile", "tabulated", "--what", what, "--outdir", out]) == 2
+    assert "error: argument --profile: invalid choice: 'tabulated'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
@@ -602,3 +604,61 @@ def test_hopf_dim_without_interior_rows_is_an_argument_error(tmp_path, capsys, d
     # five states leave one interior row at EDGE_BUFFER = 2
     assert run(argv + ["--dim", 5]) == 0
     assert json.loads((out / "hopf_manifest.json").read_text())["params"]["dim"] == 5
+
+
+# every DISPATCH command, and the outputs it returns in the order main writes them
+PURE_RUNS = {
+    "classify": (["classify", "--s", 1.013, "--c-range", "0.2:2.0:0.1"], ["classify.csv"]),
+    "rep": (["rep", "--s", 1.0, "--c", 3.0, "--basis=-5:11", "--verify"], ["rep.json"]),
+    "potential": (["potential", "--s", 0.25, "--m", 1, "--grid=-6:6:0.01"], ["potential.csv"]),
+    "spectrum": (["spectrum", "--s", 0.25, "--m", 1, "--grid=-6:6:0.002", "--n", 2, "--cell", "all", "--with-vectors"],
+                 ["spectrum.csv"] + [f"spectrum_vectors_{k}.csv" for k in range(5)]),
+    "flow": (["flow", "--m-max", 1.0, "--s-grid", "0.1:3.0:0.1"], ["flow.csv", "flow_crossings.json"]),
+    "surface": (["surface", "--c", 0.5, "--s", 0.5], ["surface.csv"]),
+    "surface-transition": (["surface", "--c", 1.0, "--transition"], ["surface_transition.json"]),
+    "hopf": (["hopf", "--alpha", 2, "--profile", "geometric", "--f0", 20, "--c", 900, "--dim", 7],
+             ["hopf_window.json", "hopf_spectrum.csv", "hopf_accumulation.json", "hopf_axioms.json"]),
+}
+
+
+def test_every_command_is_covered_by_the_pure_runs():
+    from qsu2.cli import DISPATCH
+
+    assert {argv[0] for argv, _ in PURE_RUNS.values()} == set(DISPATCH)
+
+
+@pytest.mark.parametrize("argv, names", PURE_RUNS.values(), ids=PURE_RUNS)
+def test_commands_return_their_outputs_and_write_nothing(tmp_path, monkeypatch, argv, names):
+    import qsu2.cli
+
+    def refuse(path, *data):
+        raise AssertionError(f"a command wrote {path}")
+
+    monkeypatch.setattr(qsu2.cli, "write_csv", refuse)
+    monkeypatch.setattr(qsu2.cli, "write_json", refuse)
+    monkeypatch.chdir(tmp_path)
+    args = qsu2.cli.build_parser().parse_args([str(a) for a in argv + ["--outdir", tmp_path / "out"]])
+    computed, outputs = qsu2.cli.DISPATCH[args.command](args)
+    assert isinstance(computed, dict)
+    assert list(outputs) == names
+    for name, data in outputs.items():
+        if name.endswith(".csv"):
+            header, rows = data
+            assert len(header) == len(next(iter(rows)))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_value_error_while_writing_exits_2_and_removes_what_it_wrote(tmp_path, monkeypatch, capsys):
+    import qsu2.cli
+
+    write_csv = qsu2.cli.write_csv
+
+    def bad_rows(path, header, rows):
+        write_csv(path, header, rows)
+        raise ValueError("a row does not fit")
+
+    monkeypatch.setattr(qsu2.cli, "write_csv", bad_rows)
+    argv = ["hopf", "--alpha", 2, "--profile", "geometric", "--f0", 20, "--c", 900, "--dim", 7, "--outdir", tmp_path]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: a row does not fit\n"
+    assert list(tmp_path.iterdir()) == []
