@@ -40,7 +40,7 @@ from .hopf import (
 from .operators import EDGE_BUFFER, UnitarityError, build_rep, verify_algebra
 from .qnumbers import Deformation, SingularDeformation
 from .schrodinger import MIN_CELL_SAMPLES, build_potential, eigensolve, realization
-from .serialize import Records, complex_pairs, rows_of, write_csv, write_json, write_manifest
+from .serialize import Records, complex_pairs, manifest_path, rows_of, write_csv, write_json, write_manifest
 
 EXIT_OK = 0
 EXIT_ARGS = 2
@@ -255,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
 # Each command is a pure function of the parsed flags: it computes and
 # checks everything, and returns the values it computed beyond the flags
 # and its outputs, {file name: (header, rows) for a .csv, else a JSON
-# payload}.  main writes them afterwards (_write_outputs), so a command
-# that fails writes nothing.
+# payload}.  main writes them and the manifest afterwards (_write_outputs),
+# so a command that fails writes nothing.
 
 
 def _grid(spec) -> np.ndarray:
@@ -508,21 +508,27 @@ DISPATCH = {
 }
 
 
-def _write_outputs(outdir: Path, outputs: dict) -> list[Path]:
+def _write_outputs(
+    outdir: Path, outputs: dict, subcommand: str, params: dict, argv: list, defaults: dict
+) -> list[Path]:
     """Write each output to outdir / name in the dict's order, a .csv name by
-    write_csv and any other by write_json, and return the paths; when a write
-    fails, the outputs written so far are removed."""
-    paths = []
+    write_csv and any other by write_json, then the run's manifest, and
+    return the output paths; when a write fails, the files written so far
+    are removed, the manifest included."""
+    written = []
     try:
         for name, data in outputs.items():
-            paths.append(outdir / name)
+            written.append(outdir / name)
             if name.endswith(".csv"):
                 header, rows = data
-                write_csv(paths[-1], header, rows)
+                write_csv(written[-1], header, rows)
             else:
-                write_json(paths[-1], data)
+                write_json(written[-1], data)
+        paths = written[:]
+        written.append(manifest_path(outdir, subcommand))
+        write_manifest(outdir, subcommand, params, paths, __version__, argv, defaults)
     except BaseException:
-        for path in paths:
+        for path in written:
             try:
                 path.unlink()
             except OSError:  # never written, or outdir is no directory
@@ -563,7 +569,8 @@ def main(argv=None, defaults: dict | None = None) -> int:
         if args.command == "rerun":
             return _rerun(args.manifest, outdir)
         computed, outputs = DISPATCH[args.command](args)
-        paths = _write_outputs(outdir, outputs)
+        params = {k: v for k, v in vars(args).items() if k not in ("command", "outdir", "config")}
+        paths = _write_outputs(outdir, outputs, args.command, params | computed, argv, defaults)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     except (argparse.ArgumentTypeError, SingularDeformation, ValueError) as exc:
@@ -576,8 +583,6 @@ def main(argv=None, defaults: dict | None = None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 
-    params = {k: v for k, v in vars(args).items() if k not in ("command", "outdir", "config")}
-    write_manifest(outdir, args.command, params | computed, paths, __version__, argv, defaults)
     for path in paths:
         print(f"wrote {path}")
     return EXIT_OK

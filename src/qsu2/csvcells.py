@@ -1,36 +1,70 @@
-"""Numeric CSV columns spelled at array speed.
+"""Numeric columns spelled at array speed.
 
-A block of columns becomes one uint8 buffer with a row per CSV line and a
-fixed run of slots per cell; the slots a cell does not use hold NUL, which
+A block of columns becomes one uint8 buffer with a row per line and a fixed
+run of slots per cell; the slots a cell does not use hold NUL, which
 bytes.translate deletes.  render_columns returns the bytes that '%.17g' %
-(float columns) and '%d' % (bool columns) write for the .tolist() rows.
-serialize imports this module for the first block large enough, so
-`import qsu2.cli` does not compile it.
+(float columns) and '%d' % (bool columns) write for the .tolist() rows, each
+cell behind its column's prefix and each row ending in a suffix; a bytes
+column is taken as it is.  spell_floats spells floats as such a column, as
+'%.17g' or (JSON_REPR) as json.dumps spells them: float.__repr__, NaN,
+Infinity.  serialize imports this module lazily, so `import qsu2.cli` does
+not compile it.
 """
 
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 
 import numpy as np
 
-# A float64 cell is spelled as '%.17g' spells it.  With E = floor(log10 |x|), its digits are the integer D = round(R),
-# R = |x| 10^(16-E), rounded half to even.  P = fl(|x| * 10^k) (k >= 0) or
-# fl(|x| / 10^-k) (k < 0), k = 16 - E, is R with one long-double rounding
-# when |k| <= 27: |x| has 53 bits, 10^27 = 2^27 5^27 has 5^27 < 2^63, and a
-# 64-bit significand holds both exactly.  Since 10^16 <= R <= 10^17 < 2^57,
-# |P - R| <= ulp(P)/2 <= 2^-8.  So round(P) = round(R) unless the fraction of
-# P is within 2^-8 of 1/2 (exact ties included), and R >= 10^16 follows from
-# P >= 10^16 + 2^-8, or from |x| = 10^E exactly.  The cells left undecided,
-# the ones outside |k| <= 27 and every cell where long double cannot carry
-# the bound are spelled by % in one batch.  The digits of D are spelled four
-# at a time from a table, and the slots of a cell from a table of layouts
-# keyed by sign, exponent and digit count.
+# The digit core.  With E = floor(log10 |x|), the 17 digits of a float64 are
+# the integer D17 = round(R), R = |x| 10^(16-E), rounded half to even.
+# P = fl(|x| * 10^k) (k >= 0) or fl(|x| / 10^-k) (k < 0), k = 16 - E, is R
+# with one long-double rounding when |k| <= 27: |x| has 53 bits,
+# 10^27 = 2^27 5^27 has 5^27 < 2^63, and a 64-bit significand holds both
+# exactly.  Since 10^16 <= R <= 10^17 < 2^57, |P - R| <= ulp(P)/2 <= 2^-8.
+# So round(P) = round(R) unless the fraction of P is within 2^-8 of 1/2
+# (exact ties included), and R >= 10^16 follows from P >= 10^16 + 2^-8, or
+# from |x| = 10^E exactly.  The cells left undecided, the ones outside
+# |k| <= 27 and every cell where long double cannot carry the bound are
+# spelled by the layout's own formatter in one batch.  The digits of D are
+# spelled four at a time from a table, and the slots of a cell from a table
+# of layouts keyed by sign, exponent and digit count.
+#
+# The shortest digits (float.__repr__).  repr gives the fewest digits that
+# read back as x, and of those the nearest to x.  Let C15, C16 be R rounded
+# to a multiple of 100 and of 10 (x to 15 and 16 digits), and H half the gap
+# from x to its neighbouring doubles, times 10^k.  A candidate C reads back
+# as x when |C - R| < H (or = H with an even significand).  H <= 2^-53 R,
+# while 15-digit numbers lie at least 10^-15 R apart: at most one of them
+# reads back as x, and when some string of 15 digits or fewer does, it is
+# C15 with its trailing zeros dropped.  Otherwise the nearest 16-digit
+# number that reads back is C16, if any does, and D17 (|D17 - R| <= 1/2 <
+# H) always reads back.  So repr's digits are the first of C15, C16, D17
+# that reads back.
+#
+# The margin.  The remainder of P by 100 is exact in float64 (P's fraction
+# is a multiple of 2^-10), and so is its remainder by 10; so both distances
+# |C - R| carry only P's error, at most 2^-8.  H = 2^(e-54) 10^k for
+# |x| = m 2^e (1/2 <= m < 1) equals R 2^-54 / m; from float64(D) it is off
+# by less than 1e-14 (H <= 11.2).  A rounding to C15 or C16, or a
+# comparison of a distance with H, is decided when it clears its threshold
+# by 2^-7, more than both errors together; the others (ties and near-ties,
+# |C - R| = H among them) go to float.__repr__, as the undecided D17 do.
+#
+# What float.__repr__ keeps.  At a power of two (m = 1/2) the neighbour
+# below is half as far as the one above, so H is not one number and the
+# rule fails: when C16 below x misses the nearer neighbour, a 16-digit
+# number above it may still read back.  Subnormals have fewer significant
+# bits, so fewer than 15 digits can suffice while 15-digit numbers lie
+# closer together than the doubles; they lie far outside |k| <= 27 anyway.
 
 _LD = np.longdouble
 _POW10 = np.cumprod(np.array([1] + [10] * 27, dtype=_LD))  # 10^0..10^27
 _POW10_F64 = 10.0 ** np.arange(23)  # the powers of ten that are doubles
 _ERR = 2.0**-8
+_MARGIN = 2.0**-7
 
 
 def _long_double_exact() -> bool:
@@ -53,8 +87,38 @@ LONG_DOUBLE_EXACT = _long_double_exact()
 FLOAT_SLOTS = 29
 _DIGITS_AT = 6
 # decimal exponents with a layout: |16 - X| <= 27 and a carry, and the ones
-# a cell outside that range (which % spells) may reach by one correction
+# a cell outside that range (which the formatter spells) may reach by one correction
 _X_MIN, _X_MAX = -12, 45
+
+
+def _spell_percent(values: list) -> list:
+    return (b"%.17g\0" * len(values) % tuple(values)).split(b"\0")[:-1]
+
+
+# json.dumps spells the non-finite floats as JavaScript does
+_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _spell_repr(values: list) -> list:
+    return [_JSON_SPELLING.get(t, t) for t in map(float.__repr__, values)]
+
+
+@dataclass(frozen=True)
+class Floats:
+    """How a float cell is spelled: exponents -4 <= X < fixed_below
+    without an exponent, integral ones with ".0" or not, the spellings of
+    nan, 0, -0, inf and -inf, the digit choice (shortest or 17 digits) and
+    the formatter of the cells the kernel leaves undecided."""
+
+    fixed_below: int
+    point_zero: bool
+    specials: tuple
+    shortest: bool
+    spell: object
+
+
+PERCENT_17G = Floats(17, False, ("nan", "0", "-0", "inf", "-inf"), False, _spell_percent)
+JSON_REPR = Floats(16, True, ("NaN", "0.0", "-0.0", "Infinity", "-Infinity"), True, _spell_repr)
 
 
 @functools.cache
@@ -69,11 +133,11 @@ def _quads() -> tuple:
 
 
 @functools.cache
-def _float_layouts() -> np.ndarray:
+def _float_layouts(floats: Floats) -> tuple:
     """Three tables of slot rows, indexed by the key (sign, exponent, digit
     count): the constant bytes, the mask of the digits that stand where D
     puts them, and the mask of the digits one slot to the right, behind the
-    point."""
+    point; and the specials' slot rows."""
     table = np.zeros((2, _X_MAX - _X_MIN + 1, 17, 3, FLOAT_SLOTS), np.uint8)
     table[1, :, :, 0, 0] = ord("-")
     nd = np.arange(1, 18)[:, None]
@@ -85,22 +149,24 @@ def _float_layouts() -> np.ndarray:
             const[..., 1 : 1 + len(prefix)] = list(prefix)
             left[:] = np.where((at >= 0) & (at < nd), 0xFF, 0)
             continue
-        point = x + 1 if 0 <= x < 17 else 1  # digits ahead of the point
+        fixed = 0 <= x < floats.fixed_below
+        point = x + 1 if fixed else 1  # digits ahead of the point
         shown = np.maximum(nd, point)
         left[:] = np.where((at >= 0) & (at < point), 0xFF, 0)
         right[:] = np.where((at > point) & (at <= shown), 0xFF, 0)
-        const[..., _DIGITS_AT + point] = np.where(shown > point, ord("."), 0)[:, 0]
-        if not 0 <= x < 17:
+        if fixed and floats.point_zero:
+            const[..., _DIGITS_AT + point] = ord(".")
+            const[..., _DIGITS_AT + point + 1] = np.where(shown > point, 0, ord("0"))[:, 0]
+        else:
+            const[..., _DIGITS_AT + point] = np.where(shown > point, ord("."), 0)[:, 0]
+        if not fixed:
             exponent = b"e%+03d" % x
             const[..., FLOAT_SLOTS - len(exponent) :] = list(exponent)
     # one contiguous (keys, slots) table per row kind, shared by every caller
     layouts = table.reshape(-1, 3, FLOAT_SLOTS).transpose(1, 0, 2).copy()
-    layouts.flags.writeable = False
-    return layouts
-
-
-# nan, 0, -0, inf, -inf
-_SPECIALS = np.array([b"nan", b"0", b"-0", b"inf", b"-inf"], dtype=f"S{FLOAT_SLOTS}").view(np.uint8).reshape(5, -1)
+    specials = np.array(floats.specials, dtype=f"S{FLOAT_SLOTS}").view(np.uint8).reshape(5, -1)
+    layouts.flags.writeable = specials.flags.writeable = False
+    return layouts, specials
 
 
 def _scaled(a: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -109,16 +175,13 @@ def _scaled(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     return scaled if k.min() >= 0 else scaled / _POW10.take(np.maximum(-k, 0))
 
 
-def _spell_floats(x: np.ndarray, cells: np.ndarray) -> None:
-    """Spell each float64 of x into its row of cells (n, FLOAT_SLOTS) as
-    '%.17g' spells it, NUL in the slots it does not use."""
-    n = len(x)
-    if not n:
-        return
+def _digit_core(a: np.ndarray) -> tuple:
+    """For |x| = a: k = 16 - E, P = a 10^k in long double, D = floor(P) in
+    int64, the fraction P - D in float64, and the mask of the cells where
+    10^16 <= R <= 10^17 is proven (False at 0, inf and nan)."""
     with np.errstate(all="ignore"):
-        a = np.abs(x)
         e = np.floor(np.log10(a))
-        ok = np.abs(16.0 - e) <= 27.0  # False at 0, inf and nan
+        ok = np.abs(16.0 - e) <= 27.0
         k = np.where(ok, 16.0 - e, 0.0).astype(np.int64)
         p = _scaled(a, k)
         d = p.astype(np.int64)
@@ -131,13 +194,50 @@ def _spell_floats(x: np.ndarray, cells: np.ndarray) -> None:
             p[moved] = _scaled(a[moved], np.clip(k[moved], -27, 27))
             d[moved] = p[moved].astype(np.int64)
         frac = (p - d).astype(np.float64)  # a multiple of 2^-10, exact
-    ok &= (np.abs(frac - 0.5) > _ERR) & (d >= 10**16) & (d <= 10**17)
+    ok &= (d >= 10**16) & (d <= 10**17)
     # within the bound above 10^16, R >= 10^16 is proven only where |x| is 10^E
     edge = np.flatnonzero(ok & (d == 10**16) & (frac <= _ERR))
     ok[edge] = a[edge] == _POW10_F64[np.clip(16 - k[edge], 0, 22)]
     if not LONG_DOUBLE_EXACT:
         ok[:] = False
-    d += frac > 0.5
+    return k, d, frac, ok
+
+
+def _shortest(a, d, frac, ok) -> np.ndarray:
+    """D rounded to the first of C15, C16 and D17 that reads back as x (see
+    above); clears ok where a rounding or a comparison is undecided."""
+    mantissa, _ = np.frexp(a)  # |x| = mantissa 2^e
+    with np.errstate(all="ignore"):  # at 0, inf and nan
+        half_gap = d / (mantissa * 2.0**54)
+        t15 = (d % 100) + frac  # R mod 100, exact
+        t16 = t15 - np.floor(t15 / 10.0) * 10.0
+    off15 = np.minimum(t15, 100.0 - t15) - half_gap
+    off16 = np.minimum(t16, 10.0 - t16) - half_gap
+    use15 = off15 < -_MARGIN
+    use16 = ~use15 & (off16 < -_MARGIN)
+    use17 = ~use15 & ~use16
+    ok &= mantissa != 0.5  # a power of two
+    ok &= use15 | (off15 > _MARGIN)
+    ok &= ~use16 | (np.abs(t16 - 5.0) > _MARGIN)
+    ok &= ~use17 | ((off16 > _MARGIN) & (np.abs(frac - 0.5) > _ERR))
+    c15 = (d // 100 + (t15 > 50.0)) * 100
+    c16 = (d // 10 + (t16 > 5.0)) * 10
+    return np.where(use15, c15, np.where(use16, c16, d + (frac > 0.5)))
+
+
+def _spell_floats(x: np.ndarray, cells: np.ndarray, floats: Floats) -> None:
+    """Spell each float64 of x into its row of cells (n, FLOAT_SLOTS) as
+    `floats` spells it, NUL in the slots it does not use."""
+    n = len(x)
+    if not n:
+        return
+    a = np.abs(x)
+    k, d, frac, ok = _digit_core(a)
+    if floats.shortest:
+        d = _shortest(a, d, frac, ok)
+    else:
+        ok &= np.abs(frac - 0.5) > _ERR
+        d += frac > 0.5
     carry = d == 10**17
     d[carry] = 10**16
     x10 = 16 - k + carry
@@ -167,7 +267,7 @@ def _spell_floats(x: np.ndarray, cells: np.ndarray) -> None:
         tail = zeros[:, j] + (zeros[:, j] == 4) * tail
 
     key = (np.signbit(x) * (_X_MAX - _X_MIN + 1) + (x10 - _X_MIN)) * 17 + (16 - tail)
-    const, left, right = _float_layouts()
+    (const, left, right), specials = _float_layouts(floats)
     spelled = left.take(key, axis=0)  # NUL outside the digits
     spelled[:, _DIGITS_AT : _DIGITS_AT + 17] &= digits
     shifted = right.take(key, axis=0)
@@ -181,26 +281,41 @@ def _spell_floats(x: np.ndarray, cells: np.ndarray) -> None:
         xb = x[bad]
         special = ~np.isfinite(xb) | (xb == 0)
         code = np.where(np.isnan(xb), 0, np.where(xb == 0, 1, 3) + np.signbit(xb))
-        cells[bad[special]] = _SPECIALS.take(code[special], axis=0)
+        cells[bad[special]] = specials.take(code[special], axis=0)
         rest = bad[~special]
         if rest.size:
-            texts = (b"%.17g\0" * rest.size % tuple(x[rest].tolist())).split(b"\0")[:-1]
+            texts = floats.spell(x[rest].tolist())
             cells[rest] = np.array(texts, dtype=f"S{FLOAT_SLOTS}").view(np.uint8).reshape(-1, FLOAT_SLOTS)
 
 
-def render_columns(columns) -> bytes:
-    """The CSV lines of equal-length float or bool columns, each ending in a
-    newline, byte for byte as % renders their .tolist() rows."""
-    widths = [1 if c.dtype.kind == "b" else FLOAT_SLOTS for c in columns]
-    buf = np.empty((len(columns[0]), sum(widths) + len(widths)), np.uint8)
+def spell_floats(x: np.ndarray, floats: Floats) -> np.ndarray:
+    """Each float64 of x as `floats` spells it, a NUL-padded bytes ("S") array."""
+    cells = np.empty((len(x), FLOAT_SLOTS), np.uint8)
+    _spell_floats(x, cells, floats)
+    return cells.view(f"S{FLOAT_SLOTS}").ravel()
+
+
+def render_columns(columns, prefixes=None, suffix=b"\n") -> bytes:
+    """The lines of equal-length float, bool or bytes ("S") columns, byte for
+    byte as % renders their .tolist() rows: each cell behind its prefix
+    (default: a comma, none for the first), each row ending in suffix.  Float
+    cells are spelled as '%.17g', bool cells as '%d', bytes cells as they are
+    less their NUL padding."""
+    if prefixes is None:
+        prefixes = [b""] + [b","] * (len(columns) - 1)
+    widths = [{"b": 1, "S": c.dtype.itemsize}.get(c.dtype.kind, FLOAT_SLOTS) for c in columns]
+    buf = np.empty((len(columns[0]), sum(map(len, prefixes)) + sum(widths) + len(suffix)), np.uint8)
     at = 0
-    for column, slots in zip(columns, widths):
+    for column, prefix, slots in zip(columns, prefixes, widths):
+        buf[:, at : at + len(prefix)] = np.frombuffer(prefix, np.uint8)
+        at += len(prefix)
         if column.dtype.kind == "b":
             buf[:, at] = column
             buf[:, at] += ord("0")
+        elif column.dtype.kind == "S":
+            buf[:, at : at + slots] = column.view(np.uint8).reshape(-1, slots)
         else:
-            _spell_floats(column.astype(np.float64, copy=False), buf[:, at : at + slots])
-        buf[:, at + slots] = ord(",")
-        at += slots + 1
-    buf[:, -1] = ord("\n")
+            _spell_floats(column.astype(np.float64, copy=False), buf[:, at : at + slots], PERCENT_17G)
+        at += slots
+    buf[:, at:] = np.frombuffer(suffix, np.uint8)
     return buf.tobytes().translate(None, b"\0")

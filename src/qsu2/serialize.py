@@ -41,8 +41,9 @@ _CELL_FORMATS = {float: "%.17g", np.float64: "%.17g", bool: "%d", np.bool_: "%d"
 # and a bool column is about 0.25 MB of csvcells slots
 CSV_BLOCK_ROWS = 4096
 
-# blocks with fewer rows stay on the % path: csvcells' fixed cost of about
-# 0.4 ms per block is what % spends on 256 to 384 rows of 2-3 columns
+# blocks with fewer rows stay on the % path, and float arrays with fewer
+# values on float.__repr__ (JSON): csvcells' fixed cost, about 0.1 ms per float
+# column, is what % or repr spends on about 320 to 450 values of a column
 CSV_KERNEL_MIN_ROWS = 384
 
 
@@ -139,17 +140,15 @@ def write_csv(path, header, rows) -> Path:
 # matrix (8 MB at n = 400) is fresh memory every time and wrote about 2x slower
 JSON_BLOCK_CHARS = 1 << 16
 
-# json.dumps spells the non-finite floats as JavaScript does
-_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
 
 def _float_texts(values: np.ndarray) -> list[str]:
     """Each float of the array as json.dumps spells it: float.__repr__,
     with NaN and Infinity for the non-finite ones."""
-    texts = list(map(float.__repr__, values.tolist()))
-    if not np.isfinite(values).all():
-        texts = [_JSON_SPELLING.get(t, t) for t in texts]
-    return texts
+    from .csvcells import JSON_REPR, render_columns, spell_floats
+
+    if len(values) < CSV_KERNEL_MIN_ROWS:
+        return JSON_REPR.spell(values.tolist())
+    return render_columns([spell_floats(values, JSON_REPR)]).decode().split("\n")[:-1]
 
 
 @dataclass(frozen=True)
@@ -193,15 +192,23 @@ class DensePairs:
                 pieces.clear()
 
 
-def _json_texts(values) -> list[str]:
-    """Each JSON scalar as json.dumps spells it.  A float column is spelled
-    once per distinct bit pattern (so 0.0 and -0.0 stay apart), because
-    record columns repeat few values, such as the m labels of the crossings."""
-    if isinstance(values, np.ndarray) or all(isinstance(v, float) for v in values):
-        bits = np.asarray(values, dtype=np.float64).view(np.int64)
-        patterns, inverse = np.unique(bits, return_inverse=True)
-        return list(map(_float_texts(patterns.view(np.float64)).__getitem__, inverse.tolist()))
-    return list(map(json.dumps, values))
+def _json_column(values) -> np.ndarray:
+    """The json.dumps text of each scalar of a record column, as NUL-padded
+    bytes.  A float column (an array or a sequence of floats) is spelled once
+    per distinct bit pattern (so 0.0 and -0.0 stay apart), because record
+    columns repeat few values, such as the m labels of the crossings."""
+    if not isinstance(values, np.ndarray) and not all(isinstance(v, float) for v in values):
+        return np.array([json.dumps(v).encode() for v in values])
+    from .csvcells import JSON_REPR, spell_floats
+
+    bits = np.asarray(values, dtype=np.float64).view(np.int64)
+    patterns, inverse = np.unique(bits, return_inverse=True)
+    patterns = patterns.view(np.float64)
+    if len(patterns) < CSV_KERNEL_MIN_ROWS:
+        cells = np.array(JSON_REPR.spell(patterns.tolist()), dtype=bytes)
+    else:
+        cells = spell_floats(patterns, JSON_REPR)
+    return cells[inverse]
 
 
 @dataclass(frozen=True)
@@ -210,7 +217,9 @@ class Records:
     float64 array or sequence of JSON scalars (no columns: no objects).
 
     write_json renders it byte for byte as json.dumps renders the list of
-    dicts, one format operation for the whole list.
+    dicts: csvcells renders each block of CSV_BLOCK_ROWS objects as rows
+    whose cells are the values, each behind its key, and whose suffix closes
+    the object.
     """
 
     columns: dict
@@ -219,17 +228,24 @@ class Records:
         """Write the JSON text of the list, whose opening bracket sits on a
         line indented by `indent` spaces."""
         keys = sorted(self.columns)
-        texts = [_json_texts(self.columns[k]) for k in keys]
-        if len({len(col) for col in texts}) > 1:
+        columns = [_json_column(self.columns[k]) for k in keys]
+        if len({len(col) for col in columns}) > 1:
             raise ValueError("record columns differ in length")
-        if not texts or not texts[0]:
+        if not columns or not len(columns[0]):
             fh.write("[]")
             return
+        from .csvcells import render_columns
+
         pad = "\n" + " " * indent
-        fields = ",".join(f"{pad}    " + json.dumps(k).replace("%", "%%") + ": %s" for k in keys)
-        template = f"{pad}  {{{fields}{pad}  }}"
-        records = ",".join([template] * len(texts[0])) % tuple(chain.from_iterable(zip(*texts)))
-        fh.write("[" + records + pad + "]")
+        fields = [f"{pad}    {json.dumps(k)}: ".encode() for k in keys]
+        prefixes = [f"{pad}  {{".encode() + fields[0]] + [b"," + field for field in fields[1:]]
+        suffix = f"{pad}  }},".encode()
+        n = len(columns[0])
+        fh.write("[")
+        for lo in range(0, n, CSV_BLOCK_ROWS):
+            text = render_columns([c[lo : lo + CSV_BLOCK_ROWS] for c in columns], prefixes, suffix).decode()
+            fh.write(text if lo + CSV_BLOCK_ROWS < n else text[:-1])  # no comma after the last object
+        fh.write(pad + "]")
 
 
 # stands in for each pre-rendered value (an object with write(fh, indent),
@@ -270,6 +286,10 @@ def sha256_of(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def manifest_path(outdir, subcommand: str) -> Path:
+    return Path(outdir) / f"{subcommand}_manifest.json"
+
+
 def write_manifest(
     outdir, subcommand: str, params: dict, outputs, version: str, argv: list, defaults: dict
 ) -> Path:
@@ -285,7 +305,7 @@ def write_manifest(
         "version": version,
         "outputs": {Path(p).name: sha256_of(p) for p in outputs},
     }
-    return write_json(outdir / f"{subcommand}_manifest.json", manifest)
+    return write_json(manifest_path(outdir, subcommand), manifest)
 
 
 def complex_pairs(matrix):

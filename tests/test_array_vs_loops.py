@@ -16,7 +16,7 @@ from qsu2.classify import finite_orbit_candidates
 from qsu2.geometry import CROSSING_TOL, level_section, spectral_flow, topology_transition, unmasked_runs
 from qsu2.qnumbers import Deformation
 from qsu2.schrodinger import _cells
-from qsu2.serialize import Records, write_csv, write_json
+from qsu2.serialize import CSV_BLOCK_ROWS, CSV_KERNEL_MIN_ROWS, Records, write_csv, write_json
 
 
 def bits(x) -> str:
@@ -160,15 +160,43 @@ json_floats = floats | floats.map(np.float64)
 json_scalars = json_floats | st.integers() | st.booleans() | st.none() | text
 
 
+# record lengths on either side of the kernel's threshold (in distinct float
+# patterns) and of a block boundary
+LONG_LENGTHS = [CSV_KERNEL_MIN_ROWS - 1, CSV_KERNEL_MIN_ROWS, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1]
+
+
+def long_floats(rng, n) -> np.ndarray:
+    """n floats, distinct (raw bit patterns, or short decimals over many
+    exponents) or drawn from a few values."""
+    kind = rng.integers(3)
+    if kind == 0:
+        return rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+    if kind == 1:
+        return np.round(rng.standard_normal(n) * 1e6) / 10.0 ** rng.integers(-20, 20, n)
+    return rng.choice(np.array([0.5, -0.0, 2.0, math.nan, math.inf, 0.1 + 0.2]), n)
+
+
 @st.composite
-def record_columns(draw):
-    """Columns of equal length, each all-float or of mixed scalar types."""
-    n = draw(st.integers(0, 6))
+def record_columns(draw, lengths=st.integers(0, 6)):
+    """Columns of equal length, each all-float or of mixed scalar types; the
+    long ones are generated from a drawn seed."""
+    n = draw(lengths)
     keys = draw(st.lists(text, max_size=4, unique=True))
-    return {
-        k: draw(st.lists(draw(st.sampled_from([json_floats, json_scalars])), min_size=n, max_size=n))
-        for k in keys
-    }
+    if n <= 12:
+        return {
+            k: draw(st.lists(draw(st.sampled_from([json_floats, json_scalars])), min_size=n, max_size=n))
+            for k in keys
+        }
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = {}
+    for k in keys:
+        column = long_floats(rng, n).tolist()
+        if draw(st.booleans()):  # mixed: a few other scalars among the floats
+            others = draw(st.lists(json_scalars, min_size=1, max_size=5))
+            for i in rng.integers(0, n, len(others)):
+                column[i] = others[i % len(others)]
+        columns[k] = column
+    return columns
 
 
 @settings(max_examples=300)
@@ -202,20 +230,32 @@ NAN_PAYLOADS = np.array(
 
 
 @st.composite
-def float64_columns(draw):
+def float64_columns(draw, lengths=st.integers(0, 12)):
     """Float64 array columns of one length, the empty length included, some
-    drawn from a few values so that they repeat, some strided."""
-    n = draw(st.integers(0, 12))
+    drawn from a few values so that they repeat, some strided; the long
+    ones are generated from a drawn seed."""
+    n = draw(lengths)
     keys = draw(st.lists(text, min_size=1, max_size=4, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     columns = {}
     for k in keys:
+        step = draw(st.integers(1, 3))
+        if n > 12:
+            columns[k] = long_floats(rng, n * step)[::step]
+            continue
         cells = floats | st.sampled_from(NAN_PAYLOADS.tolist())
         if draw(st.booleans()):
             cells = st.sampled_from(draw(st.lists(cells, min_size=1, max_size=3)))
-        step = draw(st.integers(1, 3))
         strided = np.array(draw(st.lists(cells, min_size=n * step, max_size=n * step)), dtype=np.float64)
         columns[k] = strided[::step]
     return columns
+
+
+def nested(value, depth):
+    """value at the given depth of dicts and lists, a deeper indent each."""
+    for i in range(depth):
+        value = {"k": value} if i % 2 else [1, value]
+    return value
 
 
 @settings(max_examples=300)
@@ -231,6 +271,21 @@ def test_records_from_float64_arrays_match_json_dumps(columns, tmp_path_factory)
     dicts = [{k: col[i] for k, col in columns.items()} for i in range(n)]
     write_json(path, {"x": Records(columns), "y": [Records(columns)]})
     want = json.dumps({"x": dicts, "y": [dicts]}, indent=2, sort_keys=True, allow_nan=True) + "\n"
+    assert path.read_text(encoding="utf-8") == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    columns=float64_columns(st.sampled_from(LONG_LENGTHS)) | record_columns(st.sampled_from(LONG_LENGTHS)),
+    depth=st.integers(0, 3),
+)
+def test_long_records_match_json_dumps(columns, depth, tmp_path_factory):
+    # long enough for the kernel and for more than one block, at several indents
+    path = tmp_path_factory.mktemp("json") / "t.json"
+    n = len(next(iter(columns.values()))) if columns else 0
+    dicts = [{k: col[i] for k, col in columns.items()} for i in range(n)]
+    write_json(path, nested(Records(columns), depth))
+    want = json.dumps(nested(dicts, depth), indent=2, sort_keys=True, allow_nan=True) + "\n"
     assert path.read_text(encoding="utf-8") == want
 
 

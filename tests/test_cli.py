@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qsu2.cli import main
@@ -561,6 +562,23 @@ def test_a_run_failing_while_writing_removes_what_it_wrote(tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("partial", [False, True], ids=["before-open", "half-written"])
+def test_a_run_whose_manifest_fails_removes_its_outputs(tmp_path, monkeypatch, partial):
+    import qsu2.cli
+
+    def full_disk(outdir, subcommand, *args):
+        if partial:
+            qsu2.cli.manifest_path(outdir, subcommand).write_text("{")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(qsu2.cli, "write_manifest", full_disk)
+    for argv in (["classify", "--s", 1, "--c", 2], ["flow", "--m-max", 2, "--s-grid=0.5:2.5:0.25"]):
+        with pytest.raises(OSError) as exc:
+            run(argv + ["--outdir", tmp_path])
+        assert exc.value.errno == 28
+        assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("n", [0, -2])
 def test_spectrum_n_below_one_is_an_argument_error(tmp_path, capsys, n):
     out = tmp_path / "out"
@@ -583,6 +601,19 @@ def test_flow_smallest_m_max_writes_one_curve(tmp_path):
     lines = (tmp_path / "flow.csv").read_text().splitlines()
     assert lines == ["s,m,value", "0.5,0.5,1", "0.75,0.5,1", "1,0.5,1"]
     assert json.loads((tmp_path / "flow_crossings.json").read_text()) == []
+
+
+def test_flow_crossings_json_is_json_dumps_of_the_library_crossings(tmp_path):
+    from qsu2.geometry import spectral_flow
+
+    # the default grid: 500 points on [0.05, pi - 0.05]; thousands of
+    # crossings, so the records cross a block boundary and reach the kernel
+    assert run(["flow", "--m-max", 16, "--outdir", tmp_path]) == 0
+    table = spectral_flow(16.0, 0.05 + (math.pi - 0.1) / 499 * np.arange(500))
+    assert len(table.crossings) > 4096
+    want = [{"s": s, "m_low": lo, "m_high": hi} for s, lo, hi in table.crossings]
+    text = (tmp_path / "flow_crossings.json").read_text(encoding="utf-8")
+    assert text == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("count", [0, -3])

@@ -60,6 +60,32 @@ def test_continuous_label_modulus():
         assert got == pytest.approx(want, rel=1e-12)
 
 
+def qnumber_through_ndim(x, d):
+    """qnumber as it dispatched before its Python-float shortcut."""
+    if np.ndim(x):
+        return np.sin(np.asarray(x, dtype=float) * d.s) / d.sin_s
+    return math.sin(float(x) * d.s) / d.sin_s
+
+
+def spelled(value):
+    """Type and bits, so that equal values of another type or sign differ."""
+    return type(value), np.asarray(value).tobytes()
+
+
+@pytest.mark.parametrize("s", [0.05, 0.7, math.pi / 3, 3.0])
+def test_qnumber_keeps_its_results_for_every_argument_type(s):
+    d = Deformation(s)
+    for x in (0.0, -0.0, 0.5, -2.5, 1e-300, 7.25, 1e6, math.nan):
+        got = qnumber(x, d)
+        assert type(got) is float
+        assert spelled(got) == spelled(math.sin(x * d.s) / d.sin_s)
+    for x in (np.float64(2.5), np.float32(0.5), np.array(-3.5), 0, -7, 3, True, np.int64(4)):
+        assert spelled(qnumber(x, d)) == spelled(qnumber_through_ndim(x, d))
+    for x in (np.array([0.5, 1.0]), [1.5, -2.0], np.arange(3), np.array([[0.5], [2.0]])):
+        got, want = qnumber(x, d), qnumber_through_ndim(x, d)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_qnumber_hyperbolic():
     assert qnumber_hyperbolic(1.0, 0.8) == pytest.approx(1.0, abs=1e-15)
     # frozen: sinh(2 ln 2)/sinh(ln 2) = (4 - 1/4)/(2 - 1/2) = 2.5
