@@ -487,12 +487,14 @@ def _cmd_hopf(args):
     if args.what in ("all", "axioms"):
         rep = build_gen_rep(gd, args.dim, args.c)
         report = hopf_axiom_report(gd, rep)
-        inner = casimir_gen(gd, rep).real[EDGE_BUFFER:-EDGE_BUFFER]
+        inner = casimir_gen(gd, rep)[EDGE_BUFFER:-EDGE_BUFFER]
         axioms = {k: getattr(report, k) for k in report.__dataclass_fields__}
         axioms["casimir_diag_drift"] = float(inner.max() - inner.min()) if inner.size else 0.0
         axioms["q1"] = gd.q1
-        if not (report.coassoc_jp <= ASSERTED_RESIDUAL_TOL and report.counit_jp <= ASSERTED_RESIDUAL_TOL):
-            raise VerificationFailure("coassociativity/counit residual exceeded tolerance")
+        # the telescoped |N|^2 are sums of size c, so their rounding scales with c
+        bound = ASSERTED_RESIDUAL_TOL * max(1.0, abs(args.c))
+        if not report.commutator_defect <= bound:  # NaN fails
+            raise VerificationFailure(f"commutator defect {report.commutator_defect!r} exceeds {bound!r}")
         outputs["hopf_axioms.json"] = axioms
     return computed, outputs
 

@@ -163,6 +163,7 @@ class HopfReport:
     antipode_half: float  # S(J_+) = -q^-1/2 J_+ convention
     comult_homomorphism: float  # Delta applied to the commutator relation
     conjugation: float  # g^2 J_+ g^-2 - q1 J_+ interior residual
+    commutator_defect: float  # diagonal of [J_+, J_-] - spectrum_2jz, interior rows
 
 
 def deformation_f(m, gd: GenDeformation, q: float):
@@ -345,13 +346,8 @@ def build_gen_rep(gd: GenDeformation, dim: int, c: float, m0: float | None = Non
     n2 = np.maximum(n2, 0.0)
 
     basis = tuple(ms)
-    jp = OperatorMatrix(np.sqrt(n2).astype(complex), -1, basis, 0.0)
-    return (
-        OperatorMatrix(ms.astype(complex), 0, basis, 0.0),
-        jp,
-        jp.adjoint(),
-        OperatorMatrix(gt.astype(complex), 0, basis, 0.0),
-    )
+    jp = OperatorMatrix(np.sqrt(n2), -1, basis)
+    return OperatorMatrix(ms, 0, basis), jp, jp.adjoint(), OperatorMatrix(gt, 0, basis)
 
 
 def _interior_block(n: int) -> slice:
@@ -364,19 +360,19 @@ def _interior_block(n: int) -> slice:
 def casimir_gen(gd: GenDeformation, rep) -> np.ndarray:
     """Diagonal of the quartic Casimir C1 (g~ - g~^-1)^2 + c2 J_+ J_- of the
     built rep, a diagonal matrix."""
-    _, jp, jm, g = rep
-    gt = g.band.real
+    _, jp, jm = _ladder_bands(rep[:3])
+    gt = rep[3].band
     quad = (gt - 1.0 / gt) ** 2
-    pm = np.concatenate(([0j], jp.band * jm.band))  # diagonal of J_+ J_-
+    pm = np.concatenate(([0.0], jp * jm))  # diagonal of J_+ J_-
     return gd.C1 * quad + _c2_casimir(gd) * pm
 
 
 def conjugation_residual(gd: GenDeformation, rep) -> float:
     """Interior residual of g^2 J_+ g^-2 - q1 J_+ (exact only for the
     geometric profile, where f steps by the ratio q1)."""
-    _, jp, _, g = rep
-    f = g.band.real ** 2 * math.sqrt(gd.q1)
-    res = f[1:] * jp.band * (1.0 / f[:-1]) - gd.q1 * jp.band
+    _, jp, _ = _ladder_bands(rep[:3])
+    f = rep[3].band ** 2 * math.sqrt(gd.q1)
+    res = f[1:] * jp * (1.0 / f[:-1]) - gd.q1 * jp
     return _absmax(res[_interior_block(len(f))])
 
 
@@ -389,7 +385,8 @@ def hopf_axiom_report(gd: GenDeformation, rep) -> HopfReport:
     a diagonal sqrt(f) realization of g, S(J_+) = -q^-1 J_+ leaves a
     sqrt(q)-vs-q mismatch.  The comultiplication-homomorphism residual on
     the commutator relation vanishes only when the conjugation relation
-    holds (geometric profile).
+    holds (geometric profile).  The commutator defect vanishes on every
+    profile, because build_gen_rep telescopes |N|^2 from that relation.
 
     Delta(J_+) = J_+ (x) g^-1 + g (x) J_+ and Delta(g) = g (x) g act on
     products of bands, so every operator below is a sum of terms, each
@@ -398,11 +395,10 @@ def hopf_axiom_report(gd: GenDeformation, rep) -> HopfReport:
     an n^2 x n^2 or n^3 x n^3 matrix.  Entries off the supports are exact
     zeros on both sides.
     """
-    # the bands have zero imaginary parts; the stored g is the
-    # tilde-normalized q1^{-1/4} sqrt(f), and the Hopf maps use the bare g
-    # with g^2 = f
-    _, jp, jm = (band.real for band in _ladder_bands(rep[:3]))
-    g = gd.q1**0.25 * rep[3].band.real
+    # the stored g is the tilde-normalized q1^{-1/4} sqrt(f), and the Hopf
+    # maps use the bare g with g^2 = f
+    ms, jp, jm = _ladder_bands(rep[:3])
+    g = gd.q1**0.25 * rep[3].band
     ginv = 1.0 / g
     n = len(g)
     outer = np.multiply.outer
@@ -426,6 +422,10 @@ def hopf_axiom_report(gd: GenDeformation, rep) -> HopfReport:
     inner = _interior_block(n)
     antipode_full = _absmax(((-(1.0 / gd.q1) * jp) * ginv[:-1] + ginv[1:] * jp)[inner])
     antipode_half = _absmax(((-(1.0 / math.sqrt(gd.q1)) * jp) * ginv[:-1] + ginv[1:] * jp)[inner])
+
+    # [J+, J-] = 2 (f - 1/f)/h on the interior diagonal
+    comm = np.concatenate(([0.0], jp * jm)) - np.concatenate((jm * jp, [0.0]))
+    commutator_defect = _absmax((comm - spectrum_2jz(gd, ms))[EDGE_BUFFER : n - EDGE_BUFFER])
 
     # Delta on the commutator relation [J+, J-] = 2 (g^2 - g^-2)/h over
     # interior pairs (a, b): the diagonal, where both sides act, and the
@@ -455,4 +455,5 @@ def hopf_axiom_report(gd: GenDeformation, rep) -> HopfReport:
         antipode_half=antipode_half,
         comult_homomorphism=comult_hom,
         conjugation=conjugation_residual(gd, rep),
+        commutator_defect=commutator_defect,
     )

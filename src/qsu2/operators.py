@@ -30,22 +30,23 @@ class UnitarityError(ValueError):
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """A complex matrix with one non-zero diagonal.
+    """A complex matrix with one non-zero diagonal, whose entries are real.
 
     `band` holds the entries on the diagonal `offset` (column minus row):
     0 for J_z and g, -1 for J_+ (entries [i+1, i]), +1 for J_- (entries
-    [i, i+1]).  Every other entry equals `fill`, a zero whose sign is kept
-    so that the dense form of an adjoint matches the conjugate transpose
-    bit for bit.
+    [i, i+1]).  Every other entry equals `fill`, and every imaginary part
+    equals fill.imag: zeros whose signs are kept so that the dense form of
+    an adjoint matches the conjugate transpose bit for bit.
     """
 
-    band: np.ndarray  # complex, length n - |offset|
+    band: np.ndarray  # float64, length n - |offset|
     offset: int
     basis: tuple  # ordered m labels
-    s: float
     fill: complex = 0j
 
     def __post_init__(self):
+        if self.band.dtype != np.float64:  # rep.json would drop a complex band's imaginary parts
+            raise TypeError(f"band must be float64, got {self.band.dtype}")
         if len(self.band) != len(self.basis) - abs(self.offset):
             raise ValueError(
                 f"band of length {len(self.band)} does not fit offset {self.offset} "
@@ -58,14 +59,12 @@ class OperatorMatrix:
         n = len(self.basis)
         out = np.full((n, n), self.fill, dtype=complex)
         rows = np.arange(max(0, -self.offset), n - max(0, self.offset))
-        out[rows, rows + self.offset] = self.band
+        out.real[rows, rows + self.offset] = self.band
         return out
 
     def adjoint(self) -> "OperatorMatrix":
-        """The conjugate transpose."""
-        return OperatorMatrix(
-            self.band.conj(), -self.offset, self.basis, self.s, self.fill.conjugate()
-        )
+        """The conjugate transpose, on a copy of the band."""
+        return OperatorMatrix(self.band.copy(), -self.offset, self.basis, self.fill.conjugate())
 
 
 @dataclass(frozen=True)
@@ -117,16 +116,14 @@ def continuous_ladder_coeff(d: Deformation, sigma: float, m: float, direction, k
 
 def build_rep(d: Deformation, c: float, m_list):
     """(J_z, J_+, J_-) on the ordered basis m_list (spacing exactly 1)."""
-    ms = np.asarray(m_list, dtype=float)
+    ms = np.array(m_list, dtype=float)  # a copy: it becomes the J_z band
     if ms.ndim != 1 or len(ms) < 1:
         raise ValueError("m_list must be a non-empty 1-d sequence")
     if len(ms) > 1 and not np.all(np.abs(np.diff(ms) - 1.0) < 1e-12):
         raise ValueError("m_list spacing must be exactly 1")
     basis = tuple(ms)
-    jp = OperatorMatrix(
-        np.array([ladder_coeff(d, c, m, +1) for m in ms[:-1]], dtype=complex), -1, basis, d.s
-    )
-    return OperatorMatrix(ms.astype(complex), 0, basis, d.s), jp, jp.adjoint()
+    jp = OperatorMatrix(np.array([ladder_coeff(d, c, m, +1) for m in ms[:-1]], dtype=float), -1, basis)
+    return OperatorMatrix(ms, 0, basis), jp, jp.adjoint()
 
 
 def _absmax(*parts) -> float:
@@ -178,8 +175,8 @@ def verify_algebra(triple, d: Deformation, c: float) -> AlgebraReport:
         _absmax((jz[1:] * jp - jp * jz[:-1] - jp)[band]),
         _absmax((jz[:-1] * jm - jm * jz[1:] + jm)[band]),
     )
-    pm = np.concatenate(([0j], jp * jm))  # diagonal of J_+ J_-
-    mp = np.concatenate((jm * jp, [0j]))  # diagonal of J_- J_+
+    pm = np.concatenate(([0.0], jp * jm))  # diagonal of J_+ J_-
+    mp = np.concatenate((jm * jp, [0.0]))  # diagonal of J_- J_+
     res2 = _absmax((pm - mp - bracket_sequence(ms, d))[diag])
 
     br_half = qnumber(0.5, d)
@@ -217,7 +214,7 @@ def verify_algebra(triple, d: Deformation, c: float) -> AlgebraReport:
         res_jz_jpm=res1,
         res_jp_jm=res2,
         res_casimir=res_cas,
-        hermiticity=_absmax(jm - jp.conj()),
+        hermiticity=_absmax(jm - jp),
         casimir_forms_dev=forms_dev,
         casimir_commutes=commutes,
         maekawa_shift_dev=mae_dev,

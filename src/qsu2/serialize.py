@@ -89,15 +89,17 @@ def _render(columns: list, n: int) -> bytes:
 
 
 class ColumnTable:
-    """Equal-length numpy columns (cut to the shortest) that write_csv renders
-    column-wise.  Iterating gives the rows of Python scalars that .tolist()
-    gives, converted CSV_BLOCK_ROWS rows at a time."""
+    """Equal-length numpy columns that write_csv renders column-wise.
+    Iterating gives the rows of Python scalars that .tolist() gives,
+    converted CSV_BLOCK_ROWS rows at a time."""
 
     def __init__(self, columns: tuple):
+        if len({len(c) for c in columns}) > 1:
+            raise ValueError(f"table columns differ in length: {[len(c) for c in columns]}")
         self.columns = columns
 
     def __len__(self) -> int:
-        return min(map(len, self.columns))
+        return len(self.columns[0])
 
     def __iter__(self):
         n = len(self)
@@ -141,22 +143,13 @@ def write_csv(path, header, rows) -> Path:
 JSON_BLOCK_CHARS = 1 << 16
 
 
-def _float_texts(values: np.ndarray) -> list[str]:
-    """Each float of the array as json.dumps spells it: float.__repr__,
-    with NaN and Infinity for the non-finite ones."""
-    from .csvcells import JSON_REPR, render_columns, spell_floats
-
-    if len(values) < CSV_KERNEL_MIN_ROWS:
-        return JSON_REPR.spell(values.tolist())
-    return render_columns([spell_floats(values, JSON_REPR)]).decode().split("\n")[:-1]
-
-
 @dataclass(frozen=True)
 class DensePairs:
     """The row-major (n, n, 2) [re, im] layout of a banded matrix.
 
     write_json renders it straight from the band, byte for byte as
-    json.dumps renders the nested lists, without building them.
+    json.dumps renders the nested lists, without building them.  Every
+    pair takes its imaginary part from the fill.
     """
 
     matrix: OperatorMatrix
@@ -164,18 +157,21 @@ class DensePairs:
     def write(self, fh, indent: int) -> None:
         """Write the JSON text of the pairs, whose opening bracket sits on
         a line indented by `indent` spaces."""
+        from .csvcells import JSON_REPR
+
         op = self.matrix
         n = len(op.basis)
         row_pad, pair_pad, num_pad = ("\n" + " " * (indent + k) for k in (2, 4, 6))
         pair = f"[{num_pad}%s,{num_pad}%s{pair_pad}]"
         sep = "," + pair_pad
-        fill = pair % tuple(_float_texts(np.array([op.fill.real, op.fill.imag])))
+        fill_re, imag = JSON_REPR.spell([op.fill.real, op.fill.imag])
+        fill = pair % (fill_re, imag)
         # the first k * width characters of `before` are k zero pairs, each
         # followed by a separator, of `after` k pairs each preceded by one:
         # every run of zeros is one slice
         width = len(fill) + len(sep)
         before, after = (fill + sep) * n, (sep + fill) * n
-        band = [pair % re_im for re_im in zip(_float_texts(op.band.real), _float_texts(op.band.imag))]
+        band = [pair % (re, imag) for re in JSON_REPR.spell(op.band.tolist())]
         row_sep = f"{row_pad}],{row_pad}[{pair_pad}"
         rows_per_write = max(1, JSON_BLOCK_CHARS // (n * width))
         pieces = [f"[{row_pad}[{pair_pad}"]
@@ -193,12 +189,10 @@ class DensePairs:
 
 
 def _json_column(values) -> np.ndarray:
-    """The json.dumps text of each scalar of a record column, as NUL-padded
-    bytes.  A float column (an array or a sequence of floats) is spelled once
-    per distinct bit pattern (so 0.0 and -0.0 stay apart), because record
-    columns repeat few values, such as the m labels of the crossings."""
-    if not isinstance(values, np.ndarray) and not all(isinstance(v, float) for v in values):
-        return np.array([json.dumps(v).encode() for v in values])
+    """The json.dumps text of each float of a record column, as NUL-padded
+    bytes, spelled once per distinct bit pattern (so 0.0 and -0.0 stay
+    apart), because record columns repeat few values, such as the m labels
+    of the crossings."""
     from .csvcells import JSON_REPR, spell_floats
 
     bits = np.asarray(values, dtype=np.float64).view(np.int64)
@@ -214,7 +208,7 @@ def _json_column(values) -> np.ndarray:
 @dataclass(frozen=True)
 class Records:
     """A list of flat JSON objects, stored as columns: str key -> equal-length
-    float64 array or sequence of JSON scalars (no columns: no objects).
+    float64 array or sequence of floats (no columns: no objects).
 
     write_json renders it byte for byte as json.dumps renders the list of
     dicts: csvcells renders each block of CSV_BLOCK_ROWS objects as rows
@@ -282,8 +276,15 @@ def write_json(path, payload) -> Path:
     return path
 
 
+HASH_CHUNK_BYTES = 1 << 20  # hashing holds one chunk of a file in memory, not the file
+
+
 def sha256_of(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with Path(path).open("rb") as fh:
+        while chunk := fh.read(HASH_CHUNK_BYTES):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def manifest_path(outdir, subcommand: str) -> Path:
@@ -308,10 +309,7 @@ def write_manifest(
     return write_json(manifest_path(outdir, subcommand), manifest)
 
 
-def complex_pairs(matrix):
-    """Row-major [re, im] pairs for JSON export of a complex matrix: nested
-    lists for a dense array, DensePairs (rendered by write_json from the
-    band) for an OperatorMatrix."""
-    if isinstance(matrix, OperatorMatrix):
-        return DensePairs(matrix)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
+def complex_pairs(matrix: OperatorMatrix) -> DensePairs:
+    """Row-major [re, im] pairs of the matrix's dense form for JSON export,
+    rendered by write_json from the band."""
+    return DensePairs(matrix)

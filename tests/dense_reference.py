@@ -1,14 +1,13 @@
 """Reference implementations of the banded and vectorised code.
 
 These are the dense n x n and Kronecker-product forms that `build_rep`,
-`verify_algebra`, `casimir_gen`, `conjugation_residual` and
-`hopf_axiom_report` replace, and the Python loops that the array code of
-`spectral_flow`, `level_section`, `_cells`, `write_csv`,
+`verify_algebra`, `casimir_gen`, `conjugation_residual`,
+`hopf_axiom_report` and `complex_pairs` replace, and the Python loops that
+the array code of `spectral_flow`, `level_section`, `_cells`, `write_csv`,
 `finite_orbit_candidates`, `topology_transition` and
-`commensurability_peak` replaces.  The
-property tests compare the library against them; they are slow (O(n^3)
-products, n^3 x n^3 Kronecker matrices, per-element loops) and run only on
-small sizes.
+`commensurability_peak` replaces.  The property tests compare the library
+against them; they are slow (O(n^3) products, n^3 x n^3 Kronecker
+matrices, per-element loops) and run only on small sizes.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import math
 
 import numpy as np
 
-from qsu2.hopf import HopfReport, _c2_casimir
+from qsu2.hopf import HopfReport, _c2_casimir, spectrum_2jz
 from qsu2.operators import CLOSURE_TOL, EDGE_BUFFER, AlgebraReport, ladder_coeff
 from qsu2.qnumbers import bracket_sequence, qnumber
 from qsu2.serialize import fmt
@@ -33,6 +32,11 @@ def build_rep(d, c, m_list):
         jp[i + 1, i] = ladder_coeff(d, c, ms[i], +1)
     jm = jp.conj().T.copy()
     return jz, jp, jm
+
+
+def complex_pairs(matrix):
+    """Row-major [re, im] pairs of a dense complex matrix, as nested lists."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
 
 
 def _maxabs(a, lo, hi):
@@ -113,7 +117,7 @@ def conjugation_residual(gd, jp, g):
     return float(np.abs(res[lo:hi, lo:hi]).max())
 
 
-def hopf_axiom_report(gd, jp, jm, g_tilde) -> HopfReport:
+def hopf_axiom_report(gd, jz, jp, jm, g_tilde) -> HopfReport:
     """Hopf residuals from explicit Kronecker products of dense matrices."""
     g = gd.q1**0.25 * g_tilde
     ginv = np.diag(1.0 / np.diag(g))
@@ -149,6 +153,8 @@ def hopf_axiom_report(gd, jp, jm, g_tilde) -> HopfReport:
     hom = (d_jp @ d_jm - d_jm @ d_jp) - 2.0 * (d_g @ d_g - d_ginv @ d_ginv) / gd.h
     idx2 = np.where(np.kron(keep, keep))[0]
 
+    comm = jp @ jm - jm @ jp - np.diag(spectrum_2jz(gd, np.real(np.diag(jz))))
+
     return HopfReport(
         coassoc_g=coassoc_g,
         coassoc_jp=coassoc_jp,
@@ -158,6 +164,7 @@ def hopf_axiom_report(gd, jp, jm, g_tilde) -> HopfReport:
         antipode_half=interior_max(anti_half, idx1),
         comult_homomorphism=interior_max(hom, idx2),
         conjugation=conjugation_residual(gd, jp, g_tilde),
+        commutator_defect=interior_max(comm, idx1),
     )
 
 

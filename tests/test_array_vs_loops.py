@@ -157,7 +157,6 @@ def test_csv_floats_round_trip(values, tmp_path_factory):
 
 
 json_floats = floats | floats.map(np.float64)
-json_scalars = json_floats | st.integers() | st.booleans() | st.none() | text
 
 
 # record lengths on either side of the kernel's threshold (in distinct float
@@ -178,25 +177,14 @@ def long_floats(rng, n) -> np.ndarray:
 
 @st.composite
 def record_columns(draw, lengths=st.integers(0, 6)):
-    """Columns of equal length, each all-float or of mixed scalar types; the
-    long ones are generated from a drawn seed."""
+    """Columns of equal length, each a list of floats; the long ones are
+    generated from a drawn seed."""
     n = draw(lengths)
     keys = draw(st.lists(text, max_size=4, unique=True))
     if n <= 12:
-        return {
-            k: draw(st.lists(draw(st.sampled_from([json_floats, json_scalars])), min_size=n, max_size=n))
-            for k in keys
-        }
+        return {k: draw(st.lists(json_floats, min_size=n, max_size=n)) for k in keys}
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    columns = {}
-    for k in keys:
-        column = long_floats(rng, n).tolist()
-        if draw(st.booleans()):  # mixed: a few other scalars among the floats
-            others = draw(st.lists(json_scalars, min_size=1, max_size=5))
-            for i in rng.integers(0, n, len(others)):
-                column[i] = others[i % len(others)]
-        columns[k] = column
-    return columns
+    return {k: long_floats(rng, n).tolist() for k in keys}
 
 
 @settings(max_examples=300)

@@ -128,9 +128,9 @@ def gen_reps(draw):
 @given(case=gen_reps())
 def test_hopf_report_matches_kronecker(case):
     gd, rep, c = case
-    _, jp, jm, g = (op.entries for op in rep)
+    jz, jp, jm, g = (op.entries for op in rep)
     got = hopf_axiom_report(gd, rep)
-    want = ref.hopf_axiom_report(gd, jp, jm, g)
+    want = ref.hopf_axiom_report(gd, jz, jp, jm, g)
     assert_reports_equal(got, want, skip=("comult_homomorphism",))
     assert abs(got.comult_homomorphism - want.comult_homomorphism) <= 1e-12 * max(1.0, c)
     assert same_bits(np.diag(casimir_gen(gd, rep)), ref.casimir_gen(gd, jp, jm, g))
@@ -143,4 +143,4 @@ def test_hopf_rejects_basis_without_interior():
     with pytest.raises(ValueError, match="no interior rows"):
         hopf_axiom_report(gd, rep)
     with pytest.raises(ValueError):  # numpy's max over an empty block
-        ref.hopf_axiom_report(gd, *(op.entries for op in rep[1:]))
+        ref.hopf_axiom_report(gd, *(op.entries for op in rep))

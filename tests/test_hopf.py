@@ -235,13 +235,15 @@ def test_hopf_axiom_report():
 @pytest.mark.parametrize("i", range(2, 7), ids=lambda i: f"row{i}")
 def test_hopf_residuals_fire_on_a_perturbed_rep(i):
     # one interior entry of g or J_+ scaled by 1 + 1e-8 breaks the relations
-    # that the geometric profile closes; coassoc_jp and counit_jp cannot see it
+    # that the geometric profile closes, and J_+ the commutator relation the
+    # construction closes; coassoc_jp and counit_jp cannot see it
     c = 900.0
     bound = 1e-10 * max(1.0, c)
     gd = GenDeformation(alpha=2.0, profile="geometric", profile_params={"f0": 20.0})
     jz, jp, jm, g = build_gen_rep(gd, 9, c)
     base = hopf_axiom_report(gd, (jz, jp, jm, g))
     assert base.comult_homomorphism < bound and base.conjugation < bound
+    assert base.commutator_defect < bound
 
     band = g.band.copy()
     band[i] *= 1.0 + 1e-8
@@ -254,6 +256,7 @@ def test_hopf_residuals_fire_on_a_perturbed_rep(i):
     assert moved_g.comult_homomorphism > bound
     assert moved_g.conjugation > bound
     assert moved_jp.comult_homomorphism > bound
+    assert moved_jp.commutator_defect > bound
     for moved in (moved_g, moved_jp):
         assert (moved.coassoc_jp, moved.counit_jp) == (base.coassoc_jp, base.counit_jp)
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qsu2.classify import finite_orbit_candidates, ladder_radicand, thresholds
 from qsu2.operators import (
+    OperatorMatrix,
     UnitarityError,
     build_rep,
     continuous_ladder_coeff,
@@ -140,6 +141,20 @@ def test_build_rep_spacing_guard():
     d = Deformation(1.0)
     with pytest.raises(ValueError, match="spacing"):
         build_rep(d, 5.0, [0.0, 0.5, 1.0])
+
+
+def test_operator_matrix_rejects_a_complex_band():
+    with pytest.raises(TypeError, match="float64"):
+        OperatorMatrix(np.array([1.0 + 2.0j, 3.0]), -1, (0.0, 1.0, 2.0))
+
+
+def test_build_rep_bands_share_no_memory():
+    # J_- is an adjoint with a band of its own, and J_z does not alias the basis given
+    ms = np.arange(-2.0, 3.0)
+    jz, jp, jm = build_rep(Deformation(0.7), 3.0, ms)
+    assert jm.band is not jp.band and not np.shares_memory(jm.band, jp.band)
+    assert not np.shares_memory(jz.band, ms)
+    assert np.array_equal(jm.band, jp.band) and math.copysign(1.0, jm.fill.imag) == -1.0
 
 
 def test_truncated_continuous_interior():

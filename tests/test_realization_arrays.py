@@ -196,6 +196,11 @@ def test_rows_of_yields_python_scalars():
     assert [tuple(map(type, row)) for row in rows] == [(float, bool, int)] * 2
 
 
+def test_rows_of_rejects_columns_of_unequal_length():
+    with pytest.raises(ValueError, match=r"\[3, 2, 3\]"):
+        rows_of(np.zeros(3), np.zeros(2), np.zeros(3))
+
+
 @pytest.mark.parametrize(
     "s, F, grid, cell, cells",
     [

@@ -28,9 +28,9 @@ def dense_rep_json(s, c, m0, n) -> bytes:
         "c": c,
         "basis": list(ms),
         "matrices": {
-            "Jz": complex_pairs(jz),
-            "Jplus": complex_pairs(jp),
-            "Jminus": complex_pairs(jm),
+            "Jz": ref.complex_pairs(jz),
+            "Jplus": ref.complex_pairs(jp),
+            "Jminus": ref.complex_pairs(jm),
         },
         "report": {k: getattr(report, k) for k in report.__dataclass_fields__},
     }
@@ -61,13 +61,25 @@ def test_band_rendering_at_any_depth(tmp_path):
     jz, jp, jm = build_rep(d, math.nan, [-1.0, 0.0, 1.0, 2.0])
     payload = [{"a": complex_pairs(jm), "b": [complex_pairs(jp), 1.5]}, complex_pairs(jz)]
     dense = [
-        {"a": complex_pairs(jm.entries), "b": [complex_pairs(jp.entries), 1.5]},
-        complex_pairs(jz.entries),
+        {"a": ref.complex_pairs(jm.entries), "b": [ref.complex_pairs(jp.entries), 1.5]},
+        ref.complex_pairs(jz.entries),
     ]
     write_json(tmp_path / "x.json", payload)
     want = json.dumps(dense, indent=2, sort_keys=True, allow_nan=True) + "\n"
     assert (tmp_path / "x.json").read_text(encoding="utf-8") == want
     assert "NaN" in want and "-0.0" in want
+
+
+def test_rep_json_imaginary_zeros_carry_the_adjoint_sign(tmp_path):
+    # J_- is the adjoint of J_+: every imaginary part is -0.0, where J_z and
+    # J_+ have 0.0
+    argv = ["rep", "--s", "0.7", "--c", "3.0", "--basis=-2:5", "--outdir", str(tmp_path)]
+    assert main(argv) == 0
+    matrices = json.loads((tmp_path / "rep.json").read_text(encoding="utf-8"))["matrices"]
+    for name, sign in (("Jz", 1.0), ("Jplus", 1.0), ("Jminus", -1.0)):
+        imag = np.array(matrices[name])[..., 1]
+        assert imag.shape == (5, 5) and not imag.any()
+        assert np.all(np.copysign(1.0, imag) == sign), name
 
 
 def test_payload_string_equal_to_the_stand_in_is_rejected(tmp_path):
@@ -76,6 +88,7 @@ def test_payload_string_equal_to_the_stand_in_is_rejected(tmp_path):
 
 
 # band entries of every spelling: NaN, infinities, signed zeros, subnormals
+# (real: every entry's imaginary part is the fill's)
 band_floats = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | st.sampled_from(
     [math.nan, math.inf, -math.inf, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]
 )
@@ -88,19 +101,17 @@ def banded_matrices(draw):
     if n == 1 and offset:
         offset = 0
     k = n - abs(offset)
-    band = np.empty(k, dtype=complex)  # set part by part: 1j * inf would make a NaN real part
-    band.real = draw(st.lists(band_floats, min_size=k, max_size=k))
-    band.imag = draw(st.lists(band_floats, min_size=k, max_size=k))
+    band = np.array(draw(st.lists(band_floats, min_size=k, max_size=k)), dtype=float)
     fill = complex(draw(st.sampled_from([0.0, -0.0])), draw(st.sampled_from([0.0, -0.0])))
-    return OperatorMatrix(band, offset, tuple(range(n)), 0.5, fill)
+    return OperatorMatrix(band, offset, tuple(range(n)), fill)
 
 
 @settings(max_examples=200)
 @given(op=banded_matrices(), depth=st.integers(0, 2))
-@example(op=OperatorMatrix(np.array([math.nan + 0j]), 0, (0.0,), 0.5, complex(-0.0, -0.0)), depth=0)
+@example(op=OperatorMatrix(np.array([math.nan]), 0, (0.0,), complex(-0.0, -0.0)), depth=0)
 def test_dense_pairs_match_json_dumps(op, depth, tmp_path_factory):
     path = tmp_path_factory.mktemp("json") / "m.json"
-    payload, dense = DensePairs(op), complex_pairs(op.entries)
+    payload, dense = DensePairs(op), ref.complex_pairs(op.entries)
     for _ in range(depth):  # deeper nesting, a deeper indent
         payload, dense = {"m": [payload]}, {"m": [dense]}
     write_json(path, payload)
