@@ -87,8 +87,10 @@ def thresholds(d: Deformation) -> Thresholds:
 def ladder_radicand(d: Deformation, c, m, sign: int):
     """c - [m + sign/2]^2, the squared ladder coefficient from m towards
     m + sign (sign = +1 raises, -1 lowers); c and m are floats or arrays
-    that broadcast together."""
-    return c - qnumber(m + 0.5 * sign, d) ** 2
+    that broadcast together.  Both square with the C library's pow, so an
+    array element has the bits of the float call."""
+    q = qnumber(m + 0.5 * sign, d)
+    return c - (q**2 if type(q) is float else np.float_power(q, 2))
 
 
 def radicand_ok(rad, c):
@@ -207,9 +209,7 @@ def finite_orbit_candidates(d: Deformation, n_max: int | None = None) -> tuple:
     if n_max is None:
         n_max = int(math.ceil(2.0 * math.pi / d.s)) + 4
     N = np.arange(1, n_max + 1)
-    # the bits of the scalar qnumber((N + 1) / 2, d) ** 2: np.sin is math.sin
-    # here, and float_power squares with the C library's pow, as ** does
-    c = np.float_power(qnumber((N + 1) / 2.0, d), 2)
+    c = -ladder_radicand(d, 0.0, N / 2.0, +1)  # [(N + 1)/2]^2, where orbit N closes
     # Orbit N moves m -> m + 1 from m = -N/2 .. N/2 - 1: the moves of orbit
     # N - 2 and its two outermost ones.  Its radicands c - [m + 1/2]^2 are
     # least at its largest [m + 1/2]^2, and rounding keeps that order, so

@@ -332,15 +332,12 @@ def build_gen_rep(gd: GenDeformation, dim: int, c: float, m0: float | None = Non
 
     a = dim // 2
     c2c = _c2_casimir(gd)
-    n2 = np.empty(dim - 1)
     anchor = (c - gd.C1 * phi[a]) / c2c  # |N|^2 feeding row a from below
     if anchor < -1e-12:
         raise ValueError(f"no unitary truncation at this anchor: |N|^2 = {float(anchor)!r}")
-    n2[a - 1] = max(anchor, 0.0)
-    for i in range(a, dim - 1):  # upward: N_i^2 = N_{i-1}^2 - K(m_i)
-        n2[i] = n2[i - 1] - k_diag[i]
-    for i in range(a - 2, -1, -1):  # downward
-        n2[i] = n2[i + 1] + k_diag[i + 1]
+    n2 = np.concatenate((k_diag[1:a], [max(anchor, 0.0)], k_diag[a : dim - 1]))  # anchor at a - 1
+    np.subtract.accumulate(n2[a - 1 :], out=n2[a - 1 :])  # upward: N_i^2 = N_{i-1}^2 - K(m_i)
+    np.add.accumulate(n2[a - 1 :: -1], out=n2[a - 1 :: -1])  # downward: N_i^2 = N_{i+1}^2 + K(m_{i+1})
     if not np.all(radicand_ok(n2, c)):
         raise ValueError(f"no unitary truncation at this anchor: min |N|^2 = {float(n2.min())!r}")
     n2 = np.maximum(n2, 0.0)

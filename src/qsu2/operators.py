@@ -89,17 +89,19 @@ def _dir_sign(direction) -> int:
     raise ValueError(f"direction must be +/-, got {direction!r}")
 
 
-def ladder_coeff(d: Deformation, c: float, m: float, direction) -> float:
-    """sqrt(c - [m +- 1/2]^2) >= 0, raising on unitarity violation; a NaN
-    radicand (NaN c) gives a NaN coefficient."""
+def ladder_coeff(d: Deformation, c: float, m: float | np.ndarray, direction) -> float | np.ndarray:
+    """sqrt(c - [m +- 1/2]^2) >= 0, elementwise for an array m, raising at the
+    first m that violates unitarity; a NaN radicand (NaN c) gives NaN."""
     sign = _dir_sign(direction)
     rad = ladder_radicand(d, c, m, sign)
-    if not (radicand_ok(rad, c) or math.isnan(rad)):
+    bad = np.flatnonzero(~(radicand_ok(rad, c) | np.isnan(rad)))
+    if bad.size:
         raise UnitarityError(
-            f"c - [m {'+' if sign > 0 else '-'} 1/2]^2 = {float(rad)!r} < 0 "
-            f"at c={float(c)!r}, m={float(m)!r}"
+            f"c - [m {'+' if sign > 0 else '-'} 1/2]^2 = {float(np.ravel(rad)[bad[0]])!r} < 0 "
+            f"at c={float(c)!r}, m={float(np.ravel(m)[bad[0]])!r}"
         )
-    return math.sqrt(max(rad, 0.0))
+    root = np.sqrt(np.where(rad < 0.0, 0.0, rad))  # max(rad, 0.0): keeps -0.0 and NaN
+    return root if np.ndim(m) else float(root)
 
 
 def continuous_ladder_coeff(d: Deformation, sigma: float, m: float, direction, k: int = 0) -> float:
@@ -122,7 +124,7 @@ def build_rep(d: Deformation, c: float, m_list):
     if len(ms) > 1 and not np.all(np.abs(np.diff(ms) - 1.0) < 1e-12):
         raise ValueError("m_list spacing must be exactly 1")
     basis = tuple(ms)
-    jp = OperatorMatrix(np.array([ladder_coeff(d, c, m, +1) for m in ms[:-1]], dtype=float), -1, basis)
+    jp = OperatorMatrix(ladder_coeff(d, c, ms[:-1], +1), -1, basis)
     return OperatorMatrix(ms, 0, basis), jp, jp.adjoint()
 
 
@@ -146,6 +148,8 @@ def edge_coefficients(d: Deformation, c: float, triple) -> tuple[float, float]:
     return math.sqrt(max(bottom, 0.0)), math.sqrt(max(top, 0.0))
 
 
+# a residual that overflows is recorded as inf or NaN and fails the gate
+@np.errstate(over="ignore", invalid="ignore")
 def verify_algebra(triple, d: Deformation, c: float) -> AlgebraReport:
     """Residuals of the defining relations and Casimir identities.
 

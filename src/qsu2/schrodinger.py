@@ -346,6 +346,8 @@ def realization(
     )
 
 
+# an overflowing profile or term is recorded as inf or NaN, which the solvers refuse
+@np.errstate(over="ignore", invalid="ignore")
 def build_potential(
     d: Deformation,
     m: float,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from itertools import chain, groupby, islice
 from pathlib import Path
@@ -26,8 +25,6 @@ def fmt(x) -> str:
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
         return format(x, ".17g")
     if isinstance(x, (np.floating,)):
         return format(float(x), ".17g")

@@ -3,11 +3,12 @@
 These are the dense n x n and Kronecker-product forms that `build_rep`,
 `verify_algebra`, `casimir_gen`, `conjugation_residual`,
 `hopf_axiom_report` and `complex_pairs` replace, and the Python loops that
-the array code of `spectral_flow`, `level_section`, `_cells`, `write_csv`,
-`finite_orbit_candidates`, `topology_transition` and
-`commensurability_peak` replaces.  The property tests compare the library
-against them; they are slow (O(n^3) products, n^3 x n^3 Kronecker
-matrices, per-element loops) and run only on small sizes.
+the array code of `build_rep`, `build_gen_rep`, `spectral_flow`,
+`level_section`, `_cells`, `write_csv`, `finite_orbit_candidates`,
+`topology_transition` and `commensurability_peak` replaces.  The property
+tests compare the library against them; they are slow (O(n^3) products,
+n^3 x n^3 Kronecker matrices, per-element loops) and run only on small
+sizes.
 """
 
 from __future__ import annotations
@@ -16,10 +17,23 @@ import math
 
 import numpy as np
 
+from qsu2.classify import radicand_ok
 from qsu2.hopf import HopfReport, _c2_casimir, spectrum_2jz
-from qsu2.operators import CLOSURE_TOL, EDGE_BUFFER, AlgebraReport, ladder_coeff
+from qsu2.operators import CLOSURE_TOL, EDGE_BUFFER, AlgebraReport, UnitarityError
 from qsu2.qnumbers import bracket_sequence, qnumber
 from qsu2.serialize import fmt
+
+
+def ladder_band(d, c, ms):
+    """The J_+ band sqrt(c - [m + 1/2]^2), one scalar radicand per m, raising
+    UnitarityError at the first m the unitarity rule rejects."""
+    band = []
+    for m in ms:
+        rad = c - qnumber(m + 0.5, d) ** 2
+        if not (radicand_ok(rad, c) or math.isnan(rad)):
+            raise UnitarityError(f"c - [m + 1/2]^2 = {float(rad)!r} < 0 at c={float(c)!r}, m={float(m)!r}")
+        band.append(math.sqrt(max(rad, 0.0)))
+    return np.array(band, dtype=float)
 
 
 def build_rep(d, c, m_list):
@@ -28,10 +42,26 @@ def build_rep(d, c, m_list):
     n = len(ms)
     jz = np.diag(ms).astype(complex)
     jp = np.zeros((n, n), dtype=complex)
-    for i in range(n - 1):
-        jp[i + 1, i] = ladder_coeff(d, c, ms[i], +1)
+    jp[np.arange(1, n), np.arange(n - 1)] = ladder_band(d, c, ms[:-1].tolist())
     jm = jp.conj().T.copy()
     return jz, jp, jm
+
+
+def gen_n2(gd, dim, c):
+    """|N_m|^2 of build_gen_rep on the centred basis, telescoped one state
+    at a time from the clamped anchor at the basis midpoint."""
+    ms = -(dim - 1) / 2.0 + np.arange(dim, dtype=float)
+    gt = np.asarray(gd.f_at_q1(ms), dtype=float) ** 0.5 * gd.q1**-0.25
+    phi = (gt - 1.0 / gt) ** 2
+    k_diag = spectrum_2jz(gd, ms)
+    a = dim // 2
+    n2 = np.empty(dim - 1)
+    n2[a - 1] = max((c - gd.C1 * phi[a]) / _c2_casimir(gd), 0.0)
+    for i in range(a, dim - 1):
+        n2[i] = n2[i - 1] - k_diag[i]
+    for i in range(a - 2, -1, -1):
+        n2[i] = n2[i + 1] + k_diag[i + 1]
+    return n2
 
 
 def complex_pairs(matrix):

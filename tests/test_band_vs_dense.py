@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import dense_reference as ref
@@ -23,7 +23,7 @@ from qsu2.hopf import (
     conjugation_residual,
     hopf_axiom_report,
 )
-from qsu2.operators import build_rep, verify_algebra
+from qsu2.operators import UnitarityError, build_rep, verify_algebra
 from qsu2.qnumbers import Deformation, qnumber
 
 SETTINGS = settings(max_examples=200)
@@ -81,6 +81,82 @@ def test_closed_finite_rep_matches_dense(s, pick):
     ms = -N / 2.0 + np.arange(N + 1)
     check_against_dense(d, c, ms)
     assert verify_algebra(build_rep(d, c, ms), d, c).closed
+
+
+@st.composite
+def rep_inputs(draw):
+    """(d, c, ms): a closed finite class at c = [(N+1)/2]^2, a truncation of
+    an infinite class, or any c (NaN included) on any basis."""
+    d = Deformation(draw(st.floats(0.05, math.pi - 0.05)))
+    kind = draw(st.sampled_from(["finite", "truncation", "any"]))
+    if kind == "finite":
+        cands = finite_orbit_candidates(d)
+        assume(cands)
+        N, c = draw(st.sampled_from(cands))
+        return d, c, -N / 2.0 + np.arange(N + 1)
+    m0 = draw(st.floats(-60.0, 60.0) | st.integers(-120, 120).map(lambda k: k / 2.0))
+    ms = m0 + np.arange(draw(st.integers(1, 200)))
+    if kind == "truncation":  # c above c0 = 1/sin^2 s: every radicand is positive
+        return d, draw(st.floats(1.0, 4.0)) / d.sin_s**2, ms
+    return d, draw(st.floats(-1.0, 50.0) | st.just(math.nan)), ms
+
+
+@SETTINGS
+@given(case=rep_inputs())
+@example(case=(Deformation(1.0), -0.0, np.array([-0.5, 0.5])))  # radicand -0.0: sqrt gives -0.0
+def test_build_rep_bands_match_scalar_reference(case):
+    # the array ladder against one scalar radicand per state: the same bits,
+    # or the same UnitarityError text for the first rejected m
+    d, c, ms = case
+    try:
+        want = ref.ladder_band(d, c, ms[:-1].tolist())
+    except UnitarityError as exc:
+        with pytest.raises(UnitarityError) as got:
+            build_rep(d, c, ms)
+        assert str(got.value) == str(exc)
+        return
+    jz, jp, jm = build_rep(d, c, ms)
+    assert same_bits(jz.band, ms) and same_bits(jp.band, want) and same_bits(jm.band, want)
+
+
+@st.composite
+def gen_rep_inputs(draw):
+    profile, params = draw(
+        st.sampled_from(
+            [
+                ("constant", {"b0": 1.0}),
+                ("constant", {"b0": 0.3}),
+                ("geometric", {"f0": 20.0}),
+                ("geometric", {"f0": 2.5}),
+                ("sech", {"f_lo": 1.5, "f_hi": 3.0}),
+                ("sech", {"f_lo": 1.1, "f_hi": 8.0}),
+            ]
+        )
+    )
+    alpha = draw(st.sampled_from([2.0, 3.0, -1.0, -2.5]))
+    dim = draw(st.integers(3, 300))
+    return GenDeformation(alpha=alpha, profile=profile, profile_params=params), dim, draw(st.floats(0.0, 1e4))
+
+
+@SETTINGS
+@given(case=gen_rep_inputs())
+def test_gen_rep_matches_telescoping_loop(case):
+    # the two accumulations add in the loops' order: the same |N|^2 bits, or
+    # the same least |N|^2 in the error
+    gd, dim, c = case
+    try:
+        want = ref.gen_n2(gd, dim, c)
+    except ValueError:  # f(m, q1) <= 0 on this basis
+        with pytest.raises(ValueError, match="g not real"):
+            build_gen_rep(gd, dim, c)
+        return
+    try:
+        rep = build_gen_rep(gd, dim, c)
+    except ValueError as exc:
+        assume("min |N|^2" in str(exc))
+        assert str(exc).endswith(f"= {float(want.min())!r}")
+        return
+    assert same_bits(rep[1].band, np.sqrt(np.maximum(want, 0.0)))
 
 
 def test_singlet_matches_dense():

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -277,17 +278,31 @@ def test_spectrum_from_potential_csv(tmp_path):
 
 
 def test_numerical_failure_exit_code(tmp_path):
-    import numpy as np
-
     # the Morse wall overflows on an absurdly wide grid: exit 4
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = run(["potential", "--s", 3.05, "--m", 1, "--f1-branch", "constant",
-                    "--f2-branch", "exponential", "--grid=-100:900:0.5", "--outdir", tmp_path])
-        assert code == 0  # building records inf values but does not solve
-        code = run(["spectrum", "--s", 3.05, "--m", 1, "--f1-branch", "constant",
-                    "--f2-branch", "exponential", "--grid=-100:900:0.5", "--n", 1,
-                    "--outdir", tmp_path])
+    code = run(["potential", "--s", 3.05, "--m", 1, "--f1-branch", "constant",
+                "--f2-branch", "exponential", "--grid=-100:900:0.5", "--outdir", tmp_path])
+    assert code == 0  # building records inf values but does not solve
+    code = run(["spectrum", "--s", 3.05, "--m", 1, "--f1-branch", "constant",
+                "--f2-branch", "exponential", "--grid=-100:900:0.5", "--n", 1,
+                "--outdir", tmp_path])
     assert code == 4
+
+
+def test_non_finite_values_are_data_not_warnings(tmp_path, capsys):
+    # an overflowing residual or potential term is recorded, and the gates
+    # refuse it by exit code, without a numpy warning on stderr
+    rep = ["rep", "--s", 1, "--c", 1e300, "--basis=0:8", "--outdir", tmp_path]
+    potential = ["--s", 3, "--m", 1, "--f1-branch", "tanh", "--f2-branch", "sech", "--F", 1e300,
+                 "--outdir", tmp_path]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(rep) == 0
+        assert run(rep + ["--verify"]) == 3
+        assert run(["potential"] + potential) == 0
+        assert run(["spectrum"] + potential) == 4
+    values = [line.split(",")[1] for line in (tmp_path / "potential.csv").read_text().splitlines()[1:]]
+    assert values == ["inf"] * 12001
+    assert "Warning" not in capsys.readouterr().err
 
 
 def test_flow_csv_shape(tmp_path):

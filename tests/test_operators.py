@@ -74,14 +74,53 @@ def same_float(a, b) -> bool:
 
 
 def test_scalar_radicand_squares_with_libm_pow():
-    # rep.json is written from scalar radicands, squared by libm pow(x, 2);
-    # numpy's x*x differs from it in the last bit for ~0.1 % of values
+    # radicands are squared by libm pow(x, 2); numpy's x*x differs from it
+    # in the last bit for ~0.1 % of values
     for s in np.linspace(0.01, 3.1, 200):
         d = Deformation(s)
         for m in np.arange(-40.0, 40.5, 0.5).tolist():
             for sign in (-1, 1):
                 want = 2.0 - math.pow(qnumber(m + 0.5 * sign, d), 2)
                 assert same_float(ladder_radicand(d, 2.0, m, sign), want), (s, m, sign)
+
+
+def test_array_radicand_squares_with_libm_pow():
+    # rep.json's bands come from array radicands: the same pow(x, 2) bits
+    ms = np.arange(-40.0, 40.5, 0.5)
+    for s in np.linspace(0.01, 3.1, 200):
+        d = Deformation(s)
+        for sign in (-1, 1):
+            want = [2.0 - math.pow(qnumber(m + 0.5 * sign, d), 2) for m in ms.tolist()]
+            assert np.array_equal(ladder_radicand(d, 2.0, ms, sign), want), (s, sign)
+
+
+@settings(max_examples=300)
+@given(
+    s=st.floats(0.01, math.pi - 0.01),
+    c=st.floats(-1.0, 50.0) | st.just(math.nan),
+    m0=st.floats(-60.0, 60.0) | st.integers(-120, 120).map(lambda k: k / 2.0),
+    n=st.integers(1, 40),
+    sign=st.sampled_from([-1, 1]),
+)
+def test_array_ladder_matches_float_calls(s, c, m0, n, sign):
+    # an array m gives, element by element, the bits of the float calls, and
+    # raises the error of the first float call that raises
+    d = Deformation(s)
+    ms = m0 + np.arange(n, dtype=float)
+    rads = ladder_radicand(d, c, ms, sign)
+    assert all(same_float(r, ladder_radicand(d, c, m, sign)) for r, m in zip(rads, ms.tolist()))
+    want = []
+    for m in ms.tolist():
+        try:
+            want.append(ladder_coeff(d, c, m, sign))
+        except UnitarityError as exc:
+            with pytest.raises(UnitarityError) as got:
+                ladder_coeff(d, c, ms, sign)
+            assert str(got.value) == str(exc)
+            return
+    got = ladder_coeff(d, c, ms, sign)
+    assert all(type(w) is float for w in want)
+    assert got.shape == ms.shape and all(same_float(g, w) for g, w in zip(got, want))
 
 
 @settings(max_examples=300)
