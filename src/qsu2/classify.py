@@ -214,10 +214,10 @@ def finite_orbit_candidates(d: Deformation, n_max: int | None = None) -> tuple:
     # N - 2 and its two outermost ones.  Its radicands c - [m + 1/2]^2 are
     # least at its largest [m + 1/2]^2, and rounding keeps that order, so
     # the orbit is valid iff its least radicand is.  ladder_radicand at c = 0
-    # is -[m + 1/2]^2, and c + (-x) rounds as c - x.
-    outer = np.minimum(
-        ladder_radicand(d, 0.0, -N / 2.0, +1), ladder_radicand(d, 0.0, N / 2.0 - 1.0, +1)
-    )
+    # is -[m + 1/2]^2, and c + (-x) rounds as c - x.  The two outermost
+    # moves, from -N/2 and from N/2 - 1, share the radicand -[(N - 1)/2]^2
+    # bit for bit, because [x] is odd in x, so one call gives both.
+    outer = ladder_radicand(d, 0.0, N / 2.0 - 1.0, +1)
     least = np.empty(n_max)
     for parity in (0, 1):
         least[parity::2] = np.minimum.accumulate(outer[parity::2])

@@ -39,7 +39,7 @@ from .hopf import (
 )
 from .operators import EDGE_BUFFER, UnitarityError, build_rep, verify_algebra
 from .qnumbers import Deformation, SingularDeformation
-from .schrodinger import MIN_CELL_SAMPLES, build_potential, eigensolve, realization
+from .schrodinger import build_potential, eigensolve, realization, solvable_cells
 from .serialize import Records, complex_pairs, manifest_path, rows_of, write_csv, write_json, write_manifest
 
 EXIT_OK = 0
@@ -406,15 +406,9 @@ def _cmd_spectrum(args):
     if not np.all(np.isfinite(prof.values[~prof.pole_mask])):
         raise FloatingPointError("potential contains non-finite unmasked samples")
     if args.cell == "all":
-        from .schrodinger import _cells
-
-        # every well with enough samples to solve; the shorter ones go in the manifest
-        sizes = [hi - lo for lo, hi in _cells(prof.pole_mask)]
-        cells = [k for k, size in enumerate(sizes) if size >= MIN_CELL_SAMPLES]
-        if not cells:
-            raise ValueError(f"no cell has >= {MIN_CELL_SAMPLES} samples (the grid has {len(sizes)} cells)")
-        if len(cells) < len(sizes):
-            computed["skipped_cells"] = [k for k, size in enumerate(sizes) if size < MIN_CELL_SAMPLES]
+        cells, skipped = solvable_cells(prof)
+        if skipped:  # the wells too short to solve go in the manifest
+            computed["skipped_cells"] = skipped
     elif args.cell == "largest":
         cells = ["largest"]
     else:

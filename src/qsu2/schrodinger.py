@@ -24,6 +24,7 @@ compare eigenvalues like for like.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -48,16 +49,10 @@ class RadialProfile:
     func: object  # r -> values
     deriv: object
     second: object
-    pole_locator: object = None  # (lo, hi) -> pole positions, None if entire
-    scale: float = 0.0  # sqrt|cos s| for tan/tanh, the level for constant, else 0
+    antiderivative: object = None  # r -> values, zero at r = 0; f1 branches only
 
     def __call__(self, r):
         return self.func(np.asarray(r, dtype=float))
-
-    def poles(self, lo: float, hi: float) -> np.ndarray:
-        if self.pole_locator is None:
-            return np.empty(0)
-        return self.pole_locator(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -112,70 +107,110 @@ def decoupled_ok(d: Deformation, m: float, threshold: float = DECOUPLED_THRESHOL
 
 
 # ----------------------------------------------------------------------
-# closed-form f1 / f2 branches
+# closed-form f1 / f2 branches, each defined once in its rate k = sqrt|cos s|:
+# an f1 branch's forms take (r, k), an f2 branch's (r, k, F, shift)
+
+
+@dataclass(frozen=True)
+class Branch:
+    value: object
+    deriv: object
+    second: object
+    antiderivative: object = None  # f1 only, zero at r = 0
+    lattice: object = None  # (k, shift) -> (period, offset): poles at offset + n period
+    cos_sign: int = 0  # f1 only: the sign of cos s it needs (0: |cos s| <= COS_ZERO_TOL)
+    pairs: tuple = ()  # f2 only: the f1 branches it solves against, its default partner first
+    label: str = ""  # f2 only: the name of its constant F
+    shift: str | None = None  # f2 only: the shift it takes, "d1" or "d2"
+
+
+F1_BRANCHES = {
+    "tan": Branch(
+        lambda r, k: -np.tan(k * r) / k,
+        lambda r, k: -1.0 / np.cos(k * r) ** 2,
+        lambda r, k: -2.0 * k * np.tan(k * r) / np.cos(k * r) ** 2,
+        antiderivative=lambda r, k: np.log(np.abs(np.cos(k * r))) / k**2,
+        lattice=lambda k, shift: (math.pi / k, math.pi / (2.0 * k)), cos_sign=1,
+    ),
+    "tanh": Branch(
+        lambda r, k: -np.tanh(k * r) / k,
+        lambda r, k: -1.0 / np.cosh(k * r) ** 2,
+        lambda r, k: 2.0 * k * np.tanh(k * r) / np.cosh(k * r) ** 2,
+        antiderivative=lambda r, k: -np.log(np.cosh(k * r)) / k**2, cos_sign=-1,
+    ),
+    "constant": Branch(
+        lambda r, k: np.full_like(r, 1.0 / k),
+        lambda r, k: np.zeros_like(r),
+        lambda r, k: np.zeros_like(r),
+        antiderivative=lambda r, k: 1.0 / k * r, cos_sign=-1,
+    ),
+    "linear": Branch(
+        lambda r, k: -r,
+        lambda r, k: -np.ones_like(r),
+        lambda r, k: np.zeros_like(r),
+        antiderivative=lambda r, k: -0.5 * r**2,
+    ),
+}
+
+# For the tan branch the f2 solution is the reciprocal cosine
+# F/cos(k r + d2); a plain cosine does not satisfy the equation against the
+# canonical f1.  A constant f2 is exact where cos s = 0 or F = 0, and is
+# accepted against every f1.
+F2_BRANCHES = {
+    "sech": Branch(
+        lambda r, k, F, shift: F / np.cosh(k * r + shift),
+        lambda r, k, F, shift: -F * k * np.sinh(k * r + shift) / np.cosh(k * r + shift) ** 2,
+        lambda r, k, F, shift: F * k**2 * (np.sinh(k * r + shift) ** 2 - 1.0) / np.cosh(k * r + shift) ** 3,
+        pairs=("tanh",), label="F1", shift="d1",
+    ),
+    "exponential": Branch(
+        lambda r, k, F, shift: F * np.exp(k * r),
+        lambda r, k, F, shift: F * k * np.exp(k * r),
+        lambda r, k, F, shift: F * k**2 * np.exp(k * r),
+        pairs=("constant",), label="F2",
+    ),
+    "cosine": Branch(
+        lambda r, k, F, shift: F / np.cos(k * r + shift),
+        lambda r, k, F, shift: F * k * np.sin(k * r + shift) / np.cos(k * r + shift) ** 2,
+        lambda r, k, F, shift: F * k**2 * (1.0 + np.sin(k * r + shift) ** 2) / np.cos(k * r + shift) ** 3,
+        lattice=lambda k, shift: (math.pi / k, (math.pi / 2.0 - shift) / k),
+        pairs=("tan",), label="F3", shift="d2",
+    ),
+    "constant": Branch(
+        lambda r, k, F, shift: np.full_like(r, F),
+        lambda r, k, F, shift: np.zeros_like(r),
+        lambda r, k, F, shift: np.zeros_like(r),
+        pairs=("linear", "tan", "tanh", "constant"), label="F4",
+    ),
+}
+
+_COS_SIGN_TEXT = {1: "cos s > 0", -1: "cos s < 0", 0: "cos s = 0 (s = pi/2)"}
+
+
+def _branch(table: dict, role: str, name: str) -> Branch:
+    if name not in table:
+        raise ValueError(f"unknown {role} branch {name!r}")
+    return table[name]
+
+
+def _rate(d: Deformation) -> float:
+    """k = sqrt|cos s|, the rate every branch is written in."""
+    return math.sqrt(abs(d.cos_s))
 
 
 def solve_f1(d: Deformation, branch: str) -> RadialProfile:
     """Closed-form solution of f1' = -1 - f1^2 cos(s) with d = 0.
 
-    Branches: "tan" (cos s > 0), "tanh" / "constant" (cos s < 0),
-    "linear" (cos s = 0 within tolerance).  The canonical sign has
-    f1(0) = 0, f1'(0) = -1 where applicable.
+    Branches (F1_BRANCHES): "tan" (cos s > 0), "tanh" / "constant"
+    (cos s < 0), "linear" (cos s = 0 within tolerance).  The canonical sign
+    has f1(0) = 0, f1'(0) = -1 where applicable.
     """
+    entry = _branch(F1_BRANCHES, "f1", branch)
     cs = d.cos_s
-    if branch == "tan":
-        if cs <= 0.0:
-            raise ValueError("tan branch requires cos s > 0")
-        rk = math.sqrt(cs)
-        loc = lambda lo, hi: _pole_grid(lo, hi, math.pi / rk, math.pi / (2.0 * rk))
-        return RadialProfile(
-            "tan",
-            lambda r: -np.tan(rk * r) / rk,
-            lambda r: -1.0 / np.cos(rk * r) ** 2,
-            lambda r: -2.0 * rk * np.tan(rk * r) / np.cos(rk * r) ** 2,
-            loc,
-            scale=rk,
-        )
-    if branch == "tanh":
-        if cs >= 0.0:
-            raise ValueError("tanh branch requires cos s < 0")
-        rg = math.sqrt(-cs)
-        return RadialProfile(
-            "tanh",
-            lambda r: -np.tanh(rg * r) / rg,
-            lambda r: -1.0 / np.cosh(rg * r) ** 2,
-            lambda r: 2.0 * rg * np.tanh(rg * r) / np.cosh(rg * r) ** 2,
-            scale=rg,
-        )
-    if branch == "constant":
-        if cs >= 0.0:
-            raise ValueError("constant branch requires cos s < 0")
-        v = 1.0 / math.sqrt(-cs)
-        return RadialProfile(
-            "constant",
-            lambda r: np.full_like(r, v),
-            lambda r: np.zeros_like(r),
-            lambda r: np.zeros_like(r),
-            scale=v,
-        )
-    if branch == "linear":
-        if abs(cs) > COS_ZERO_TOL:
-            raise ValueError("linear branch requires cos s = 0 (s = pi/2)")
-        return RadialProfile(
-            "linear",
-            lambda r: -r,
-            lambda r: -np.ones_like(r),
-            lambda r: np.zeros_like(r),
-        )
-    raise ValueError(f"unknown f1 branch {branch!r}")
-
-
-def _pole_grid(lo, hi, period, offset):
-    n_lo = math.ceil((lo - offset) / period)
-    n_hi = math.floor((hi - offset) / period)
-    if n_hi < n_lo:
-        return np.empty(0)
-    return offset + period * np.arange(n_lo, n_hi + 1)
+    if not (abs(cs) <= COS_ZERO_TOL if entry.cos_sign == 0 else cs * entry.cos_sign > 0.0):
+        raise ValueError(f"{branch} branch requires {_COS_SIGN_TEXT[entry.cos_sign]}")
+    forms = (entry.value, entry.deriv, entry.second, entry.antiderivative)
+    return RadialProfile(branch, *(functools.partial(form, k=_rate(d)) for form in forms))
 
 
 def canonical_f1(d: Deformation) -> RadialProfile:
@@ -194,58 +229,18 @@ def f1_residual(d: Deformation, f1: RadialProfile, r) -> np.ndarray:
 def solve_f2(d: Deformation, f1: RadialProfile, branch: str, F: float = 1.0, d_shift: float = 0.0) -> RadialProfile:
     """Closed-form solution of the decoupled equation cos(s) f1 f2 = -f2'.
 
-    Branch pairing follows f1: "sech" with tanh, "exponential" with
-    constant, "cosine" with tan, "constant" with linear.  For the tan
-    branch the solution is the reciprocal cosine F/cos(sqrt(cos s) r + d2);
-    a plain cosine does not satisfy the equation against the canonical f1.
+    Branch pairing follows f1 (F2_BRANCHES): "sech" with tanh,
+    "exponential" with constant, "cosine" with tan, "constant" with linear
+    (and, inexactly, any other).  d_shift shifts the argument of sech and
+    cosine; a non-zero d_shift on another branch is a ValueError.
     """
-    cs = d.cos_s
-    if branch == "sech":
-        if f1.tag != "tanh":
-            raise ValueError("sech branch pairs with the tanh f1 branch")
-        rg = math.sqrt(-cs)
-        return RadialProfile(
-            "sech",
-            lambda r: F / np.cosh(rg * r + d_shift),
-            lambda r: -F * rg * np.sinh(rg * r + d_shift) / np.cosh(rg * r + d_shift) ** 2,
-            lambda r: F
-            * rg**2
-            * (np.sinh(rg * r + d_shift) ** 2 - 1.0)
-            / np.cosh(rg * r + d_shift) ** 3,
-        )
-    if branch == "exponential":
-        if f1.tag != "constant":
-            raise ValueError("exponential branch pairs with the constant f1 branch")
-        rg = math.sqrt(-cs)
-        return RadialProfile(
-            "exponential",
-            lambda r: F * np.exp(rg * r),
-            lambda r: F * rg * np.exp(rg * r),
-            lambda r: F * rg**2 * np.exp(rg * r),
-        )
-    if branch == "cosine":
-        if f1.tag != "tan":
-            raise ValueError("cosine branch pairs with the tan f1 branch")
-        rk = math.sqrt(cs)
-        loc = lambda lo, hi: _pole_grid(lo - d_shift / rk, hi - d_shift / rk, math.pi / rk, math.pi / (2.0 * rk))
-        return RadialProfile(
-            "cosine",
-            lambda r: F / np.cos(rk * r + d_shift),
-            lambda r: F * rk * np.sin(rk * r + d_shift) / np.cos(rk * r + d_shift) ** 2,
-            lambda r: F
-            * rk**2
-            * (1.0 + np.sin(rk * r + d_shift) ** 2)
-            / np.cos(rk * r + d_shift) ** 3,
-            loc,
-        )
-    if branch == "constant":
-        return RadialProfile(
-            "constant",
-            lambda r: np.full_like(r, F),
-            lambda r: np.zeros_like(r),
-            lambda r: np.zeros_like(r),
-        )
-    raise ValueError(f"unknown f2 branch {branch!r}")
+    entry = _branch(F2_BRANCHES, "f2", branch)
+    if f1.tag not in entry.pairs:
+        raise ValueError(f"{branch} branch pairs with the {entry.pairs[0]} f1 branch")
+    if d_shift != 0.0 and entry.shift is None:
+        raise ValueError(f"the {branch} branch takes no shift, got {d_shift!r}")
+    forms = (entry.value, entry.deriv, entry.second)
+    return RadialProfile(branch, *(functools.partial(form, k=_rate(d), F=F, shift=d_shift) for form in forms))
 
 
 def f2_residual(d: Deformation, f1: RadialProfile, f2: RadialProfile, r) -> np.ndarray:
@@ -278,23 +273,6 @@ def kappa_for(d: Deformation, m: float, mode: str = "exact") -> float:
     raise ValueError(f"unknown kappa mode {mode!r}")
 
 
-def _f1_antiderivative(f1: RadialProfile, r):
-    """Closed-form antiderivative of f1 (zero at r = 0)."""
-    r = np.asarray(r, dtype=float)
-    tag = f1.tag
-    if tag == "linear":
-        return -0.5 * r**2
-    if tag == "constant":
-        return f1.scale * r
-    if tag == "tanh":
-        rg = f1.scale  # f1 = -tanh(rg r)/rg -> -log(cosh(rg r))/rg^2
-        return -np.log(np.cosh(rg * r)) / rg**2
-    if tag == "tan":
-        rk = f1.scale  # f1 = -tan(rk r)/rk -> log|cos(rk r)|/rk^2
-        return np.log(np.abs(np.cos(rk * r))) / rk**2
-    raise ValueError(f"no antiderivative for f1 branch {tag!r}")
-
-
 def liouville_factor(f1: RadialProfile, grid, kappa: float = 1.0, mode: str = "eliminate"):
     """Transform factor a(r) with R = a Psi, normalized to a = 1 at the grid center.
 
@@ -303,7 +281,9 @@ def liouville_factor(f1: RadialProfile, grid, kappa: float = 1.0, mode: str = "e
     the unscaled form a = a0 exp(-int f1 dr), kept for comparison.
     """
     r = np.asarray(grid, dtype=float)
-    anti = _f1_antiderivative(f1, r)
+    if f1.antiderivative is None:
+        raise ValueError(f"no antiderivative for f1 branch {f1.tag!r}")
+    anti = f1.antiderivative(r)
     center = anti[len(r) // 2]
     if mode == "eliminate":
         expo = -0.5 * kappa * (anti - center)
@@ -332,18 +312,19 @@ def realization(
     d2: float = 0.0,
 ) -> RealizationFns:
     """Assemble the canonical (f1, f2) pair for (s, m); branches default to
-    the sign of cos s."""
+    the sign of cos s, and f2 to the branch that pairs with f1 first.  A
+    non-zero d1 or d2 that the f2 branch does not take is a ValueError."""
     f1 = canonical_f1(d) if f1_branch is None else solve_f1(d, f1_branch)
     if f2_branch is None:
-        f2_branch = {"tan": "cosine", "tanh": "sech", "constant": "exponential", "linear": "constant"}[
-            f1.tag
-        ]
-    shift = d1 if f2_branch in ("sech", "exponential") else d2
-    f2 = solve_f2(d, f1, f2_branch, F=F, d_shift=shift)
-    labels = {"sech": "F1", "exponential": "F2", "cosine": "F3", "constant": "F4"}
-    return RealizationFns(
-        f1=f1, f2=f2, s=d.s, m=m, d1=d1, d2=d2, constants={labels[f2_branch]: F}
-    )
+        f2_branch = next(name for name, b in F2_BRANCHES.items() if b.pairs[0] == f1.tag)
+    entry = _branch(F2_BRANCHES, "f2", f2_branch)
+    shifts = {"d1": d1, "d2": d2}
+    for flag, value in shifts.items():
+        if value != 0.0 and flag != entry.shift:
+            taker = next(name for name, b in F2_BRANCHES.items() if b.shift == flag)
+            raise ValueError(f"{flag} = {value!r} has no effect on the {f2_branch} f2 branch; only {taker} takes {flag}")
+    f2 = solve_f2(d, f1, f2_branch, F=F, d_shift=shifts.get(entry.shift, 0.0))
+    return RealizationFns(f1=f1, f2=f2, s=d.s, m=m, d1=d1, d2=d2, constants={entry.label: F})
 
 
 # an overflowing profile or term is recorded as inf or NaN, which the solvers refuse
@@ -361,8 +342,9 @@ def build_potential(
 
     Terms: the transform term for -kappa f1 d_r, [2m][2m-2] f1^2/4,
     -f1 f2 [2m-1], -(f1'/2)[2m] (or the f1'' variant), f2^2 + f2',
-    [m]^2, and [m-1/2]^2.  Samples within POLE_MASK_STEPS grid steps of an
-    f1/f2 pole are masked.
+    [m]^2, and [m-1/2]^2.  Samples within POLE_MASK_STEPS grid steps of a
+    pole of f1 or of the shifted f2 are masked, each distinct pole lattice
+    once.
 
     transform = "eliminate" (default) eliminates the first-derivative
     coefficient exactly; "literal" uses -a''/a with a = exp(-int f1 dr),
@@ -398,10 +380,16 @@ def build_potential(
 
     values = t_transform + t_f1sq + t_f1f2 + t_f1der + t_f2 + t_const
 
+    # the poles offset + n period of f1 and of the shifted f2, each distinct lattice once
+    shifts = {"d1": fns.d1, "d2": fns.d2}
+    entries = (F1_BRANCHES.get(fns.f1.tag), F2_BRANCHES.get(fns.f2.tag))  # none for an unnamed profile
+    lattices = {b.lattice(_rate(d), shifts.get(b.shift, 0.0)) for b in entries if b and b.lattice}
+    half = POLE_MASK_STEPS * step
     mask = np.zeros(count, dtype=bool)
-    for prof in (fns.f1, fns.f2):
-        for p in prof.poles(start - POLE_MASK_STEPS * step, r[-1] + POLE_MASK_STEPS * step):
-            mask |= np.abs(r - p) <= POLE_MASK_STEPS * step
+    for period, offset in lattices:
+        n = np.arange(math.ceil((start - half - offset) / period), math.floor((r[-1] + half - offset) / period) + 1)
+        for p in offset + period * n:
+            mask |= np.abs(r - p) <= half
 
     return PotentialProfile(
         start=start,
@@ -456,6 +444,17 @@ def _cell_bounds(p: PotentialProfile, cell: str | int = "largest") -> tuple:
     if not 0 <= k < len(runs):
         raise ValueError(f"cell {k} is out of range: the grid has {len(runs)} cells (0 to {len(runs) - 1})")
     return runs[k]
+
+
+def solvable_cells(p: PotentialProfile) -> tuple:
+    """The wells "all" solves: the indices of the runs of at least
+    MIN_CELL_SAMPLES samples, and of the shorter ones; ValueError when no
+    run is that long."""
+    sizes = [hi - lo for lo, hi in _cells(p.pole_mask)]
+    cells = [k for k, size in enumerate(sizes) if size >= MIN_CELL_SAMPLES]
+    if not cells:
+        raise ValueError(f"no cell has >= {MIN_CELL_SAMPLES} samples (the grid has {len(sizes)} cells)")
+    return cells, [k for k, size in enumerate(sizes) if size < MIN_CELL_SAMPLES]
 
 
 def eigensolve(
