@@ -247,6 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rerun", parents=[common], help="re-run a previous invocation from its manifest")
     p.add_argument("manifest")
+    p.add_argument(
+        "--check", action="store_true", help="exit 3 unless the replay's output digests are the recorded ones"
+    )
 
     return ap
 
@@ -508,21 +511,21 @@ def _write_outputs(
     outdir: Path, outputs: dict, subcommand: str, params: dict, argv: list, defaults: dict
 ) -> list[Path]:
     """Write each output to outdir / name in the dict's order, a .csv name by
-    write_csv and any other by write_json, then the run's manifest, and
-    return the output paths; when a write fails, the files written so far
-    are removed, the manifest included."""
-    written = []
+    write_csv and any other by write_json, then the run's manifest from the
+    digests the writers return, and return the output paths; when a write
+    fails, the files written so far are removed, the manifest included."""
+    written, digested = [], []
     try:
         for name, data in outputs.items():
             written.append(outdir / name)
             if name.endswith(".csv"):
                 header, rows = data
-                write_csv(written[-1], header, rows)
+                digested.append(write_csv(written[-1], header, rows))
             else:
-                write_json(written[-1], data)
+                digested.append(write_json(written[-1], data))
         paths = written[:]
         written.append(manifest_path(outdir, subcommand))
-        write_manifest(outdir, subcommand, params, paths, __version__, argv, defaults)
+        write_manifest(outdir, subcommand, params, digested, __version__, argv, defaults)
     except BaseException:
         for path in written:
             try:
@@ -533,20 +536,43 @@ def _write_outputs(
     return paths
 
 
-def _rerun(manifest_path: str, outdir: Path) -> int:
-    """Parse the recorded argv again with the recorded config lines,
-    writing into outdir (argparse keeps the last --outdir)."""
+def _read_manifest(path):
     try:
-        manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(f"cannot read manifest {manifest_path}: {exc}") from None
+        raise argparse.ArgumentTypeError(f"cannot read manifest {path}: {exc}") from None
+
+
+def _rerun(source: str, outdir: Path, check: bool) -> int:
+    """Parse the recorded argv again with the recorded config lines,
+    writing into outdir (argparse keeps the last --outdir).  With check,
+    the digests the replay's manifest records, taken as its outputs were
+    written, must be the ones the source manifest records, file for file."""
+    manifest = _read_manifest(source)
     if not (
         isinstance(manifest, dict)
         and isinstance(manifest.get("argv"), list)
         and isinstance(manifest.get("defaults"), dict)
     ):
-        raise argparse.ArgumentTypeError(f"{manifest_path} records no argv and defaults to replay")
-    return main(manifest["argv"] + [f"--outdir={outdir}"], manifest["defaults"])
+        raise argparse.ArgumentTypeError(f"{source} records no argv and defaults to replay")
+    recorded = manifest.get("outputs")
+    if check and not (isinstance(recorded, dict) and isinstance(manifest.get("subcommand"), str)):
+        raise argparse.ArgumentTypeError(f"{source} records no subcommand and outputs to check")
+    code = main(manifest["argv"] + [f"--outdir={outdir}"], manifest["defaults"])
+    if not check or code != EXIT_OK:
+        return code
+    replayed = _read_manifest(manifest_path(outdir, manifest["subcommand"]))["outputs"]
+    faults = []
+    for name in sorted(recorded.keys() | replayed.keys()):
+        if name not in replayed:
+            faults.append(f"{name}: recorded, not written by the replay")
+        elif name not in recorded:
+            faults.append(f"{name}: written by the replay, not recorded")
+        elif replayed[name] != recorded[name]:
+            faults.append(f"{name}: sha256 {replayed[name]} differs from the recorded {recorded[name]}")
+    if faults:
+        raise VerificationFailure(f"rerun --check against {source}: " + "; ".join(faults))
+    return code
 
 
 def main(argv=None, defaults: dict | None = None) -> int:
@@ -563,7 +589,7 @@ def main(argv=None, defaults: dict | None = None) -> int:
             args = parser.parse_args(root_argv + argv, argparse.Namespace(config_argv=config_argv))
         outdir = Path(args.outdir or os.environ.get("QSU2_OUTDIR", "."))
         if args.command == "rerun":
-            return _rerun(args.manifest, outdir)
+            return _rerun(args.manifest, outdir, args.check)
         computed, outputs = DISPATCH[args.command](args)
         params = {k: v for k, v in vars(args).items() if k not in ("command", "outdir", "config")}
         paths = _write_outputs(outdir, outputs, args.command, params | computed, argv, defaults)

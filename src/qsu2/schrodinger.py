@@ -154,8 +154,9 @@ F1_BRANCHES = {
 
 # For the tan branch the f2 solution is the reciprocal cosine
 # F/cos(k r + d2); a plain cosine does not satisfy the equation against the
-# canonical f1.  A constant f2 is exact where cos s = 0 or F = 0, and is
-# accepted against every f1.
+# canonical f1.  A constant f2 solves cos(s) f1 f2 = -f2' only where
+# cos s = 0 (the linear f1) or F = 0, so solve_f2 takes it against another
+# f1 only at F = 0.
 F2_BRANCHES = {
     "sech": Branch(
         lambda r, k, F, shift: F / np.cosh(k * r + shift),
@@ -230,13 +231,19 @@ def solve_f2(d: Deformation, f1: RadialProfile, branch: str, F: float = 1.0, d_s
     """Closed-form solution of the decoupled equation cos(s) f1 f2 = -f2'.
 
     Branch pairing follows f1 (F2_BRANCHES): "sech" with tanh,
-    "exponential" with constant, "cosine" with tan, "constant" with linear
-    (and, inexactly, any other).  d_shift shifts the argument of sech and
+    "exponential" with constant, "cosine" with tan, "constant" with linear,
+    and with any other f1 only at F = 0, where f2 = 0 (elsewhere it is no
+    solution: a ValueError).  d_shift shifts the argument of sech and
     cosine; a non-zero d_shift on another branch is a ValueError.
     """
     entry = _branch(F2_BRANCHES, "f2", branch)
     if f1.tag not in entry.pairs:
         raise ValueError(f"{branch} branch pairs with the {entry.pairs[0]} f1 branch")
+    if branch == "constant" and f1.tag != "linear" and F != 0.0:
+        raise ValueError(
+            f"--f2-branch constant solves cos(s) f1 f2 = -f2' only where cos s = 0 (the linear f1 branch) "
+            f"or F = 0; got the {f1.tag} f1 branch with F = {F!r}"
+        )
     if d_shift != 0.0 and entry.shift is None:
         raise ValueError(f"the {branch} branch takes no shift, got {d_shift!r}")
     forms = (entry.value, entry.deriv, entry.second)
@@ -244,9 +251,8 @@ def solve_f2(d: Deformation, f1: RadialProfile, branch: str, F: float = 1.0, d_s
 
 
 def f2_residual(d: Deformation, f1: RadialProfile, f2: RadialProfile, r) -> np.ndarray:
-    """Pointwise residual of cos(s) f1 f2 + f2' (valid where f2 is a
-    decoupled-regime solution; the constant branch needs cos s = 0 or
-    F = 0 to be exact)."""
+    """Pointwise residual of cos(s) f1 f2 + f2' (zero where f2 is a
+    decoupled-regime solution)."""
     r = np.asarray(r, dtype=float)
     return d.cos_s * f1(r) * f2(r) + f2.deriv(r)
 

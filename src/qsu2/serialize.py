@@ -3,13 +3,15 @@
 Floats are printed with 17 significant digits so identical invocations
 produce byte-identical files; manifests record the parsed argv with its
 config defaults, the resolved parameters and the sha256 digests of every
-output, so a run can be replayed and its outputs compared.
+output, so a run can be replayed and its outputs compared.  The writers
+hash the bytes as they write them, so no output is read back.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 from itertools import chain, groupby, islice
 from pathlib import Path
@@ -110,31 +112,65 @@ def rows_of(*columns) -> ColumnTable:
     return ColumnTable(tuple(np.asarray(c) for c in columns))
 
 
-def write_csv(path, header, rows) -> Path:
+@dataclass(frozen=True)
+class Written:
+    """A file a writer wrote and the sha256 of the bytes it wrote; it stands
+    for its path wherever a path is taken (os.fspath, Path, open)."""
+
+    path: Path
+    sha256: str
+
+    def __fspath__(self) -> str:
+        return os.fspath(self.path)
+
+
+class _HashedFile:
+    """A file opened for binary writing, its directory created if missing,
+    that feeds every block written to it to one sha256."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._fh = self.path.open("wb")
+        self._digest = hashlib.sha256()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
+
+    def write(self, block) -> None:
+        self._fh.write(block)
+        self._digest.update(block)
+
+    def written(self) -> Written:
+        return Written(self.path, self._digest.hexdigest())
+
+
+def write_csv(path, header, rows) -> Written:
     """Header line, then one line per row, each cell as fmt formats it.  rows
     is a ColumnTable (from rows_of), whose column slices are rendered, or any
     iterable of cell sequences, whose runs of rows of one length are
     transposed and rendered; either CSV_BLOCK_ROWS rows at a time.  The
     directory is created if missing."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("wb") as fh:
+    with _HashedFile(path) as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
         if isinstance(rows, ColumnTable):
             n = len(rows)
             for lo in range(0, n, CSV_BLOCK_ROWS):
                 hi = min(n, lo + CSV_BLOCK_ROWS)
                 fh.write(_render([c[lo:hi] for c in rows.columns], hi - lo))
-            return path
-        rows = iter(rows)
-        while block := list(islice(rows, CSV_BLOCK_ROWS)):
-            for _, same_length in groupby(block, len):
-                run = list(same_length)
-                fh.write(_render(list(zip(*run)), len(run)))
-    return path
+        else:
+            rows = iter(rows)
+            while block := list(islice(rows, CSV_BLOCK_ROWS)):
+                for _, same_length in groupby(block, len):
+                    run = list(same_length)
+                    fh.write(_render(list(zip(*run)), len(run)))
+    return fh.written()
 
 
-# characters of a dense matrix's JSON text joined per write.  Blocks stay below
+# bytes of a dense matrix's JSON text joined per write.  Blocks stay below
 # glibc's default mmap threshold (128 KiB) and reuse heap memory; one string per
 # matrix (8 MB at n = 400) is fresh memory every time and wrote about 2x slower
 JSON_BLOCK_CHARS = 1 << 16
@@ -152,8 +188,8 @@ class DensePairs:
     matrix: OperatorMatrix
 
     def write(self, fh, indent: int) -> None:
-        """Write the JSON text of the pairs, whose opening bracket sits on
-        a line indented by `indent` spaces."""
+        """Write the JSON text of the pairs as bytes, whose opening bracket
+        sits on a line indented by `indent` spaces."""
         from .csvcells import JSON_REPR
 
         op = self.matrix
@@ -163,15 +199,15 @@ class DensePairs:
         sep = "," + pair_pad
         fill_re, imag = JSON_REPR.spell([op.fill.real, op.fill.imag])
         fill = pair % (fill_re, imag)
-        # the first k * width characters of `before` are k zero pairs, each
+        # the first k * width bytes of `before` are k zero pairs, each
         # followed by a separator, of `after` k pairs each preceded by one:
-        # every run of zeros is one slice
+        # every run of zeros is one slice, taken without a copy
         width = len(fill) + len(sep)
-        before, after = (fill + sep) * n, (sep + fill) * n
-        band = [pair % (re, imag) for re in JSON_REPR.spell(op.band.tolist())]
-        row_sep = f"{row_pad}],{row_pad}[{pair_pad}"
+        before, after = (memoryview(text.encode()) for text in ((fill + sep) * n, (sep + fill) * n))
+        band = [(pair % (re, imag)).encode() for re in JSON_REPR.spell(op.band.tolist())]
+        row_sep = f"{row_pad}],{row_pad}[{pair_pad}".encode()
         rows_per_write = max(1, JSON_BLOCK_CHARS // (n * width))
-        pieces = [f"[{row_pad}[{pair_pad}"]
+        pieces = [f"[{row_pad}[{pair_pad}".encode()]
         for r in range(n):
             col = r + op.offset
             if 0 <= col < n:
@@ -179,9 +215,9 @@ class DensePairs:
                 pieces += (before[: col * width], band[min(r, col)], after[: (n - col - 1) * width])
             else:
                 pieces.append(before[: n * width - len(sep)])
-            pieces.append(row_sep if r < n - 1 else f"{row_pad}]\n{' ' * indent}]")
+            pieces.append(row_sep if r < n - 1 else f"{row_pad}]\n{' ' * indent}]".encode())
             if (r + 1) % rows_per_write == 0 or r == n - 1:
-                fh.write("".join(pieces))
+                fh.write(b"".join(pieces))
                 pieces.clear()
 
 
@@ -216,14 +252,14 @@ class Records:
     columns: dict
 
     def write(self, fh, indent: int) -> None:
-        """Write the JSON text of the list, whose opening bracket sits on a
-        line indented by `indent` spaces."""
+        """Write the JSON text of the list as bytes, whose opening bracket
+        sits on a line indented by `indent` spaces."""
         keys = sorted(self.columns)
         columns = [_json_column(self.columns[k]) for k in keys]
         if len({len(col) for col in columns}) > 1:
             raise ValueError("record columns differ in length")
         if not columns or not len(columns[0]):
-            fh.write("[]")
+            fh.write(b"[]")
             return
         from .csvcells import render_columns
 
@@ -232,24 +268,23 @@ class Records:
         prefixes = [f"{pad}  {{".encode() + fields[0]] + [b"," + field for field in fields[1:]]
         suffix = f"{pad}  }},".encode()
         n = len(columns[0])
-        fh.write("[")
+        fh.write(b"[")
         for lo in range(0, n, CSV_BLOCK_ROWS):
-            text = render_columns([c[lo : lo + CSV_BLOCK_ROWS] for c in columns], prefixes, suffix).decode()
+            text = memoryview(render_columns([c[lo : lo + CSV_BLOCK_ROWS] for c in columns], prefixes, suffix))
             fh.write(text if lo + CSV_BLOCK_ROWS < n else text[:-1])  # no comma after the last object
-        fh.write(pad + "]")
+        fh.write((pad + "]").encode())
 
 
-# stands in for each pre-rendered value (an object with write(fh, indent),
-# such as DensePairs or Records) in the json.dumps text; the NUL keeps it
-# apart from any string a payload carries
+# stands in for each pre-rendered value (an object whose write(fh, indent)
+# writes bytes, such as DensePairs or Records) in the json.dumps text; the
+# NUL keeps it apart from any string a payload carries
 _STAND_IN = "\x00dense-pairs"
 _STAND_IN_JSON = json.dumps(_STAND_IN)
 
 
-def write_json(path, payload) -> Path:
+def write_json(path, payload) -> Written:
     """The payload as json.dumps(indent=2, sort_keys=True) writes it, with
     pre-rendered values written in place.  The directory is created if missing."""
-    path = Path(path)
     rendered = []
 
     def stand_in(obj):
@@ -262,25 +297,27 @@ def write_json(path, payload) -> Path:
     pieces = text.split(_STAND_IN_JSON)
     if len(pieces) != len(rendered) + 1:
         raise ValueError("payload text contains the pre-rendered marker")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(pieces[0])
+    pieces[-1] += "\n"
+    with _HashedFile(path) as fh:
+        fh.write(pieces[0].encode())
         for obj, before, after in zip(rendered, pieces, pieces[1:]):
             line = before[before.rfind("\n") + 1 :]
             obj.write(fh, len(line) - len(line.lstrip(" ")))
-            fh.write(after)
-        fh.write("\n")
-    return path
+            fh.write(after.encode())
+    return fh.written()
 
 
 HASH_CHUNK_BYTES = 1 << 20  # hashing holds one chunk of a file in memory, not the file
 
 
 def sha256_of(path) -> str:
+    """The sha256 of a file on disk, read into one reused chunk buffer.
+    The writers return their digests; this re-read is for checking them."""
     digest = hashlib.sha256()
-    with Path(path).open("rb") as fh:
-        while chunk := fh.read(HASH_CHUNK_BYTES):
-            digest.update(chunk)
+    chunk = memoryview(bytearray(HASH_CHUNK_BYTES))
+    with Path(path).open("rb", buffering=0) as fh:
+        while size := fh.readinto(chunk):
+            digest.update(chunk[:size])
     return digest.hexdigest()
 
 
@@ -290,18 +327,18 @@ def manifest_path(outdir, subcommand: str) -> Path:
 
 def write_manifest(
     outdir, subcommand: str, params: dict, outputs, version: str, argv: list, defaults: dict
-) -> Path:
+) -> Written:
     """Record a run: the argv it parsed and the config defaults it parsed
     them with (enough to replay it), the resolved params, and the sha256
-    of every output."""
-    outdir = Path(outdir)
+    of every output, as its writer returned it (a Written); no output is
+    read back."""
     manifest = {
         "subcommand": subcommand,
         "argv": argv,
         "defaults": defaults,
         "params": params,
         "version": version,
-        "outputs": {Path(p).name: sha256_of(p) for p in outputs},
+        "outputs": {out.path.name: out.sha256 for out in outputs},
     }
     return write_json(manifest_path(outdir, subcommand), manifest)
 

@@ -103,6 +103,39 @@ def test_cli_exits_2_naming_an_ignored_shift(tmp_path, capsys, command, s, f1b, 
 
 
 # ----------------------------------------------------------------------
+# the constant f2, a solution only where cos s = 0 or F = 0
+
+
+def test_constant_f2_against_a_non_linear_f1_exits_2(tmp_path, capsys):
+    argv = ["potential", "--s", 0.25, "--m", 1, "--f2-branch", "constant", "--outdir", tmp_path]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "--f2-branch constant" in err and "cos s = 0" in err and "F = 0" in err
+    assert "tan f1 branch with F = 1.0" in err
+    assert not any(tmp_path.iterdir())
+    with pytest.raises(ValueError, match="tanh f1 branch with F = -0.5"):
+        realization(Deformation(3.0), 1.0, "tanh", "constant", F=-0.5)
+
+
+def test_constant_f2_at_zero_F_is_the_zero_solution(tmp_path):
+    argv = ["potential", "--s", 0.25, "--m", 1, "--f2-branch", "constant", "--F", 0, "--outdir", tmp_path]
+    assert run(argv) == 0
+    fns = realization(Deformation(0.25), 1.0, "tan", "constant", F=0.0)
+    r = np.linspace(-1.0, 1.0, 101)
+    assert np.all(fns.f2(r) == 0.0) and np.all(schrodinger.f2_residual(Deformation(0.25), fns.f1, fns.f2, r) == 0.0)
+
+
+def test_linear_and_constant_at_half_pi_are_unchanged(tmp_path):
+    s = math.pi / 2
+    argv = ["potential", "--s", s, "--m", 1, "--f1-branch", "linear", "--f2-branch", "constant", "--F", 1.3]
+    assert run(argv + ["--grid=-3:3:0.01", "--outdir", tmp_path]) == 0
+    fns = realization(Deformation(s), 1.0, "linear", "constant", F=1.3)
+    r = np.linspace(-2.0, 2.0, 101)
+    assert np.all(fns.f2(r) == 1.3)
+    assert np.abs(schrodinger.f2_residual(Deformation(s), fns.f1, fns.f2, r)).max() < 1e-15
+
+
+# ----------------------------------------------------------------------
 # the pole mask
 
 

@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -742,3 +744,118 @@ def test_a_value_error_while_writing_exits_2_and_removes_what_it_wrote(tmp_path,
     assert run(argv) == 2
     assert capsys.readouterr().err == "error: a row does not fit\n"
     assert list(tmp_path.iterdir()) == []
+
+
+# ----------------------------------------------------------------------
+# manifest digests, taken by the writers from the bytes they write
+
+
+def digest_faults(outdir, argv) -> set:
+    """The files whose manifest digest is not the sha256 of the file on
+    disk, read back here (and only here) as the independent check, or that
+    only one of the manifest and the directory holds."""
+    assert run(argv + ["--outdir", outdir]) == 0
+    manifest_name = f"{argv[0]}_manifest.json"
+    recorded = json.loads((outdir / manifest_name).read_text())["outputs"]
+    on_disk = {p.name: sha256_of(p) for p in outdir.iterdir() if p.name != manifest_name}
+    return {name for name in recorded.keys() | on_disk.keys() if recorded.get(name) != on_disk.get(name)}
+
+
+@pytest.mark.parametrize("argv, names", PURE_RUNS.values(), ids=PURE_RUNS)
+def test_manifest_digests_are_the_sha256_of_the_files_on_disk(tmp_path, argv, names):
+    assert digest_faults(tmp_path, argv) == set()
+    manifest = json.loads((tmp_path / f"{argv[0]}_manifest.json").read_text())
+    assert sorted(manifest["outputs"]) == sorted(names)
+
+
+@pytest.mark.parametrize("mutant", ["first-block-hashed-twice", "second-block-not-hashed"])
+@pytest.mark.parametrize("command", ["rep", "flow"])
+def test_the_digest_check_fails_on_a_writer_that_misfeeds_its_hash(tmp_path, monkeypatch, mutant, command):
+    from qsu2 import serialize
+
+    write = serialize._HashedFile.write
+
+    def misfeeding(self, block):
+        self.blocks = getattr(self, "blocks", 0) + (len(block) > 0)  # an empty block hashes to nothing
+        if mutant == "second-block-not-hashed" and self.blocks == 2:
+            self._fh.write(block)
+            return
+        write(self, block)
+        if mutant == "first-block-hashed-twice" and self.blocks == 1:
+            self._digest.update(block)
+
+    monkeypatch.setattr(serialize._HashedFile, "write", misfeeding)
+    argv, names = PURE_RUNS[command]
+    # every output of these runs is written in two blocks or more
+    assert digest_faults(tmp_path, argv) == set(names)
+
+
+def test_write_manifest_reads_no_file(tmp_path, monkeypatch):
+    import qsu2.serialize
+    from qsu2.serialize import Written, write_manifest
+
+    def refuse(path):
+        raise AssertionError(f"{path} was read back")
+
+    monkeypatch.setattr(qsu2.serialize, "sha256_of", refuse)
+    argv, names = PURE_RUNS["hopf"]
+    assert run(argv + ["--outdir", tmp_path / "run"]) == 0
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == sorted(names + ["hopf_manifest.json"])
+    # outputs that do not exist: their digests are recorded as given
+    absent = [Written(tmp_path / "absent" / name, f"{k:064x}") for k, name in enumerate(names)]
+    out = write_manifest(tmp_path, "hopf", {}, absent, "0", [], {})
+    assert os.fspath(out) == os.fspath(tmp_path / "hopf_manifest.json")
+    assert out.sha256 == sha256_of(out)
+    outputs = json.loads(Path(out).read_text())["outputs"]
+    assert outputs == {name: f"{k:064x}" for k, name in enumerate(names)}
+
+
+def test_sha256_of_an_empty_file(tmp_path):
+    import hashlib
+
+    (tmp_path / "empty").write_bytes(b"")
+    assert sha256_of(tmp_path / "empty") == hashlib.sha256(b"").hexdigest()
+
+
+def test_rerun_check_passes_on_an_untouched_run(tmp_path, capsys):
+    argv, names = PURE_RUNS["flow"]
+    assert run(argv + ["--outdir", tmp_path / "a"]) == 0
+    assert run(["rerun", tmp_path / "a" / "flow_manifest.json", "--check", "--outdir", tmp_path / "b"]) == 0
+    assert capsys.readouterr().err == ""
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "edit, fault",
+    [
+        (lambda out: out.update({"flow.csv": "0" * 64}), "flow.csv: sha256 "),
+        (lambda out: out.update({"ghost.csv": "0" * 64}), "ghost.csv: recorded, not written by the replay"),
+        (lambda out: out.pop("flow_crossings.json"), "flow_crossings.json: written by the replay, not recorded"),
+    ],
+    ids=["digest-differs", "file-missing", "file-extra"],
+)
+def test_rerun_check_exits_3_naming_the_file(tmp_path, capsys, edit, fault):
+    argv, _ = PURE_RUNS["flow"]
+    assert run(argv + ["--outdir", tmp_path / "a"]) == 0
+    path = tmp_path / "a" / "flow_manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest["outputs"])
+    path.write_text(json.dumps(manifest))
+    assert run(["rerun", path, "--outdir", tmp_path / "b"]) == 0  # plain rerun compares nothing
+    assert run(["rerun", path, "--check", "--outdir", tmp_path / "c"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("verification failure: rerun --check against ")
+    assert fault in err and err.count(": sha256 ") + err.count(" the replay") == 1
+
+
+def test_rerun_check_needs_recorded_outputs(tmp_path, capsys):
+    argv, _ = PURE_RUNS["classify"]
+    assert run(argv + ["--outdir", tmp_path / "a"]) == 0
+    path = tmp_path / "a" / "classify_manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest["outputs"]
+    path.write_text(json.dumps(manifest))
+    assert run(["rerun", path, "--check", "--outdir", tmp_path / "b"]) == 2
+    assert "records no subcommand and outputs to check" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
