@@ -416,7 +416,7 @@ def _cmd_spectrum(args):
         cells = ["largest"]
     else:
         cells = [int(args.cell)]
-    solved = [(cell, eigensolve(prof, args.n, cell, vectors=args.with_vectors)) for cell in cells]
+    solved = list(zip(cells, eigensolve(prof, args.n, cells, vectors=args.with_vectors)))
     rows = [(cell, k, val) for cell, res in solved for k, val in enumerate(res.eigenvalues)]
     outputs = {"spectrum.csv": (["cell", "k", "eigenvalue"], rows)}
     if args.with_vectors:

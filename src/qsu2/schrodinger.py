@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -438,10 +439,10 @@ def _cells(mask: np.ndarray):
     return list(zip(starts.tolist(), ends.tolist()))
 
 
-def _cell_bounds(p: PotentialProfile, cell: str | int = "largest") -> tuple:
-    """The (lo, hi) sample range of a well: the largest unmasked run, or
-    the run with index cell; ValueError for an index outside the runs."""
-    runs = _cells(p.pole_mask)
+def _cell_bounds(runs: list, cell: str | int = "largest") -> tuple:
+    """The (lo, hi) sample range of a well among the unmasked runs: the
+    largest run, or the run with index cell; ValueError for an index
+    outside the runs."""
     if not runs:
         raise ValueError("grid fully masked")
     if cell == "largest":
@@ -463,9 +464,83 @@ def solvable_cells(p: PotentialProfile) -> tuple:
     return cells, [k for k, size in enumerate(sizes) if size < MIN_CELL_SAMPLES]
 
 
-def eigensolve(
-    p: PotentialProfile, n_states: int, cell: str | int = "largest", vectors: bool = True
-) -> EigenResult:
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@functools.cache
+def _lapack() -> tuple:
+    """LAPACK's dstebz and dstein from scipy's Cython LAPACK table, as
+    ctypes functions of pointer arguments.  ctypes releases the GIL for the
+    call, which scipy's f2py wrappers hold, so wells can solve in parallel."""
+    import ctypes
+
+    from scipy.linalg import cython_lapack  # not at the top: scipy is most of `import qsu2.cli`
+
+    api = ctypes.pythonapi
+    name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    address_of = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", api))
+
+    def bind(name, n_args):
+        capsule = cython_lapack.__pyx_capi__[name]
+        return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(address_of(capsule, name_of(capsule)))
+
+    return bind("dstebz", 18), bind("dstein", 13)
+
+
+def _lapack_info(info: int, routine: str) -> None:
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{routine} did not converge (LAPACK info={info})")
+
+
+def _solve_well(values, r, h, n_states, vectors, lapack, bounds) -> EigenResult:
+    """One well's hard-wall problem: the lowest n_states by LAPACK's
+    bisection (dstebz, RANGE='I', abstol 0) and, for vectors, inverse
+    iteration (dstein), with the arguments and the reorder of scipy's
+    eigh_tridiagonal(select="i"), so the bits are its bits."""
+    import ctypes
+
+    dstebz, dstein = lapack
+    lo, hi = bounds
+    n = hi - lo - 2  # unknowns exclude the wall samples
+    diag = 2.0 / h**2 + values[lo + 1 : hi - 1]
+    off = np.full(n - 1, -1.0 / h**2)
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    ref = ctypes.byref
+    c_n, il, iu = ctypes.c_int(n), ctypes.c_int(1), ctypes.c_int(min(n_states, n))
+    m, nsplit, info = ctypes.c_int(), ctypes.c_int(), ctypes.c_int()
+    vl, vu, abstol = ctypes.c_double(0.0), ctypes.c_double(1.0), ctypes.c_double(0.0)
+    w = np.empty(n)
+    iblock, isplit = np.empty(n, np.intc), np.empty(n, np.intc)
+    work, iwork = np.empty(4 * n), np.empty(3 * n, np.intc)
+    dstebz(b"I", b"B" if vectors else b"E", ref(c_n), ref(vl), ref(vu), ref(il), ref(iu), ref(abstol),
+           diag.ctypes.data, off.ctypes.data, ref(m), ref(nsplit), w.ctypes.data, iblock.ctypes.data,
+           isplit.ctypes.data, work.ctypes.data, iwork.ctypes.data, ref(info))
+    _lapack_info(info.value, "dstebz")
+    w = w[: m.value]
+    full = None
+    if vectors:
+        z = np.zeros((n, m.value), order="F")
+        work, iwork, ifail = np.empty(5 * n), np.empty(n, np.intc), np.empty(m.value, np.intc)
+        dstein(ref(c_n), diag.ctypes.data, off.ctypes.data, ref(m), w.ctypes.data, iblock.ctypes.data,
+               isplit.ctypes.data, z.ctypes.data, ref(c_n), work.ctypes.data, iwork.ctypes.data,
+               ifail.ctypes.data, ref(info))
+        _lapack_info(info.value, "dstein")
+        order = np.argsort(w)  # dstebz's block order to ascending
+        w = w[order]
+        full = np.zeros((hi - lo, m.value))
+        full[1:-1, :] = z[:, order]
+        full = full / np.sqrt(h * np.sum(full**2, axis=0))
+    return EigenResult(eigenvalues=w, eigenvectors=full, h=h, boundary="hard-wall", cell=(lo, hi), r=r[lo:hi])
+
+
+def eigensolve(p: PotentialProfile, n_states: int, cell="largest", vectors: bool = True):
     """Lowest n_states of the central-difference discretization, hard walls.
 
     The walls sit at the outermost samples of the cell (psi pinned to zero
@@ -474,29 +549,29 @@ def eigensolve(
     is an independent well; cell selects which one ("largest" or an index
     into the run list).  With vectors=False only the eigenvalues are
     computed (the same values) and eigenvectors is None.
+
+    cell may also be a sequence of cells: the result is then a list of one
+    EigenResult per cell, in order, the wells solved concurrently on
+    min(len(cell), usable CPUs) threads; with one, on the calling thread.
     """
-    lo, hi = _cell_bounds(p, cell)
-    if hi - lo < MIN_CELL_SAMPLES:
-        raise ValueError(f"cell has {hi - lo} samples; need >= {MIN_CELL_SAMPLES}")
-    h = p.step
-    v = p.values[lo + 1 : hi - 1]  # unknowns exclude the wall samples
-    n = hi - lo - 2
-    diag = 2.0 / h**2 + v
-    off = np.full(n - 1, -1.0 / h**2)
-    n_states = min(n_states, n)
-    from scipy.linalg import eigh_tridiagonal  # not at the top: scipy is most of `import qsu2.cli`
-    found = eigh_tridiagonal(diag, off, eigvals_only=not vectors, select="i", select_range=(0, n_states - 1))
-    if vectors:
-        w, vecs = found
-        full = np.zeros((hi - lo, vecs.shape[1]))
-        full[1:-1, :] = vecs
-        full = full / np.sqrt(h * np.sum(full**2, axis=0))
-    else:
-        w, full = found, None
-    r = p.r[lo:hi]
-    return EigenResult(
-        eigenvalues=w, eigenvectors=full, h=h, boundary="hard-wall", cell=(lo, hi), r=r
-    )
+    many = not isinstance(cell, (str, int, np.integer))
+    runs = _cells(p.pole_mask)
+    bounds = [_cell_bounds(runs, c) for c in (cell if many else [cell])]
+    for lo, hi in bounds:
+        if hi - lo < MIN_CELL_SAMPLES:
+            raise ValueError(f"cell has {hi - lo} samples; need >= {MIN_CELL_SAMPLES}")
+    if n_states < 1:
+        raise ValueError(f"n_states is {n_states}; need >= 1")
+    solve = functools.partial(_solve_well, p.values, p.r, p.step, n_states, vectors, _lapack())
+    if not many:
+        return solve(bounds[0])
+    workers = min(len(bounds), _usable_cpus())
+    if workers <= 1:
+        return [solve(b) for b in bounds]
+    from concurrent.futures import ThreadPoolExecutor  # not at the top: `import qsu2.cli` needs no threads
+
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(solve, bounds))
 
 
 def eigen_discretization_error(p: PotentialProfile, state: int, cell="largest") -> float:

@@ -5,7 +5,8 @@ These are the dense n x n and Kronecker-product forms that `build_rep`,
 `hopf_axiom_report` and `complex_pairs` replace, and the Python loops that
 the array code of `build_rep`, `build_gen_rep`, `spectral_flow`,
 `level_section`, `_cells`, `write_csv`, `finite_orbit_candidates`,
-`topology_transition` and `commensurability_peak` replaces.  The property
+`topology_transition` and `commensurability_peak` replaces, and scipy's
+`eigh_tridiagonal`, which `eigensolve`'s LAPACK kernel replaces.  The property
 tests compare the library against them; they are slow (O(n^3) products,
 n^3 x n^3 Kronecker matrices, per-element loops) and run only on small
 sizes.
@@ -242,6 +243,28 @@ def cells(mask):
         else:
             i += 1
     return out
+
+
+def eigensolve(p, n_states, cell="largest", vectors=True):
+    """(eigenvalues, normalised eigenvectors or None) of one well through
+    scipy's eigh_tridiagonal(select="i"), the call eigensolve's LAPACK
+    kernel replaces."""
+    from scipy.linalg import eigh_tridiagonal
+
+    runs = cells(p.pole_mask)
+    lo, hi = max(runs, key=lambda ab: ab[1] - ab[0]) if cell == "largest" else runs[cell]
+    h = p.step
+    n = hi - lo - 2
+    diag = 2.0 / h**2 + p.values[lo + 1 : hi - 1]
+    off = np.full(n - 1, -1.0 / h**2)
+    found = eigh_tridiagonal(diag, off, eigvals_only=not vectors, select="i",
+                             select_range=(0, min(n_states, n) - 1))
+    if not vectors:
+        return found, None
+    w, vecs = found
+    full = np.zeros((hi - lo, vecs.shape[1]))
+    full[1:-1, :] = vecs
+    return w, full / np.sqrt(h * np.sum(full**2, axis=0))
 
 
 def csv_text(header, rows) -> str:

@@ -461,6 +461,14 @@ def test_import_leaves_scipy_out():
     assert not _loaded_by_cli_import("scipy")
 
 
+def test_import_leaves_cython_lapack_out():
+    assert not _loaded_by_cli_import("scipy.linalg.cython_lapack")
+
+
+def test_import_leaves_thread_pools_out():
+    assert not _loaded_by_cli_import("concurrent.futures")
+
+
 def test_import_leaves_numpy_fft_out():
     assert not _loaded_by_cli_import("numpy.fft")
 
