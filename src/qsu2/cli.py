@@ -16,31 +16,99 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
-import json
 import math
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
+from . import EDGE_BUFFER, __version__
 
-from . import __version__
-from .classify import classify, thresholds
-from .geometry import level_section, spectral_flow, topology_transition
-from .hopf import (
-    GenDeformation,
-    build_gen_rep,
-    casimir_gen,
-    hopf_axiom_report,
-    spectrum_2jz,
-    unitarity_window,
-    detect_accumulation,
-)
-from .operators import EDGE_BUFFER, UnitarityError, build_rep, verify_algebra
-from .qnumbers import Deformation, SingularDeformation
-from .schrodinger import build_potential, eigensolve, realization, solvable_cells
-from .serialize import Records, complex_pairs, manifest_path, rows_of, write_csv, write_json, write_manifest
+# Start-up loads what the command uses.  `import qsu2.cli`, --version,
+# --help and an argument error load only the standard library.  A
+# subcommand loads numpy, serialize and the modules its names come from,
+# with what those import:
+#
+#   classify             qnumbers, classify
+#   flow                 geometry
+#   surface              qnumbers, geometry
+#   rep                  qnumbers, operators (and classify)
+#   potential, spectrum  qnumbers, schrodinger (and classify, geometry, operators)
+#   hopf                 hopf (and qnumbers, classify, operators)
+#   rerun                what the replayed command loads
+#
+# LIBRARY holds the library names the commands look up here, by the module
+# that defines them.  A command binds the names of its modules (_uses)
+# before it runs, and a name looked up on this module before any command
+# ran is bound by __getattr__.  Binding keeps a name already bound, so a
+# patched qsu2.cli.<name> stays in force: that is where to patch them.
+LIBRARY = {
+    "qnumbers": ("Deformation", "SingularDeformation"),
+    "classify": ("classify", "thresholds"),
+    "geometry": ("level_section", "spectral_flow", "topology_transition"),
+    "operators": ("UnitarityError", "build_rep", "verify_algebra"),
+    "hopf": (
+        "GenDeformation",
+        "build_gen_rep",
+        "casimir_gen",
+        "detect_accumulation",
+        "hopf_axiom_report",
+        "spectrum_2jz",
+        "unitarity_window",
+    ),
+    "schrodinger": ("PotentialProfile", "build_potential", "eigensolve", "realization", "solvable_cells"),
+    "serialize": (
+        "Records",
+        "complex_pairs",
+        "manifest_path",
+        "rows_of",
+        "write_csv",
+        "write_json",
+        "write_manifest",
+    ),
+}
+
+
+_bound = set()  # the modules whose names _bind has bound
+
+
+def _bind(*modules) -> None:
+    """Bind numpy as np and the LIBRARY names of each module as globals,
+    keeping any name already bound; serialize's writers always."""
+    names = globals()
+    for module in ("serialize", *modules):
+        if module in _bound:
+            continue
+        qualified = f"{__package__}.{module}"
+        __import__(qualified)  # not importlib's: -X importtime lists what __import__ loads
+        for name in LIBRARY[module]:
+            names.setdefault(name, getattr(sys.modules[qualified], name))
+        _bound.add(module)
+    names.setdefault("np", sys.modules["numpy"])  # which every library module imports
+
+
+def __getattr__(name):
+    """A library name looked up before a command bound it (PEP 562)."""
+    modules = [module for module, names in LIBRARY.items() if name in names]
+    if not modules:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(*modules)
+    return globals()[name]
+
+
+def _uses(*modules):
+    """Decorate a command that calls the LIBRARY names of these modules: it
+    binds them before it runs, through main or called on its own."""
+
+    def decorate(cmd):
+        @functools.wraps(cmd)
+        def run(args):
+            _bind(*modules)
+            return cmd(args)
+
+        return run
+
+    return decorate
+
 
 EXIT_OK = 0
 EXIT_ARGS = 2
@@ -268,6 +336,7 @@ def _grid(spec) -> np.ndarray:
     return start + step * np.arange(count)
 
 
+@_uses("qnumbers", "classify")
 def _cmd_classify(args):
     if args.s is None:
         raise argparse.ArgumentTypeError("classify needs --s")
@@ -295,6 +364,7 @@ def _cmd_classify(args):
     return {"thresholds": {"c0": th.c0, "c1": th.c1, "c2": th.c2}}, {"classify.csv": (header, rows)}
 
 
+@_uses("qnumbers", "operators")
 def _cmd_rep(args):
     if args.s is None or args.c is None or args.basis is None:
         raise argparse.ArgumentTypeError("rep needs --s, --c, and --basis")
@@ -304,7 +374,10 @@ def _cmd_rep(args):
         triple = build_rep(d, args.c, [m0 + i for i in range(count)])
     except UnitarityError as exc:
         raise VerificationFailure(str(exc)) from None
-    report = verify_algebra(triple, d, args.c)
+    try:
+        report = verify_algebra(triple, d, args.c)
+    except ValueError as exc:  # a truncation too short to have interior rows
+        raise argparse.ArgumentTypeError(f"argument --basis: {exc}") from None
     payload = {
         "s": args.s,
         "c": args.c,
@@ -350,6 +423,7 @@ def _potential_from_args(args):
     return prof, {"f1_branch": prof.params["f1_branch"], "f2_branch": prof.params["f2_branch"]}
 
 
+@_uses("qnumbers", "schrodinger")
 def _cmd_potential(args):
     prof, branches = _potential_from_args(args)
     return branches, {"potential.csv": (["r", "V", "mask"], rows_of(prof.r, prof.values, prof.pole_mask))}
@@ -361,7 +435,7 @@ GRID_RTOL = 1e-6
 
 def _load_potential_csv(path):
     """The r,V,mask table the potential command writes, on its uniform r grid."""
-    from .schrodinger import PotentialProfile
+    import hashlib  # here, as json in _read_manifest: --version and --help need neither
 
     try:
         data = Path(path).read_bytes()
@@ -398,6 +472,7 @@ def _load_potential_csv(path):
     )
 
 
+@_uses("qnumbers", "schrodinger")
 def _cmd_spectrum(args):
     if args.potential_csv is not None:
         prof = _load_potential_csv(args.potential_csv)
@@ -426,6 +501,7 @@ def _cmd_spectrum(args):
     return computed, outputs
 
 
+@_uses("geometry")
 def _cmd_flow(args):
     table = spectral_flow(args.m_max, _grid(args.s_grid))
     if not len(table.m_values):
@@ -435,6 +511,7 @@ def _cmd_flow(args):
     return {}, {"flow.csv": (["s", "m", "value"], rows), "flow_crossings.json": Records(table.crossing_columns)}
 
 
+@_uses("qnumbers", "geometry")
 def _cmd_surface(args):
     if args.c is None:
         raise argparse.ArgumentTypeError("surface needs --c")
@@ -450,6 +527,7 @@ def _cmd_surface(args):
     return computed, {"surface.csv": (["Jz", "Jx_plus", "Jx_minus", "mask"], rows)}
 
 
+@_uses("hopf")
 def _cmd_hopf(args):
     computed = {}
     profile_params = {}
@@ -536,7 +614,20 @@ def _write_outputs(
     return paths
 
 
+def _output_directory(spec: str) -> Path:
+    """The output directory, refused when it or its nearest existing
+    ancestor is not a directory, so no command computes for nothing."""
+    existing = spec
+    while not os.path.isdir(existing):  # os.path, not pathlib: a stat is all this costs
+        if os.path.exists(existing):
+            raise argparse.ArgumentTypeError(f"argument --outdir: {existing} is not a directory")
+        existing = os.path.dirname(existing) or os.curdir
+    return Path(spec)
+
+
 def _read_manifest(path):
+    import json
+
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
@@ -587,7 +678,7 @@ def main(argv=None, defaults: dict | None = None) -> int:
         if defaults:
             root_argv, config_argv = _config_argv(parser, args.command, defaults)
             args = parser.parse_args(root_argv + argv, argparse.Namespace(config_argv=config_argv))
-        outdir = Path(args.outdir or os.environ.get("QSU2_OUTDIR", "."))
+        outdir = _output_directory(args.outdir or os.environ.get("QSU2_OUTDIR", "."))
         if args.command == "rerun":
             return _rerun(args.manifest, outdir, args.check)
         computed, outputs = DISPATCH[args.command](args)
@@ -595,7 +686,7 @@ def main(argv=None, defaults: dict | None = None) -> int:
         paths = _write_outputs(outdir, outputs, args.command, params | computed, argv, defaults)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    except (argparse.ArgumentTypeError, SingularDeformation, ValueError) as exc:
+    except (argparse.ArgumentTypeError, ValueError) as exc:  # SingularDeformation is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARGS
     except VerificationFailure as exc:

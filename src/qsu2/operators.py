@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import EDGE_BUFFER
 from .classify import ladder_radicand, radicand_ok
 from .qnumbers import Deformation, bracket_sequence, qnumber
 
-EDGE_BUFFER = 2
 CLOSURE_TOL = 1e-10
 
 
@@ -166,7 +166,10 @@ def verify_algebra(triple, d: Deformation, c: float) -> AlgebraReport:
     buf = 0 if closed else EDGE_BUFFER
     lo, hi = buf, n - buf
     if hi <= lo:
-        raise ValueError(f"basis of size {n} leaves no interior rows at buffer {buf}")
+        raise ValueError(
+            f"basis of size {n} leaves no interior rows at buffer {buf}: "
+            f"a truncated class needs at least {2 * buf + 1} states"
+        )
 
     # Every product of these operators has a single non-zero diagonal,
     # whose entries are single products of band entries.  Each residual is

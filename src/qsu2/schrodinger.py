@@ -478,7 +478,7 @@ def _lapack() -> tuple:
     call, which scipy's f2py wrappers hold, so wells can solve in parallel."""
     import ctypes
 
-    from scipy.linalg import cython_lapack  # not at the top: scipy is most of `import qsu2.cli`
+    from scipy.linalg import cython_lapack  # not at the top: `potential` needs no scipy, most of a fresh `spectrum`
 
     api = ctypes.pythonapi
     name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))

@@ -15,10 +15,12 @@ import os
 from dataclasses import dataclass
 from itertools import chain, groupby, islice
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .operators import OperatorMatrix
+if TYPE_CHECKING:  # an annotation only: `classify` and `flow` write without loading operators
+    from .operators import OperatorMatrix
 
 
 def fmt(x) -> str:

@@ -443,18 +443,29 @@ def test_spectrum_rejects_missing_potential_csv(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def _loaded_by_cli_import(module: str) -> bool:
-    """Whether a fresh `import qsu2.cli` loads the module."""
-    import os
+def _fresh(code: str) -> str:
+    """The stdout of a fresh interpreter running code with qsu2 on its path."""
     import subprocess
     import sys
-    from pathlib import Path
 
     src = Path(__file__).resolve().parents[1] / "src"
-    code = f"import sys, qsu2.cli; print({module!r} in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
-    return out.strip() == "True"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}).stdout
+
+
+def _loaded_by(argv=None) -> set:
+    """The modules a fresh interpreter holds after `import qsu2.cli`, and
+    after `main(argv)` when argv is given."""
+    code = "import sys, qsu2.cli\n"
+    if argv is not None:
+        code += f"qsu2.cli.main({[str(a) for a in argv]!r})\n"
+    out = _fresh(code + "print()\nprint(*sys.modules)")
+    return set(out.splitlines()[-1].split())
+
+
+def _loaded_by_cli_import(module: str) -> bool:
+    """Whether a fresh `import qsu2.cli` loads the module."""
+    return module in _loaded_by()
 
 
 def test_import_leaves_scipy_out():
@@ -475,6 +486,65 @@ def test_import_leaves_numpy_fft_out():
 
 def test_import_leaves_csvcells_out():
     assert not _loaded_by_cli_import("qsu2.csvcells")
+
+
+@pytest.mark.parametrize(
+    "argv", [["--version"], ["--help"], ["classify", "--s", "nan"]], ids=["version", "help", "argument-error"]
+)
+def test_start_up_without_a_command_loads_no_numpy(argv):
+    loaded = _loaded_by(argv)
+    assert "numpy" not in loaded
+    assert {name for name in loaded if name.startswith("qsu2")} == {"qsu2", "qsu2.cli"}
+
+
+@pytest.mark.parametrize(
+    "argv, left_out",
+    [
+        (["classify", "--s", 1, "--c", 1], ["qsu2.operators", "qsu2.hopf", "qsu2.schrodinger", "qsu2.geometry"]),
+        (["flow", "--m-max", 2], ["qsu2.qnumbers", "qsu2.classify", "qsu2.operators", "qsu2.hopf", "qsu2.schrodinger"]),
+        (["rep", "--s", 1, "--c", 3, "--basis=-5:11"], ["qsu2.hopf", "qsu2.schrodinger"]),
+        (["potential", "--s", 0.25, "--m", 1, "--grid=-6:6:0.01"], ["qsu2.hopf"]),
+    ],
+    ids=["classify", "flow", "rep", "potential"],
+)
+def test_a_command_loads_only_its_own_modules(tmp_path, argv, left_out):
+    loaded = _loaded_by(argv + ["--outdir", tmp_path])
+    assert (tmp_path / f"{argv[0]}_manifest.json").exists()  # the command ran
+    assert not loaded & set(left_out)
+
+
+@pytest.mark.parametrize("looked_up", [False, True], ids=["assigned", "looked-up-first"])
+def test_a_patch_before_any_command_is_the_one_the_command_calls(tmp_path, looked_up):
+    # perfbench's tracer looks each name up on qsu2.cli, then replaces it
+    code = "\n".join([
+        "import qsu2.cli, qsu2.serialize",
+        "qsu2.cli.write_csv" if looked_up else "",
+        "calls = []",
+        "def spy(path, header, rows):",
+        "    calls.append(path.name)",
+        "    return qsu2.serialize.write_csv(path, header, rows)",
+        "qsu2.cli.write_csv = spy",
+        f"assert qsu2.cli.main(['classify', '--s', '1', '--c', '1', '--outdir', {str(tmp_path)!r}]) == 0",
+        "assert qsu2.cli.write_csv is spy",
+        "print(*calls)",
+    ])
+    assert _fresh(code).splitlines()[-1] == "classify.csv"
+
+
+def test_package_names_are_imported_with_their_module_on_first_access():
+    code = "\n".join([
+        "import sys, qsu2",
+        "loaded = {name for name in sys.modules if name.startswith(('qsu2', 'numpy'))}",
+        "assert loaded == {'qsu2'}, loaded",
+        "from qsu2.operators import build_rep",
+        "assert qsu2.build_rep is build_rep",
+        "assert 'qsu2.hopf' not in sys.modules and 'qsu2.schrodinger' not in sys.modules",
+        "assert qsu2.classify is sys.modules['qsu2.classify']",  # the module, not its function
+        "assert qsu2.thresholds is qsu2.classify.thresholds",
+        "assert {'classify', 'build_rep', 'eigensolve'} <= set(dir(qsu2))",
+        "assert not hasattr(qsu2, 'no_such_name')",
+    ])
+    _fresh(code)
 
 
 @pytest.mark.parametrize(
@@ -682,6 +752,45 @@ def test_rep_basis_count_below_one_is_an_argument_error(tmp_path, capsys, count)
     err = capsys.readouterr().err
     assert f"argument --basis: bad basis spec '0:{count}': count must be >= 1, got {count}" in err
     assert not out.exists()
+
+
+def test_rep_basis_too_short_for_a_truncation_is_an_argument_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(["rep", "--s", 1, "--c", 3, "--basis=0:4", "--outdir", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --basis: basis of size 4 ")
+    assert err.endswith("a truncated class needs at least 5 states\n")
+    assert not out.exists()
+    assert run(["rep", "--s", 1, "--c", 3, "--basis=0:5", "--outdir", out]) == 0
+
+
+def test_rep_closed_class_smaller_than_a_truncation_still_verifies(tmp_path):
+    # the README's example: the finite N = 3 ladder on its four states
+    argv = ["rep", "--s", 1.013, "--c", 1.1207094872156829, "--basis=-1.5:4", "--verify", "--outdir", tmp_path]
+    assert run(argv) == 0
+    assert json.loads((tmp_path / "rep.json").read_text())["report"]["closed"] is True
+
+
+@pytest.mark.parametrize("outdir, named", [("afile", "afile"), ("afile/sub", "afile")], ids=["file", "under-a-file"])
+@pytest.mark.parametrize("from_env", [False, True], ids=["flag", "QSU2_OUTDIR"])
+def test_an_outdir_that_is_no_directory_is_an_argument_error(tmp_path, monkeypatch, capsys, outdir, named, from_env):
+    import qsu2.cli
+
+    def refuse(*args):
+        raise AssertionError("computed for an output directory it cannot write")
+
+    monkeypatch.setattr(qsu2.cli, "thresholds", refuse)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("kept")
+    argv = ["classify", "--s", 1, "--c", 1]
+    if from_env:
+        monkeypatch.setenv("QSU2_OUTDIR", outdir)
+    else:
+        argv += ["--outdir", outdir]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: argument --outdir: {named} is not a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+    assert (tmp_path / "afile").read_text() == "kept"
 
 
 @pytest.mark.parametrize("dim", [2, 4])
