@@ -5,16 +5,14 @@ run of slots per cell; the slots a cell does not use hold NUL, which
 bytes.translate deletes.  render_columns returns the bytes that '%.17g' %
 (float columns) and '%d' % (bool columns) write for the .tolist() rows, each
 cell behind its column's prefix and each row ending in a suffix; a bytes
-column is taken as it is.  spell_floats spells floats as such a column, as
-'%.17g' or (JSON_REPR) as json.dumps spells them: float.__repr__, NaN,
-Infinity.  serialize imports this module lazily, so `import qsu2.cli` does
-not compile it.
+column is taken as it is.  spell_floats spells floats as '%.17g' into such a
+column.  serialize imports this module lazily, so `import qsu2.cli` does not
+compile it.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,43 +26,14 @@ import numpy as np
 # (exact ties included), and R >= 10^16 follows from P >= 10^16 + 2^-8, or
 # from |x| = 10^E exactly.  The cells left undecided, the ones outside
 # |k| <= 27 and every cell where long double cannot carry the bound are
-# spelled by the layout's own formatter in one batch.  The digits of D are
-# spelled four at a time from a table, and the slots of a cell from a table
-# of layouts keyed by sign, exponent and digit count.
-#
-# The shortest digits (float.__repr__).  repr gives the fewest digits that
-# read back as x, and of those the nearest to x.  Let C15, C16 be R rounded
-# to a multiple of 100 and of 10 (x to 15 and 16 digits), and H half the gap
-# from x to its neighbouring doubles, times 10^k.  A candidate C reads back
-# as x when |C - R| < H (or = H with an even significand).  H <= 2^-53 R,
-# while 15-digit numbers lie at least 10^-15 R apart: at most one of them
-# reads back as x, and when some string of 15 digits or fewer does, it is
-# C15 with its trailing zeros dropped.  Otherwise the nearest 16-digit
-# number that reads back is C16, if any does, and D17 (|D17 - R| <= 1/2 <
-# H) always reads back.  So repr's digits are the first of C15, C16, D17
-# that reads back.
-#
-# The margin.  The remainder of P by 100 is exact in float64 (P's fraction
-# is a multiple of 2^-10), and so is its remainder by 10; so both distances
-# |C - R| carry only P's error, at most 2^-8.  H = 2^(e-54) 10^k for
-# |x| = m 2^e (1/2 <= m < 1) equals R 2^-54 / m; from float64(D) it is off
-# by less than 1e-14 (H <= 11.2).  A rounding to C15 or C16, or a
-# comparison of a distance with H, is decided when it clears its threshold
-# by 2^-7, more than both errors together; the others (ties and near-ties,
-# |C - R| = H among them) go to float.__repr__, as the undecided D17 do.
-#
-# What float.__repr__ keeps.  At a power of two (m = 1/2) the neighbour
-# below is half as far as the one above, so H is not one number and the
-# rule fails: when C16 below x misses the nearer neighbour, a 16-digit
-# number above it may still read back.  Subnormals have fewer significant
-# bits, so fewer than 15 digits can suffice while 15-digit numbers lie
-# closer together than the doubles; they lie far outside |k| <= 27 anyway.
+# spelled by '%' in one batch.  The digits of D are spelled four at a time
+# from a table, and the slots of a cell from a table of layouts keyed by
+# sign, exponent and digit count.
 
 _LD = np.longdouble
 _POW10 = np.cumprod(np.array([1] + [10] * 27, dtype=_LD))  # 10^0..10^27
 _POW10_F64 = 10.0 ** np.arange(23)  # the powers of ten that are doubles
 _ERR = 2.0**-8
-_MARGIN = 2.0**-7
 
 
 def _long_double_exact() -> bool:
@@ -91,34 +60,12 @@ _DIGITS_AT = 6
 _X_MIN, _X_MAX = -12, 45
 
 
+# '%.17g' of nan, 0, -0, inf and -inf
+_SPECIALS = (b"nan", b"0", b"-0", b"inf", b"-inf")
+
+
 def _spell_percent(values: list) -> list:
     return (b"%.17g\0" * len(values) % tuple(values)).split(b"\0")[:-1]
-
-
-# json.dumps spells the non-finite floats as JavaScript does
-_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _spell_repr(values: list) -> list:
-    return [_JSON_SPELLING.get(t, t) for t in map(float.__repr__, values)]
-
-
-@dataclass(frozen=True)
-class Floats:
-    """How a float cell is spelled: exponents -4 <= X < fixed_below
-    without an exponent, integral ones with ".0" or not, the spellings of
-    nan, 0, -0, inf and -inf, the digit choice (shortest or 17 digits) and
-    the formatter of the cells the kernel leaves undecided."""
-
-    fixed_below: int
-    point_zero: bool
-    specials: tuple
-    shortest: bool
-    spell: object
-
-
-PERCENT_17G = Floats(17, False, ("nan", "0", "-0", "inf", "-inf"), False, _spell_percent)
-JSON_REPR = Floats(16, True, ("NaN", "0.0", "-0.0", "Infinity", "-Infinity"), True, _spell_repr)
 
 
 @functools.cache
@@ -133,7 +80,7 @@ def _quads() -> tuple:
 
 
 @functools.cache
-def _float_layouts(floats: Floats) -> tuple:
+def _float_layouts() -> tuple:
     """Three tables of slot rows, indexed by the key (sign, exponent, digit
     count): the constant bytes, the mask of the digits that stand where D
     puts them, and the mask of the digits one slot to the right, behind the
@@ -149,22 +96,18 @@ def _float_layouts(floats: Floats) -> tuple:
             const[..., 1 : 1 + len(prefix)] = list(prefix)
             left[:] = np.where((at >= 0) & (at < nd), 0xFF, 0)
             continue
-        fixed = 0 <= x < floats.fixed_below
+        fixed = 0 <= x < 17  # %.17g writes no exponent below its precision
         point = x + 1 if fixed else 1  # digits ahead of the point
         shown = np.maximum(nd, point)
         left[:] = np.where((at >= 0) & (at < point), 0xFF, 0)
         right[:] = np.where((at > point) & (at <= shown), 0xFF, 0)
-        if fixed and floats.point_zero:
-            const[..., _DIGITS_AT + point] = ord(".")
-            const[..., _DIGITS_AT + point + 1] = np.where(shown > point, 0, ord("0"))[:, 0]
-        else:
-            const[..., _DIGITS_AT + point] = np.where(shown > point, ord("."), 0)[:, 0]
+        const[..., _DIGITS_AT + point] = np.where(shown > point, ord("."), 0)[:, 0]
         if not fixed:
             exponent = b"e%+03d" % x
             const[..., FLOAT_SLOTS - len(exponent) :] = list(exponent)
     # one contiguous (keys, slots) table per row kind, shared by every caller
     layouts = table.reshape(-1, 3, FLOAT_SLOTS).transpose(1, 0, 2).copy()
-    specials = np.array(floats.specials, dtype=f"S{FLOAT_SLOTS}").view(np.uint8).reshape(5, -1)
+    specials = np.array(_SPECIALS, dtype=f"S{FLOAT_SLOTS}").view(np.uint8).reshape(5, -1)
     layouts.flags.writeable = specials.flags.writeable = False
     return layouts, specials
 
@@ -203,41 +146,15 @@ def _digit_core(a: np.ndarray) -> tuple:
     return k, d, frac, ok
 
 
-def _shortest(a, d, frac, ok) -> np.ndarray:
-    """D rounded to the first of C15, C16 and D17 that reads back as x (see
-    above); clears ok where a rounding or a comparison is undecided."""
-    mantissa, _ = np.frexp(a)  # |x| = mantissa 2^e
-    with np.errstate(all="ignore"):  # at 0, inf and nan
-        half_gap = d / (mantissa * 2.0**54)
-        t15 = (d % 100) + frac  # R mod 100, exact
-        t16 = t15 - np.floor(t15 / 10.0) * 10.0
-    off15 = np.minimum(t15, 100.0 - t15) - half_gap
-    off16 = np.minimum(t16, 10.0 - t16) - half_gap
-    use15 = off15 < -_MARGIN
-    use16 = ~use15 & (off16 < -_MARGIN)
-    use17 = ~use15 & ~use16
-    ok &= mantissa != 0.5  # a power of two
-    ok &= use15 | (off15 > _MARGIN)
-    ok &= ~use16 | (np.abs(t16 - 5.0) > _MARGIN)
-    ok &= ~use17 | ((off16 > _MARGIN) & (np.abs(frac - 0.5) > _ERR))
-    c15 = (d // 100 + (t15 > 50.0)) * 100
-    c16 = (d // 10 + (t16 > 5.0)) * 10
-    return np.where(use15, c15, np.where(use16, c16, d + (frac > 0.5)))
-
-
-def _spell_floats(x: np.ndarray, cells: np.ndarray, floats: Floats) -> None:
+def _spell_floats(x: np.ndarray, cells: np.ndarray) -> None:
     """Spell each float64 of x into its row of cells (n, FLOAT_SLOTS) as
-    `floats` spells it, NUL in the slots it does not use."""
+    '%.17g', NUL in the slots it does not use."""
     n = len(x)
     if not n:
         return
-    a = np.abs(x)
-    k, d, frac, ok = _digit_core(a)
-    if floats.shortest:
-        d = _shortest(a, d, frac, ok)
-    else:
-        ok &= np.abs(frac - 0.5) > _ERR
-        d += frac > 0.5
+    k, d, frac, ok = _digit_core(np.abs(x))
+    ok &= np.abs(frac - 0.5) > _ERR
+    d += frac > 0.5
     carry = d == 10**17
     d[carry] = 10**16
     x10 = 16 - k + carry
@@ -267,7 +184,7 @@ def _spell_floats(x: np.ndarray, cells: np.ndarray, floats: Floats) -> None:
         tail = zeros[:, j] + (zeros[:, j] == 4) * tail
 
     key = (np.signbit(x) * (_X_MAX - _X_MIN + 1) + (x10 - _X_MIN)) * 17 + (16 - tail)
-    (const, left, right), specials = _float_layouts(floats)
+    (const, left, right), specials = _float_layouts()
     spelled = left.take(key, axis=0)  # NUL outside the digits
     spelled[:, _DIGITS_AT : _DIGITS_AT + 17] &= digits
     shifted = right.take(key, axis=0)
@@ -284,14 +201,14 @@ def _spell_floats(x: np.ndarray, cells: np.ndarray, floats: Floats) -> None:
         cells[bad[special]] = specials.take(code[special], axis=0)
         rest = bad[~special]
         if rest.size:
-            texts = floats.spell(x[rest].tolist())
+            texts = _spell_percent(x[rest].tolist())
             cells[rest] = np.array(texts, dtype=f"S{FLOAT_SLOTS}").view(np.uint8).reshape(-1, FLOAT_SLOTS)
 
 
-def spell_floats(x: np.ndarray, floats: Floats) -> np.ndarray:
-    """Each float64 of x as `floats` spells it, a NUL-padded bytes ("S") array."""
+def spell_floats(x: np.ndarray) -> np.ndarray:
+    """Each float64 of x as '%.17g', a NUL-padded bytes ("S") array."""
     cells = np.empty((len(x), FLOAT_SLOTS), np.uint8)
-    _spell_floats(x, cells, floats)
+    _spell_floats(x, cells)
     return cells.view(f"S{FLOAT_SLOTS}").ravel()
 
 
@@ -315,7 +232,7 @@ def render_columns(columns, prefixes=None, suffix=b"\n") -> bytes:
         elif column.dtype.kind == "S":
             buf[:, at : at + slots] = column.view(np.uint8).reshape(-1, slots)
         else:
-            _spell_floats(column.astype(np.float64, copy=False), buf[:, at : at + slots], PERCENT_17G)
+            _spell_floats(column.astype(np.float64, copy=False), buf[:, at : at + slots])
         at += slots
     buf[:, at:] = np.frombuffer(suffix, np.uint8)
     return buf.tobytes().translate(None, b"\0")

@@ -1,10 +1,13 @@
 """Deterministic CSV/JSON output and run manifests.
 
-Floats are printed with 17 significant digits so identical invocations
-produce byte-identical files; manifests record the parsed argv with its
-config defaults, the resolved parameters and the sha256 digests of every
-output, so a run can be replayed and its outputs compared.  The writers
-hash the bytes as they write them, so no output is read back.
+Floats are printed with 17 significant digits ('%.17g') so identical
+invocations produce byte-identical files.  JSON records spell their floats
+the same way, with NaN, Infinity, -Infinity and -0.0 for the spellings JSON
+lacks or reads otherwise, so every float64 reads back bit for bit; dense
+matrix pairs keep json.dumps's float.__repr__.  Manifests record the parsed
+argv with its config defaults, the resolved parameters and the sha256
+digests of every output, so a run can be replayed and its outputs compared.
+The writers hash the bytes as they write them, so no output is read back.
 """
 
 from __future__ import annotations
@@ -42,9 +45,9 @@ _CELL_FORMATS = {float: "%.17g", np.float64: "%.17g", bool: "%d", np.bool_: "%d"
 # and a bool column is about 0.25 MB of csvcells slots
 CSV_BLOCK_ROWS = 4096
 
-# blocks with fewer rows stay on the % path, and float arrays with fewer
-# values on float.__repr__ (JSON): csvcells' fixed cost, about 0.1 ms per float
-# column, is what % or repr spends on about 320 to 450 values of a column
+# blocks with fewer rows, and record columns with fewer distinct floats, stay
+# on the % path: csvcells' fixed cost, about 0.1 ms per float column, is what
+# % spends on about 320 to 450 values of a column
 CSV_KERNEL_MIN_ROWS = 384
 
 
@@ -172,6 +175,16 @@ def write_csv(path, header, rows) -> Written:
     return fh.written()
 
 
+# the spellings of '%.17g' and float.__repr__ that JSON lacks (nan, inf) or
+# reads otherwise (-0, an integer, which float() makes 0.0)
+_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "-0": "-0.0"}
+
+
+def _json_repr(values: list) -> list:
+    """Each float as json.dumps spells it: float.__repr__, NaN, Infinity."""
+    return [_JSON_SPELLING.get(t, t) for t in map(float.__repr__, values)]
+
+
 # bytes of a dense matrix's JSON text joined per write.  Blocks stay below
 # glibc's default mmap threshold (128 KiB) and reuse heap memory; one string per
 # matrix (8 MB at n = 400) is fresh memory every time and wrote about 2x slower
@@ -192,21 +205,19 @@ class DensePairs:
     def write(self, fh, indent: int) -> None:
         """Write the JSON text of the pairs as bytes, whose opening bracket
         sits on a line indented by `indent` spaces."""
-        from .csvcells import JSON_REPR
-
         op = self.matrix
         n = len(op.basis)
         row_pad, pair_pad, num_pad = ("\n" + " " * (indent + k) for k in (2, 4, 6))
         pair = f"[{num_pad}%s,{num_pad}%s{pair_pad}]"
         sep = "," + pair_pad
-        fill_re, imag = JSON_REPR.spell([op.fill.real, op.fill.imag])
+        fill_re, imag = _json_repr([op.fill.real, op.fill.imag])
         fill = pair % (fill_re, imag)
         # the first k * width bytes of `before` are k zero pairs, each
         # followed by a separator, of `after` k pairs each preceded by one:
         # every run of zeros is one slice, taken without a copy
         width = len(fill) + len(sep)
         before, after = (memoryview(text.encode()) for text in ((fill + sep) * n, (sep + fill) * n))
-        band = [(pair % (re, imag)).encode() for re in JSON_REPR.spell(op.band.tolist())]
+        band = [(pair % (re, imag)).encode() for re in _json_repr(op.band.tolist())]
         row_sep = f"{row_pad}],{row_pad}[{pair_pad}".encode()
         rows_per_write = max(1, JSON_BLOCK_CHARS // (n * width))
         pieces = [f"[{row_pad}[{pair_pad}".encode()]
@@ -224,19 +235,23 @@ class DensePairs:
 
 
 def _json_column(values) -> np.ndarray:
-    """The json.dumps text of each float of a record column, as NUL-padded
-    bytes, spelled once per distinct bit pattern (so 0.0 and -0.0 stay
-    apart), because record columns repeat few values, such as the m labels
-    of the crossings."""
-    from .csvcells import JSON_REPR, spell_floats
-
+    """The '%.17g' text of each float of a record column in JSON's spelling,
+    as NUL-padded bytes, spelled once per distinct bit pattern (so 0.0 and
+    -0.0 stay apart), because record columns repeat few values, such as the
+    m labels of the crossings."""
     bits = np.asarray(values, dtype=np.float64).view(np.int64)
     patterns, inverse = np.unique(bits, return_inverse=True)
     patterns = patterns.view(np.float64)
     if len(patterns) < CSV_KERNEL_MIN_ROWS:
-        cells = np.array(JSON_REPR.spell(patterns.tolist()), dtype=bytes)
+        texts = ("%.17g\0" * len(patterns) % tuple(patterns.tolist())).split("\0")[:-1]
+        # mapped before the array is made, so that its width holds "-Infinity"
+        cells = np.array([_JSON_SPELLING.get(t, t) for t in texts], dtype=bytes)
     else:
-        cells = spell_floats(patterns, JSON_REPR)
+        from .csvcells import spell_floats
+
+        cells = spell_floats(patterns)
+        for spelled, json_text in _JSON_SPELLING.items():
+            cells[cells == spelled.encode()] = json_text.encode()
     return cells[inverse]
 
 
@@ -245,10 +260,10 @@ class Records:
     """A list of flat JSON objects, stored as columns: str key -> equal-length
     float64 array or sequence of floats (no columns: no objects).
 
-    write_json renders it byte for byte as json.dumps renders the list of
-    dicts: csvcells renders each block of CSV_BLOCK_ROWS objects as rows
-    whose cells are the values, each behind its key, and whose suffix closes
-    the object.
+    write_json renders it in json.dumps's layout of the list of dicts, each
+    float spelled '%.17g' in JSON's spelling: csvcells renders each block of
+    CSV_BLOCK_ROWS objects as rows whose cells are the values, each behind
+    its key, and whose suffix closes the object.
     """
 
     columns: dict
@@ -257,9 +272,10 @@ class Records:
         """Write the JSON text of the list as bytes, whose opening bracket
         sits on a line indented by `indent` spaces."""
         keys = sorted(self.columns)
+        lengths = [len(self.columns[k]) for k in keys]
+        if len(set(lengths)) > 1:
+            raise ValueError(f"record columns differ in length: {dict(zip(keys, lengths))}")
         columns = [_json_column(self.columns[k]) for k in keys]
-        if len({len(col) for col in columns}) > 1:
-            raise ValueError("record columns differ in length")
         if not columns or not len(columns[0]):
             fh.write(b"[]")
             return

@@ -4,7 +4,7 @@ These are the dense n x n and Kronecker-product forms that `build_rep`,
 `verify_algebra`, `casimir_gen`, `conjugation_residual`,
 `hopf_axiom_report` and `complex_pairs` replace, and the Python loops that
 the array code of `build_rep`, `build_gen_rep`, `spectral_flow`,
-`level_section`, `_cells`, `write_csv`, `finite_orbit_candidates`,
+`level_section`, `_cells`, `write_csv`, `Records`, `finite_orbit_candidates`,
 `topology_transition` and `commensurability_peak` replaces, and scipy's
 `eigh_tridiagonal`, which `eigensolve`'s LAPACK kernel replaces.  The property
 tests compare the library against them; they are slow (O(n^3) products,
@@ -14,7 +14,9 @@ sizes.
 
 from __future__ import annotations
 
+import json
 import math
+import re
 
 import numpy as np
 
@@ -273,6 +275,34 @@ def csv_text(header, rows) -> str:
     for row in rows:
         lines.append(",".join(fmt(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+# '%.17g' spellings that JSON lacks or reads otherwise, and JSON's for them
+_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "-0": "-0.0"}
+# each float stands in json.dumps's text as a 31-digit integer, which no
+# record key of the tests (8 characters at most) can hold
+_MARK = 10**30
+
+
+def records_json_text(payload) -> str:
+    """write_json's file text for a payload of dicts, lists and floats (the
+    records as lists of dicts): json.dumps(indent=2, sort_keys=True) lays it
+    out, and each float is '%.17g' % x in JSON's spelling."""
+    cells = []
+
+    def marked(obj):
+        if isinstance(obj, dict):
+            return {k: marked(v) for k, v in obj.items()}
+        if isinstance(obj, list):
+            return [marked(v) for v in obj]
+        if isinstance(obj, float):
+            text = "%.17g" % obj
+            cells.append(_JSON_SPELLING.get(text, text))
+            return _MARK + len(cells) - 1
+        return obj
+
+    text = json.dumps(marked(payload), indent=2, sort_keys=True)
+    return re.sub(r"1(\d{30})", lambda m: cells[int(m.group(1))], text) + "\n"
 
 
 def _orbit_valid(d, c, m0, N) -> bool:

@@ -733,6 +733,7 @@ def test_flow_smallest_m_max_writes_one_curve(tmp_path):
 
 
 def test_flow_crossings_json_is_json_dumps_of_the_library_crossings(tmp_path):
+    import dense_reference as ref
     from qsu2.geometry import spectral_flow
 
     # the default grid: 500 points on [0.05, pi - 0.05]; thousands of
@@ -741,8 +742,12 @@ def test_flow_crossings_json_is_json_dumps_of_the_library_crossings(tmp_path):
     table = spectral_flow(16.0, 0.05 + (math.pi - 0.1) / 499 * np.arange(500))
     assert len(table.crossings) > 4096
     want = [{"s": s, "m_low": lo, "m_high": hi} for s, lo, hi in table.crossings]
+    # json.dumps's layout, each float spelled '%.17g' in JSON's spelling
     text = (tmp_path / "flow_crossings.json").read_text(encoding="utf-8")
-    assert text == json.dumps(want, indent=2, sort_keys=True) + "\n"
+    assert text == ref.records_json_text(want)
+    # and reads back as the same floats (finite and nonzero: == is bit equality)
+    got = json.loads(text)
+    assert tuple((float(x["s"]), float(x["m_low"]), float(x["m_high"])) for x in got) == table.crossings
 
 
 @pytest.mark.parametrize("count", [0, -3])

@@ -1,12 +1,9 @@
 """The column-wise CSV renderer against '%': the float64 kernel on raw bit
 patterns (with and without its long-double fast path), int columns, write_csv
 around the block size and the small-block crossover, which blocks reach the
-kernel, and the column table read as rows.  The kernel's JSON_REPR layout
-against float.__repr__ (as json.dumps spells it), and which record columns
-reach it.
+kernel, which record columns reach it, and the column table read as rows.
 """
 
-import json
 import math
 import struct
 from unittest import mock
@@ -75,74 +72,11 @@ def test_float_kernel_on_a_million_bit_patterns():
         assert csvcells.render_columns([column]) == percent_lines(column.tolist())
 
 
-def json_lines(values) -> bytes:
-    """Each float as json.dumps spells it in a list, one a line."""
-    return (json.dumps(list(values))[1:-1].replace(", ", "\n") + "\n").encode()
-
-
-def repr_lines(column) -> bytes:
-    return csvcells.render_columns([csvcells.spell_floats(column, csvcells.JSON_REPR)])
-
-
-_POWERS_OF_TWO = [2.0**k for k in range(-1074, 1024)]
-near_two = st.builds(
-    lambda p, step: math.nextafter(p, step * math.inf) if step else p,
-    st.sampled_from(_POWERS_OF_TWO),
-    st.sampled_from([-1, 0, 1]),
-)
-# integral floats, and the edges where repr switches to exponent notation
-integral = st.integers(-(2**53), 2**53).map(float) | st.sampled_from(
-    [16.0, 1e15, 1e16, 1e17, 1e16 - 2, 1e-05, 1e-04, 9.999999999999999e-05, 0.0001, 1e22, 1e23, 123456789012345678.0]
-)
-# exact ties at 15 digits (15 integer digits and a half) and at 16 (and a
-# quarter or three quarters); values near a power of two with few digits
-ties15 = st.builds(lambda i: i + 0.5, st.integers(10**14, 10**15 - 1))
-ties16 = st.builds(lambda i, q: i + q, st.integers(10**14, 10**15 - 1), st.sampled_from([0.25, 0.75]))
-# decimals of at most 16 digits, whose shortest spelling is often that decimal
-short = st.builds(lambda m, e: float(f"{m}e{e}"), st.integers(1, 10**16), st.integers(-30, 30))
-repr_cells = (
-    floats_from_bits | near_two | subnormal.map(from_bits) | near_powers | integral | ties15 | ties16 | short
-)
-
-
-@pytest.mark.parametrize("exact", [True, False], ids=["kernel", "all-fallback"])
-@settings(max_examples=200)
-@given(values=st.lists(st.builds(math.copysign, repr_cells, st.sampled_from([1.0, -1.0])), min_size=1, max_size=300))
-@example(values=[0.1, 0.2, 0.1 + 0.2, 1 / 3, 2 / 3, 0.5, 2.0, 1.0, 0.25, 1024.0, 2.0**-20, 2.0**60, 2.0**-1022])
-@example(values=[16.0, 1e15, 1e16, 9999999999999998.0, 1e-05, 0.0001, 5e-324, 2.2250738585072014e-308, 1e308])
-def test_repr_kernel_matches_float_repr(exact, values):
-    column = np.array(values, dtype=np.float64)
-    with mock.patch.object(csvcells, "LONG_DOUBLE_EXACT", exact):
-        assert repr_lines(column) == json_lines(values)
-
-
-@pytest.mark.parametrize("exact", [True, False], ids=["kernel", "all-fallback"])
-def test_repr_kernel_on_specials_and_nan_payloads(exact):
-    values = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan] + [
-        from_bits(b) for b in (0x7FF0000000000001, 0xFFF8000000000001, 0x7FF4000000000000)
-    ]
-    with mock.patch.object(csvcells, "LONG_DOUBLE_EXACT", exact):
-        assert repr_lines(np.array(values)) == b"0.0\n-0.0\nInfinity\n-Infinity\n" + b"NaN\n" * 5
-
-
-def test_repr_kernel_on_a_million_bit_patterns():
-    rng = np.random.default_rng(12)
-    columns = [
-        rng.integers(0, 2**64, 400_000, dtype=np.uint64).view(np.float64),
-        rng.standard_normal(200_000) * 10.0 ** rng.integers(-14, 47, 200_000),
-        np.round(rng.standard_normal(200_000) * 1e8) / 10.0 ** rng.integers(-12, 30, 200_000),
-        np.array(_NEAR_POWERS + _POWERS_OF_TWO) * rng.choice([-1.0, 1.0], len(_NEAR_POWERS) + len(_POWERS_OF_TWO)),
-        np.arange(10**14, 10**14 + 100_000) + 0.25 * rng.integers(0, 4, 100_000),
-    ]
-    for column in columns:
-        assert repr_lines(column) == json_lines(column.tolist())
-
-
-def test_records_reach_the_repr_kernel_from_enough_distinct_values(tmp_path):
+def test_records_reach_the_kernel_from_enough_distinct_values(tmp_path):
     n = CSV_BLOCK_ROWS + 1
     columns = {
         "many": np.arange(n) / 7.0,  # n patterns: the kernel
-        "few": np.arange(n) % 3 / 2.0,  # 3 patterns: float.__repr__
+        "few": np.arange(n) % 3 / 2.0,  # 3 patterns: %
         "edge": np.arange(n) % CSV_KERNEL_MIN_ROWS * 0.1,  # just enough patterns
         "below": np.arange(n) % (CSV_KERNEL_MIN_ROWS - 1) * 0.1,  # one pattern short
     }
@@ -150,7 +84,7 @@ def test_records_reach_the_repr_kernel_from_enough_distinct_values(tmp_path):
         write_json(tmp_path / "r.json", Records(columns))
     assert sorted(len(call.args[0]) for call in kernel.call_args_list) == [CSV_KERNEL_MIN_ROWS, n]
     dicts = [{k: c[i] for k, c in columns.items()} for i in range(n)]
-    assert (tmp_path / "r.json").read_text() == json.dumps(dicts, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "r.json").read_text() == ref.records_json_text(dicts)
 
 
 def test_long_double_check_holds_where_the_kernel_runs():
