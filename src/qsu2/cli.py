@@ -434,7 +434,8 @@ GRID_RTOL = 1e-6
 
 
 def _load_potential_csv(path):
-    """The r,V,mask table the potential command writes, on its uniform r grid."""
+    """The r,V,mask table the potential command writes, on its uniform r
+    grid, and the sha256 of the file's bytes."""
     import hashlib  # here, as json in _read_manifest: --version and --help need neither
 
     try:
@@ -460,23 +461,18 @@ def _load_potential_csv(path):
     step = (r[-1] - r[0]) / (len(r) - 1)
     if not (step > 0 and np.all(np.abs(np.diff(r) - step) <= GRID_RTOL * step)):
         raise ValueError(f"{path}: r is not an increasing uniform grid")
-    return PotentialProfile(
-        start=float(r[0]),
-        step=float(step),
-        count=len(r),
-        values=v,
-        pole_mask=mask == 1,
-        params={"source": str(path), "sha256": hashlib.sha256(data).hexdigest()},
-        casimir_offset=0.0,
-        terms={},
+    prof = PotentialProfile(
+        start=float(r[0]), step=float(step), count=len(r), values=v, pole_mask=mask == 1,
+        params={}, casimir_offset=0.0, terms={},
     )
+    return prof, hashlib.sha256(data).hexdigest()
 
 
 @_uses("qnumbers", "schrodinger")
 def _cmd_spectrum(args):
     if args.potential_csv is not None:
-        prof = _load_potential_csv(args.potential_csv)
-        computed = {"potential_sha256": prof.params["sha256"]}
+        prof, sha256 = _load_potential_csv(args.potential_csv)
+        computed = {"potential_sha256": sha256}
     else:
         if args.s is None or args.m is None:
             raise argparse.ArgumentTypeError("spectrum needs --potential-csv or --s and --m")
@@ -531,23 +527,23 @@ def _cmd_surface(args):
 def _cmd_hopf(args):
     computed = {}
     profile_params = {}
+    if args.profile == "sech" or args.what in ("all", "window"):
+        # the window depends on alpha alone (q1, C1, C2, h), not on the profile
+        win = unitarity_window(args.c, GenDeformation(alpha=args.alpha))
     if args.profile == "constant":
         profile_params["b0"] = args.b0
     elif args.profile == "geometric":
         profile_params["f0"] = args.f0
     elif args.profile == "sech":
-        gd0 = GenDeformation(alpha=args.alpha, profile="constant")
-        win0 = unitarity_window(args.c, gd0)
-        width = win0.f_max - win0.f_min
-        f_lo = args.f_lo if args.f_lo is not None else max(1.02, win0.f_min + 0.05 * width)
-        f_hi = args.f_hi if args.f_hi is not None else max(win0.f_max - 0.05 * width, f_lo + 0.1)
+        width = win.f_max - win.f_min
+        f_lo = args.f_lo if args.f_lo is not None else max(1.02, win.f_min + 0.05 * width)
+        f_hi = args.f_hi if args.f_hi is not None else max(win.f_max - 0.05 * width, f_lo + 0.1)
         profile_params.update({"f_lo": f_lo, "f_hi": f_hi})
         computed.update({"f_lo": f_lo, "f_hi": f_hi})
     gd = GenDeformation(alpha=args.alpha, profile=args.profile, profile_params=profile_params)
 
     outputs = {}
     if args.what in ("all", "window"):
-        win = unitarity_window(args.c, gd)
         window = {k: getattr(win, k) for k in win.__dataclass_fields__}
         outputs["hopf_window.json"] = window | {"q1": gd.q1, "c": args.c}
     if args.what in ("all", "spectrum"):

@@ -79,6 +79,7 @@ class PotentialProfile:
     params: dict
     casimir_offset: float  # [m]^2 term, not invariant under the ladder
     terms: dict
+    fns: RealizationFns | None = None  # what build_potential built it from; None for a raw or loaded profile
 
     @property
     def r(self) -> np.ndarray:
@@ -393,9 +394,9 @@ def build_potential(
     lattices = {b.lattice(_rate(d), shifts.get(b.shift, 0.0)) for b in entries if b and b.lattice}
     half = POLE_MASK_STEPS * step
     mask = np.zeros(count, dtype=bool)
-    for period, offset in lattices:
-        n = np.arange(math.ceil((start - half - offset) / period), math.floor((r[-1] + half - offset) / period) + 1)
-        for p in offset + period * n:
+    for period, origin in lattices:
+        n = np.arange(math.ceil((start - half - origin) / period), math.floor((r[-1] + half - origin) / period) + 1)
+        for p in origin + period * n:
             mask |= np.abs(r - p) <= half
 
     return PotentialProfile(
@@ -409,14 +410,10 @@ def build_potential(
             "m": m,
             "f1_branch": fns.f1.tag,
             "f2_branch": fns.f2.tag,
-            "constants": dict(fns.constants),
-            "d1": fns.d1,
-            "d2": fns.d2,
             "kappa": kappa,
             "kappa_mode": kappa_mode,
             "f1_derivative_form": f1_derivative_form,
             "transform": transform,
-            "grid": [start, step, count],
         },
         casimir_offset=float(offset),
         terms={
@@ -426,6 +423,7 @@ def build_potential(
             "f1_derivative": t_f1der,
             "f2_terms": t_f2,
         },
+        fns=fns,
     )
 
 
@@ -575,40 +573,38 @@ def eigensolve(p: PotentialProfile, n_states: int, cell="largest", vectors: bool
 
 
 def eigen_discretization_error(p: PotentialProfile, state: int, cell="largest") -> float:
-    """Richardson estimate of the h^2 eigenvalue error: (4/3)|c_h - c_{h/2}|."""
-    res_h = eigensolve(p, state + 1, cell, vectors=False)
+    """Richardson estimate of the h^2 eigenvalue error: (4/3)|c_h - c_{h/2}|,
+    the h/2 profile rebuilt from p.fns; ValueError on a profile without fns."""
     fine = _refine_profile(p)
+    res_h = eigensolve(p, state + 1, cell, vectors=False)
     res_h2 = eigensolve(fine, state + 1, cell, vectors=False)
     return 4.0 / 3.0 * abs(res_h.eigenvalues[state] - res_h2.eigenvalues[state])
 
 
 def _refine_profile(p: PotentialProfile) -> PotentialProfile:
-    """Rebuild the profile at half the step from its stored parameters."""
+    """Rebuild the profile at half the step from the realization it was built from."""
+    if p.fns is None:
+        raise ValueError("the profile records no realization to rebuild at half the step (a raw or loaded profile)")
     pr = p.params
-    d = Deformation(pr["s"])
-    fns = realization(
-        d,
-        pr["m"],
-        f1_branch=pr["f1_branch"],
-        f2_branch=pr["f2_branch"],
-        F=next(iter(pr["constants"].values())) if pr["constants"] else 1.0,
-        d1=pr["d1"],
-        d2=pr["d2"],
-    )
-    start, step, count = pr["grid"]
     return build_potential(
-        d,
+        Deformation(pr["s"]),
         pr["m"],
-        fns,
-        grid=(start, step / 2.0, 2 * count - 1),
+        p.fns,
+        grid=(p.start, p.step / 2.0, 2 * p.count - 1),
         kappa_mode=pr["kappa_mode"],
         f1_derivative_form=pr["f1_derivative_form"],
-        transform=pr.get("transform", "eliminate"),
+        transform=pr["transform"],
     )
 
 
 # ----------------------------------------------------------------------
 # ladder and coupled-mode machinery
+
+
+def _ladder_coefficient(d: Deformation, m: float, f1v: np.ndarray, f2v: np.ndarray) -> np.ndarray:
+    """-(f1/2)[2m] + f2, the raising coefficient of the factorization method
+    (Infeld & Hull, Rev. Mod. Phys. 23 (1951) 21) on the realization."""
+    return -(f1v / 2.0) * qnumber(2.0 * m, d) + f2v
 
 
 def ladder_apply(
@@ -638,8 +634,7 @@ def ladder_apply(
     dr[1:-1] = (big_r[2:] - big_r[:-2]) / (2.0 * h)
     dr[0] = (big_r[1] - big_r[0]) / h
     dr[-1] = (big_r[-1] - big_r[-2]) / h
-    coeff = -(fns.f1(r) / 2.0) * qnumber(2.0 * m, d) + fns.f2(r)
-    new_r = sign * dr + coeff * big_r
+    new_r = sign * dr + _ladder_coefficient(d, m, fns.f1(r), fns.f2(r)) * big_r
     psi_new = new_r / a_dst
 
     flagged = c is not None and not unitary_ok(d, c, m + sign)
@@ -741,8 +736,8 @@ def coupled_solve(
 
     # c(r) = [m-1/2]^2 + (B1 - A)' + (B1 - A)(A1 + A) from the exact
     # expansion of [J_z - 1/2]^2 + J_+ J_- on the realization
-    b1 = -(f1v / 2.0) * br2m + f2v
-    a1 = -(f1v / 2.0) * br(2.0 * m - 2.0) + f2v
+    b1 = _ladder_coefficient(d, m, f1v, f2v)
+    a1 = _ladder_coefficient(d, m - 1.0, f1v, f2v)  # [2m - 2]: 2 fl(m - 1) is fl(2m - 2) exactly
     diff = b1 - a_vals
     ddiff = np.gradient(diff, h)
     c_of_r = br(m - 0.5) ** 2 + ddiff + diff * (a1 + a_vals)

@@ -175,6 +175,22 @@ def test_hopf_reports(tmp_path):
     assert accum2["bounded"] and accum2["two_sided"] and accum2["monotone_tails"]
 
 
+def test_hopf_sech_computes_its_window_once(tmp_path, monkeypatch):
+    import qsu2.cli
+    from qsu2.hopf import GenDeformation, unitarity_window
+
+    calls = []
+    monkeypatch.setattr(qsu2.cli, "unitarity_window", lambda c, gd: calls.append(gd) or unitarity_window(c, gd))
+    assert run(["hopf", "--alpha", 3, "--profile", "sech", "--c", 5, "--what", "window", "--outdir", tmp_path]) == 0
+    assert len(calls) == 1
+    # the window of the sech profile the run sets up is the one written
+    manifest = json.loads((tmp_path / "hopf_manifest.json").read_text())
+    bounds = {"f_lo": manifest["params"]["f_lo"], "f_hi": manifest["params"]["f_hi"]}
+    win = unitarity_window(5.0, GenDeformation(alpha=3.0, profile="sech", profile_params=bounds))
+    window = json.loads((tmp_path / "hopf_window.json").read_text())
+    assert window == {k: getattr(win, k) for k in win.__dataclass_fields__} | {"q1": 2.0 / 3.0, "c": 5.0}
+
+
 def test_config_file_defaults(tmp_path):
     cfg = tmp_path / "defaults.cfg"
     cfg.write_text("outdir = {}\ns = 1.0\n".format(tmp_path / "from_config"))
@@ -347,26 +363,30 @@ def test_spectrum_csv_digest_in_manifest(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit,message",
     [
-        lambda lines: ["x,V,mask"] + lines[1:],  # wrong header
-        lambda lines: lines[:2],  # one row
-        lambda lines: lines[:1],  # header only
-        lambda lines: [],  # empty file
-        lambda lines: [ln for i, ln in enumerate(lines) if i % 3 != 0 or i == 0],  # rows dropped
-        lambda lines: lines[:1] + lines[1:][::-1],  # r decreasing
+        (lambda lines: ["x,V,mask"] + lines[1:], "header 'x,V,mask' is not 'r,V,mask'"),
+        (lambda lines: lines[:2], "1 rows, need at least 2"),
+        (lambda lines: lines[:1], "0 rows, need at least 2"),
+        (lambda lines: [], "header '' is not 'r,V,mask'"),
+        (  # rows dropped
+            lambda lines: [ln for i, ln in enumerate(lines) if i % 3 != 0 or i == 0],
+            "r is not an increasing uniform grid",
+        ),
+        (lambda lines: lines[:1] + lines[1:][::-1], "r is not an increasing uniform grid"),
+        (lambda lines: lines[:10] + ["", ""] + lines[10:], "2 blank rows"),
     ],
-    ids=["header", "one-row", "no-rows", "empty", "non-uniform", "decreasing"],
+    ids=["header", "one-row", "no-rows", "empty", "non-uniform", "decreasing", "blank-rows"],
 )
-def test_spectrum_rejects_bad_potential_csv(tmp_path, capsys, edit):
+def test_spectrum_rejects_bad_potential_csv(tmp_path, capsys, edit, message):
     assert run(["potential", "--s", 0.25, "--m", 1, "--grid=-6:6:0.01", "--outdir", tmp_path]) == 0
     lines = (tmp_path / "potential.csv").read_text().splitlines()
     bad = tmp_path / "bad.csv"
     bad.write_text("".join(ln + "\n" for ln in edit(lines)))
     out = tmp_path / "out"
     assert run(["spectrum", "--potential-csv", bad, "--n", 2, "--outdir", out]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not (out / "spectrum.csv").exists()
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cell", ["2", "true", "nan"])
@@ -395,7 +415,8 @@ def test_potential_csv_reads_back_bit_identical(tmp_path):
     values = prof.values.copy()
     values[:4] = [math.nan, math.inf, -math.inf, -0.0]
     write_csv(tmp_path / "p.csv", ["r", "V", "mask"], rows_of(prof.r, values, prof.pole_mask))
-    back = _load_potential_csv(tmp_path / "p.csv")
+    back, sha256 = _load_potential_csv(tmp_path / "p.csv")
+    assert sha256 == sha256_of(tmp_path / "p.csv")
     assert back.values.tobytes() == values.tobytes()
     assert back.pole_mask.tobytes() == prof.pole_mask.tobytes()
     assert (back.start, back.count) == (prof.start, prof.count)
@@ -441,6 +462,27 @@ def test_hopf_m_range_too_short_for_the_tails_is_an_argument_error(tmp_path, cap
 def test_spectrum_rejects_missing_potential_csv(tmp_path, capsys):
     assert run(["spectrum", "--potential-csv", tmp_path / "absent.csv", "--outdir", tmp_path]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["rep", "--c", 1, "--basis=0:4"], "rep needs --s, --c, and --basis"),
+        (["rep", "--s", 1, "--basis=0:4"], "rep needs --s, --c, and --basis"),
+        (["rep", "--s", 1, "--c", 1], "rep needs --s, --c, and --basis"),
+        (["potential", "--m", 1], "needs --s and --m (or a potential CSV)"),
+        (["potential", "--s", 1], "needs --s and --m (or a potential CSV)"),
+        (["spectrum"], "spectrum needs --potential-csv or --s and --m"),
+        (["spectrum", "--s", 1], "spectrum needs --potential-csv or --s and --m"),
+        (["surface", "--s", 1], "surface needs --c"),
+        (["surface", "--c", 1], "surface needs --s (or --transition)"),
+    ],
+)
+def test_a_missing_flag_is_an_argument_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert run(argv + ["--outdir", out]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def _fresh(code: str) -> str:

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qsu2.qnumbers import Deformation, qnumber
 from qsu2.schrodinger import (
+    PotentialProfile,
     RadialProfile,
     RealizationFns,
     build_potential,
@@ -20,6 +23,7 @@ from qsu2.schrodinger import (
     ladder_apply,
     ladder_residual,
     ladder_shift,
+    _refine_profile,
     liouville_factor,
     realization,
     solve_f1,
@@ -352,6 +356,67 @@ def test_eigensolve_per_cell_and_guard():
     small = _raw_profile(0.0, 1e-3, 50, np.zeros(50))
     with pytest.raises(ValueError, match="samples"):
         eigensolve(small, 1)
+
+
+# ----------------------------------------------------------------------
+# refinement at half the step
+
+
+def assert_refines(prof):
+    """The half-step rebuild holds the profile's own bits at every unmasked
+    coarse sample: the fine grid's even points are the coarse points."""
+    fine = _refine_profile(prof)
+    kept = ~prof.pole_mask
+    assert fine.values[::2][kept].tobytes() == prof.values[kept].tobytes()
+
+
+@given(s=st.floats(0.05, 3.1), m=st.sampled_from([0.5, 1.0, 2.0]), F=st.floats(-2.0, 2.0))
+@example(s=0.25, m=1.0, F=1.0)
+@example(s=3.0, m=1.0, F=1.0)
+@example(s=math.pi / 2, m=1.0, F=1.0)
+@example(s=2.0, m=1.0, F=1.0)
+def test_refinement_rebuilds_a_realization_profile(s, m, F):
+    d = Deformation(s)
+    assert_refines(build_potential(d, m, realization(d, m, F=F), grid=(-3.0, 1e-2, 601)))
+
+
+def test_refinement_rebuilds_from_the_profiles_own_fns():
+    # built directly, not through realization(): the rebuild once re-resolved
+    # the branches by name and took F = 1, not this profile's F = 0.3
+    d = Deformation(0.25)
+    f1 = solve_f1(d, "tan")
+    direct = RealizationFns(f1=f1, f2=solve_f2(d, f1, "cosine", F=0.3), s=d.s, m=1.0)
+    prof = build_potential(d, 1.0, direct)
+    assert_refines(prof)
+    via = build_potential(d, 1.0, realization(d, 1.0, F=0.3))
+    assert prof.values.tobytes() == via.values.tobytes()
+    assert eigen_discretization_error(prof, 2) == eigen_discretization_error(via, 2)
+
+
+def test_refinement_rebuilds_a_custom_f2():
+    # an f2 no branch table names
+    d = Deformation(0.25)
+    gauss = RadialProfile(
+        "gauss",
+        lambda r: 0.4 * np.exp(-(r**2)),
+        lambda r: -0.8 * r * np.exp(-(r**2)),
+        lambda r: (1.6 * r**2 - 0.8) * np.exp(-(r**2)),
+    )
+    prof = build_potential(d, 1.0, RealizationFns(f1=solve_f1(d, "tan"), f2=gauss, s=d.s, m=1.0))
+    assert_refines(prof)
+    assert eigen_discretization_error(prof, 0) < 1e-3
+
+
+def test_refinement_refuses_a_profile_without_a_realization(tmp_path):
+    from qsu2.cli import _load_potential_csv, main
+
+    assert main(["potential", "--s", "0.25", "--m", "1", "--grid=-6:6:0.01", "--outdir", str(tmp_path)]) == 0
+    loaded, _ = _load_potential_csv(tmp_path / "potential.csv")
+    raw = PotentialProfile(-1.0, 0.01, 201, np.zeros(201), np.zeros(201, dtype=bool), {}, 0.0, {})
+    for prof in (loaded, raw):
+        assert prof.fns is None
+        with pytest.raises(ValueError, match="records no realization to rebuild"):
+            eigen_discretization_error(prof, 0)
 
 
 # ----------------------------------------------------------------------
