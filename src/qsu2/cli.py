@@ -244,6 +244,15 @@ class _Subcommands(argparse._SubParsersAction):
         super().__call__(parser, namespace, values[:1] + config_argv + values[1:], option_string)
 
 
+class _Given(argparse._StoreAction):
+    """A potential flag, which also records on the namespace that it was
+    given (on the command line or by a config line)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        super().__call__(parser, namespace, values, option_string)
+        namespace.potential_flags = getattr(namespace, "potential_flags", ()) + (self.option_strings[0],)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process: it holds no per-call state."""
@@ -252,17 +261,18 @@ def build_parser() -> argparse.ArgumentParser:
     common = _common_flags(argparse.SUPPRESS)
 
     potential = argparse.ArgumentParser(add_help=False)
-    potential.add_argument("--s", type=_finite, default=None)
-    potential.add_argument("--m", type=_finite, default=None)
-    potential.add_argument("--f1-branch", default=None, choices=["tan", "tanh", "constant", "linear"])
-    potential.add_argument("--f2-branch", default=None, choices=["sech", "exponential", "cosine", "constant"])
-    potential.add_argument("--F", type=_finite, default=1.0, help="integration constant of the f2 branch")
-    potential.add_argument("--d1", type=_finite, default=0.0)
-    potential.add_argument("--d2", type=_finite, default=0.0)
-    potential.add_argument("--grid", type=_parse_grid, default=(-6.0, 1e-3, 12001), help="start:stop:step")
-    potential.add_argument("--kappa-mode", default="exact", choices=["exact", "unit", "parity"])
-    potential.add_argument("--f1-derivative-form", default="first", choices=["first", "second"])
-    potential.add_argument("--transform", default="eliminate", choices=["eliminate", "literal"])
+    flag = functools.partial(potential.add_argument, action=_Given)
+    flag("--s", type=_finite, default=None)
+    flag("--m", type=_finite, default=None)
+    flag("--f1-branch", default=None, choices=["tan", "tanh", "constant", "linear"])
+    flag("--f2-branch", default=None, choices=["sech", "exponential", "cosine", "constant"])
+    flag("--F", type=_finite, default=1.0, help="integration constant of the f2 branch")
+    flag("--d1", type=_finite, default=0.0)
+    flag("--d2", type=_finite, default=0.0)
+    flag("--grid", type=_parse_grid, default=(-6.0, 1e-3, 12001), help="start:stop:step")
+    flag("--kappa-mode", default="exact", choices=["exact", "unit", "parity"])
+    flag("--f1-derivative-form", default="first", choices=["first", "second"])
+    flag("--transform", default="eliminate", choices=["eliminate", "literal"])
 
     ap = argparse.ArgumentParser(prog="qsu2", description=__doc__, parents=[_common_flags(None)])
     ap.add_argument("--version", action="version", version=f"qsu2 {__version__}")
@@ -471,6 +481,11 @@ def _load_potential_csv(path):
 @_uses("qnumbers", "schrodinger")
 def _cmd_spectrum(args):
     if args.potential_csv is not None:
+        given = sorted(set(getattr(args, "potential_flags", ())))
+        if given:
+            raise argparse.ArgumentTypeError(
+                f"--potential-csv takes the potential from its file, not from {', '.join(given)}"
+            )
         prof, sha256 = _load_potential_csv(args.potential_csv)
         computed = {"potential_sha256": sha256}
     else:
@@ -678,7 +693,7 @@ def main(argv=None, defaults: dict | None = None) -> int:
         if args.command == "rerun":
             return _rerun(args.manifest, outdir, args.check)
         computed, outputs = DISPATCH[args.command](args)
-        params = {k: v for k, v in vars(args).items() if k not in ("command", "outdir", "config")}
+        params = {k: v for k, v in vars(args).items() if k not in ("command", "outdir", "config", "potential_flags")}
         paths = _write_outputs(outdir, outputs, args.command, params | computed, argv, defaults)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0

@@ -1,18 +1,23 @@
-"""Numeric columns spelled at array speed.
+"""Numeric columns spelled at word speed.
 
-A block of columns becomes one uint8 buffer with a row per line and a fixed
-run of slots per cell; the slots a cell does not use hold NUL, which
-bytes.translate deletes.  render_columns returns the bytes that '%.17g' %
-(float columns) and '%d' % (bool columns) write for the .tolist() rows, each
-cell behind its column's prefix and each row ending in a suffix; a bytes
-column is taken as it is.  spell_floats spells floats as '%.17g' into such a
-column.  serialize imports this module lazily, so `import qsu2.cli` does not
-compile it.
+render_columns returns the bytes that '%.17g' % (float columns) and '%d' %
+(bool columns) write for the .tolist() rows, each cell behind its column's
+prefix and each row ending in a suffix; a bytes ("S") column is taken as it
+is.  spell_floats spells floats as '%.17g' into such a column.  A block of
+rows is rendered into one uint8 buffer, reused across blocks and calls and
+grown only when a block needs more room, and read as little-endian 64-bit
+words: a float cell takes 4 whole words (32 slots), a bool cell one slot ORed
+into its word and a bytes cell its own bytes; the prefixes and the suffix fill
+the slots between the cells, and every slot a row does not use holds NUL,
+which bytes.translate deletes.  Every numpy operation runs over the rows, on
+contiguous arrays or on one word column of the buffer.  serialize imports
+this module lazily, so `import qsu2.cli` does not compile it.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
 
 import numpy as np
 
@@ -51,17 +56,35 @@ def _long_double_exact() -> bool:
 
 LONG_DOUBLE_EXACT = _long_double_exact()
 
-# a float cell's slots: sign, the "0.000" of 1e-4 <= |x| < 1, 18 for the
-# digits and their point, and e, the exponent's sign and 3 digits
+# The slots of a float cell, bytes 0..31 of its 4 words.  '%.17g' fills at
+# most 0..28: the lead digit stands at 6, the other 16 digits at 7..22 ahead
+# of the point or at 8..23 behind it (there two whole words), and the sign,
+# the "0." of |x| < 1, the point and the exponent stand next to the digits,
+# so a cell's text has no NUL inside.  29..31 are free for the text behind
+# the cell.
+_WORD = np.dtype("<u8")
+FLOAT_WORDS = 4
 FLOAT_SLOTS = 29
-_DIGITS_AT = 6
+_LEAD_AT = 6
 # decimal exponents with a layout: |16 - X| <= 27 and a carry, and the ones
 # a cell outside that range (which the formatter spells) may reach by one correction
 _X_MIN, _X_MAX = -12, 45
+_KEYS_PER_SIGN = (_X_MAX - _X_MIN + 1) * 17
+# per word of digits 1..8 and 9..16: the float64 exponent bias less 8 times
+# the place of the word's first digit
+_LAST_BIAS = np.array([[1023 - 8], [1023 - 72]])
 
-
-# '%.17g' of nan, 0, -0, inf and -inf
+# '%.17g' of nan, 0, -0, inf and -inf, keyed after the layouts, and after
+# them the key of a cell that '%' spells
 _SPECIALS = (b"nan", b"0", b"-0", b"inf", b"-inf")
+_REST_KEY = 2 * _KEYS_PER_SIGN + len(_SPECIALS)
+# the key of a cell the layouts do not spell, by its sign, its biased
+# exponent and whether its fraction is not 0
+_SPECIAL_KEYS = np.full((2, 2048, 2), _REST_KEY)
+_SPECIAL_KEYS[:, 2047, 1] = 2 * _KEYS_PER_SIGN  # nan
+_SPECIAL_KEYS[:, 0, 0] = 2 * _KEYS_PER_SIGN + np.array([1, 2])  # 0, -0
+_SPECIAL_KEYS[:, 2047, 0] = 2 * _KEYS_PER_SIGN + np.array([3, 4])  # inf, -inf
+_SPECIAL_KEYS = _SPECIAL_KEYS.ravel()
 
 
 def _spell_percent(values: list) -> list:
@@ -69,47 +92,51 @@ def _spell_percent(values: list) -> list:
 
 
 @functools.cache
-def _quads() -> tuple:
-    """The digits of 0000..9999, four bytes each as one uint32, and how many
-    of each group's digits are trailing zeros."""
+def _quads() -> np.ndarray:
+    """The digits of 0000..9999, four bytes each as one uint32, each byte
+    the digit's value."""
     digits = np.arange(10**4)[:, None] // np.array([1000, 100, 10, 1]) % 10
-    spelled = (digits + ord("0")).astype(np.uint8).view(np.uint32).ravel()
-    zeros = np.cumprod(digits[:, ::-1] == 0, axis=1).sum(axis=1)
-    spelled.flags.writeable = zeros.flags.writeable = False  # shared by every caller
-    return spelled, zeros
+    quads = digits.astype(np.uint8).view("<u4").ravel()
+    quads.flags.writeable = False  # shared by every caller
+    return quads
+
+
+def _cell_words(texts) -> np.ndarray:
+    """Each text as the (n, FLOAT_WORDS) words of a float cell."""
+    return np.array(texts, dtype=f"S{8 * FLOAT_WORDS}").view(_WORD).reshape(-1, FLOAT_WORDS)
 
 
 @functools.cache
-def _float_layouts() -> tuple:
-    """Three tables of slot rows, indexed by the key (sign, exponent, digit
-    count): the constant bytes, the mask of the digits that stand where D
-    puts them, and the mask of the digits one slot to the right, behind the
-    point; and the specials' slot rows."""
-    table = np.zeros((2, _X_MAX - _X_MIN + 1, 17, 3, FLOAT_SLOTS), np.uint8)
-    table[1, :, :, 0, 0] = ord("-")
-    nd = np.arange(1, 18)[:, None]
-    at = np.arange(FLOAT_SLOTS) - _DIGITS_AT  # the digit a slot holds
-    for x in range(_X_MIN, _X_MAX + 1):
-        const, left, right = table[:, x - _X_MIN].transpose(2, 0, 1, 3)
-        if -4 <= x < 0:
-            prefix = b"0." + b"0" * (-x - 1)
-            const[..., 1 : 1 + len(prefix)] = list(prefix)
-            left[:] = np.where((at >= 0) & (at < nd), 0xFF, 0)
-            continue
-        fixed = 0 <= x < 17  # %.17g writes no exponent below its precision
-        point = x + 1 if fixed else 1  # digits ahead of the point
-        shown = np.maximum(nd, point)
-        left[:] = np.where((at >= 0) & (at < point), 0xFF, 0)
-        right[:] = np.where((at > point) & (at <= shown), 0xFF, 0)
-        const[..., _DIGITS_AT + point] = np.where(shown > point, ord("."), 0)[:, 0]
-        if not fixed:
-            exponent = b"e%+03d" % x
-            const[..., FLOAT_SLOTS - len(exponent) :] = list(exponent)
-    # one contiguous (keys, slots) table per row kind, shared by every caller
-    layouts = table.reshape(-1, 3, FLOAT_SLOTS).transpose(1, 0, 2).copy()
-    specials = np.array(_SPECIALS, dtype=f"S{FLOAT_SLOTS}").view(np.uint8).reshape(5, -1)
-    layouts.flags.writeable = specials.flags.writeable = False
-    return layouts, specials
+def _float_layouts() -> np.ndarray:
+    """The slots of a float cell that D's digits do not give, by key (sign,
+    exponent, digit count; then the specials' and the rest's), as 9 rows of
+    words: the constant slots (with "0" where a digit goes), the mask of
+    words 0..2 of the digits ahead of the point, and the mask of words 1
+    and 2 of the digits behind it."""
+    size = 8 * FLOAT_WORDS
+    const, ahead, behind = (bytearray(2 * _KEYS_PER_SIGN * size) for _ in range(3))
+    at = 0
+    for sign in (b"", b"-"):
+        for x in range(_X_MIN, _X_MAX + 1):
+            for nd in range(1, 18):
+                small, fixed = -4 <= x < 0, 0 <= x < 17  # 0.000ddd, and no exponent
+                left = nd if small else x + 1 if fixed else 1  # the digits ahead of the point
+                right = max(nd - left, 0)
+                head = sign + (b"0." + b"0" * (-x - 1) if small else b"")
+                text = head + b"0" * left + (b"." + b"0" * right if right else b"")
+                if not (small or fixed):
+                    text += b"e%+03d" % x
+                start = at + _LEAD_AT - len(head)
+                const[start : start + len(text)] = text
+                ahead[at + _LEAD_AT : at + _LEAD_AT + left] = b"\xff" * left
+                behind[at + _LEAD_AT + 1 + left : at + _LEAD_AT + 1 + left + right] = b"\xff" * right
+                at += size
+    const, ahead, behind = (np.frombuffer(t, _WORD).reshape(-1, FLOAT_WORDS).T for t in (const, ahead, behind))
+    const = np.concatenate([const, _cell_words(_SPECIALS + (b"",)).T], axis=1)
+    ahead, behind = (np.pad(t, ((0, 0), (0, len(_SPECIALS) + 1))) for t in (ahead, behind))
+    layouts = np.concatenate([const, ahead[:3], behind[1:3]]).copy(order="C")  # a row of keys per word
+    layouts.flags.writeable = False  # shared by every caller
+    return layouts
 
 
 def _scaled(a: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -146,70 +173,136 @@ def _digit_core(a: np.ndarray) -> tuple:
     return k, d, frac, ok
 
 
-def _spell_floats(x: np.ndarray, cells: np.ndarray) -> None:
-    """Spell each float64 of x into its row of cells (n, FLOAT_SLOTS) as
-    '%.17g', NUL in the slots it does not use."""
-    n = len(x)
-    if not n:
+def _spell_floats(x: np.ndarray, cells: np.ndarray, tail: int = 0) -> None:
+    """Spell each float64 of x into its row of cells ((n, FLOAT_WORDS)
+    words) as '%.17g', NUL in the slots it does not use but for the bytes of
+    tail, ORed into the last word of every cell."""
+    if not len(x):
         return
-    k, d, frac, ok = _digit_core(np.abs(x))
+    a = np.abs(x)
+    finite = np.isfinite(a)  # nan and inf slow long double arithmetic a hundredfold
+    k, d, frac, ok = _digit_core(np.where(finite, a, 1.5))
+    ok &= finite
     ok &= np.abs(frac - 0.5) > _ERR
     d += frac > 0.5
-    carry = d == 10**17
+    carry = (d == 10**17).nonzero()[0]
     d[carry] = 10**16
-    x10 = 16 - k + carry
+    k[carry] -= 1
 
-    # D = lead 10^16 + hi 10^8 + lo, and hi and lo are two 4-digit groups each.
-    # Below 10^9 the quotients of float64 divisions floor exactly, faster than
-    # int64 ones
+    # D = lead 10^16 + hi 10^8 + lo, and hi and lo are two 4-digit groups
+    # each; v 109951163 >> 40 is v // 10^4 for v < 10^8 (109951163 is
+    # 2^40 / 10^4 rounded up, and errs by less than 10^-4)
     top = d // 10**8
-    halves = np.empty((n, 2))
-    halves[:, 1] = d - top * 10**8
-    top = top.astype(np.float64)
-    lead = np.floor(top / 1e8)
-    halves[:, 0] = top - lead * 1e8
-    high = np.floor(halves / 1e4)
-    groups = np.empty((n, 2, 2), np.intp)
+    lead = top // 10**8
+    halves = np.empty((2, len(x)), np.int64)
+    np.subtract(top, lead * 10**8, out=halves[0])
+    np.subtract(d, top * 10**8, out=halves[1])
+    high = (halves * 109951163) >> 40
+    groups = np.empty((2, len(x), 2), np.intp)  # word, cell, group
     groups[..., 0] = high
-    groups[..., 1] = halves - high * 1e4
-    groups = groups.reshape(n, 4)
-    digits = np.empty((n, 17), np.uint8)
-    digits[:, 0] = lead + ord("0")
-    quads, quad_zeros = _quads()
-    digits[:, 1:] = quads.take(groups).view(np.uint8)
-    # trailing zeros of D, a group at a time from the last (the lead digit is not 0)
-    zeros = quad_zeros.take(groups)
-    tail = zeros[:, 0]
-    for j in (1, 2, 3):
-        tail = zeros[:, j] + (zeros[:, j] == 4) * tail
+    np.subtract(halves, high * 10**4, out=groups[..., 1])
+    digits = _quads().take(groups).view(_WORD).reshape(2, -1)  # digits 1..8 and 9..16
+    # the last digit that is not 0, by the top byte that is not 0 of each
+    # word, read off the exponent of its float64 (exact to the byte: the top
+    # byte is at most 9); 0 for the lead digit alone
+    last = digits.view(np.int64).astype(np.float64).view(np.int64) >> 52
+    last -= _LAST_BIAS
+    key = np.maximum(last[0], last[1])
+    np.maximum(key, 0, out=key)
+    key >>= 3
+    k *= -17
+    key += k
+    key += (16 - _X_MIN) * 17
+    key += np.signbit(x) * _KEYS_PER_SIGN
 
-    key = (np.signbit(x) * (_X_MAX - _X_MIN + 1) + (x10 - _X_MIN)) * 17 + (16 - tail)
-    (const, left, right), specials = _float_layouts()
-    spelled = left.take(key, axis=0)  # NUL outside the digits
-    spelled[:, _DIGITS_AT : _DIGITS_AT + 17] &= digits
-    shifted = right.take(key, axis=0)
-    shifted[:, _DIGITS_AT + 1 : _DIGITS_AT + 18] &= digits
-    spelled |= shifted
-    spelled |= const.take(key, axis=0, out=shifted)
-    cells[:] = spelled
-
-    bad = np.flatnonzero(~ok)
+    # the cells '%.17g' spells: nan, 0, -0, inf and -inf by their keys,
+    # the rest in one batch, whose key has no slots
+    bad = (~ok).nonzero()[0]
     if bad.size:
-        xb = x[bad]
-        special = ~np.isfinite(xb) | (xb == 0)
-        code = np.where(np.isnan(xb), 0, np.where(xb == 0, 1, 3) + np.signbit(xb))
-        cells[bad[special]] = specials.take(code[special], axis=0)
-        rest = bad[~special]
-        if rest.size:
-            texts = _spell_percent(x[rest].tolist())
-            cells[rest] = np.array(texts, dtype=f"S{FLOAT_SLOTS}").view(np.uint8).reshape(-1, FLOAT_SLOTS)
+        bits = x[bad].view(_WORD)
+        special = _SPECIAL_KEYS.take(((bits >> 52) << 1) + ((bits << 12) != 0))
+        key[bad] = special
+        bad = bad[special == _REST_KEY]
+    slots = _float_layouts().take(key, axis=1)
+    const, ahead, behind = slots[:4], slots[4:7], slots[7:]
+    if bad.size:
+        const[:, bad] = _cell_words(_spell_percent(x[bad].tolist())).T
+
+    # D's digits one slot down, ahead of the point: lead at 6, the words at 7..22
+    spelled = np.empty((3, len(x)), _WORD)
+    np.right_shift(digits, 8, out=spelled[1:])
+    np.left_shift(digits[0], 56, out=spelled[0])
+    spelled[1] |= digits[1] << 56
+    spelled[0] |= lead.view(_WORD) << 48
+    spelled &= ahead
+    behind &= digits
+    spelled[1:] |= behind
+    np.bitwise_or(spelled, const[:3], out=cells.T[:3])
+    np.bitwise_or(const[3], tail, out=cells[:, 3])
 
 
 def spell_floats(x: np.ndarray) -> np.ndarray:
     """Each float64 of x as '%.17g', a NUL-padded bytes ("S") array."""
-    cells = np.empty((len(x), FLOAT_SLOTS), np.uint8)
+    cells = np.empty((len(x), FLOAT_WORDS), _WORD)
     _spell_floats(x, cells)
-    return cells.view(f"S{FLOAT_SLOTS}").ravel()
+    return np.ndarray((len(x),), f"S{FLOAT_SLOTS}", cells, 0, (8 * FLOAT_WORDS,))
+
+
+def _align(at: int) -> int:
+    return -(-at // 8) * 8
+
+
+@functools.lru_cache(maxsize=64)
+def _row_layout(kinds: tuple, prefixes: tuple, suffix: bytes) -> tuple:
+    """Where a row puts its cells and its text, for columns of the given
+    kinds ("f" float, "b" bool, or a bytes cell's width): the row's width in
+    bytes, the row as words (each prefix and the suffix in place, "0" where
+    a bool goes, NUL elsewhere), the offset of each cell, and the (offset,
+    bytes) of each run of slots outside the float and bytes cells.  A float
+    cell takes 4 whole words and the text behind it may fill its 3 free
+    slots; a bool cell is the one slot behind its prefix."""
+    text = bytearray()
+    cells, spans = [], []
+    free = 0  # the first slot past the float and bytes cells
+    for kind, prefix in zip(kinds, prefixes):
+        text += prefix
+        if kind == "f":
+            start = _align(max(len(text), free))
+            free = start + 8 * FLOAT_WORDS
+            spans.append((start, free))
+            text += bytes(start + FLOAT_SLOTS - len(text))
+        elif kind == "b":
+            start = len(text)
+            text += b"0"
+        else:
+            start = max(len(text), free)
+            free = start + kind
+            spans.append((start, free))
+            text += bytes(free - len(text))
+        cells.append(start)
+    text += suffix
+    width = _align(max(len(text), free))
+    text += bytes(width - len(text))
+    runs, at = [], 0
+    for lo, hi in spans + [(width, width)]:
+        if at < lo:
+            runs.append((at, bytes(text[at:lo])))
+        at = hi
+    return width, np.frombuffer(bytes(text), _WORD), tuple(cells), tuple(runs)
+
+
+class _Block(threading.local):
+    """The buffer a thread renders its blocks into, grown as blocks need."""
+
+    buf = np.empty(0, np.uint8)
+
+
+_BLOCK = _Block()
+
+
+def _slots(buf: np.ndarray, n: int, width: int, at: int, size: int) -> np.ndarray:
+    """The slots at..at+size of each of n rows of width bytes, as one "S" array."""
+    return np.ndarray((n,), f"S{size}", buf, at, (width,))
 
 
 def render_columns(columns, prefixes=None, suffix=b"\n") -> bytes:
@@ -220,19 +313,22 @@ def render_columns(columns, prefixes=None, suffix=b"\n") -> bytes:
     less their NUL padding."""
     if prefixes is None:
         prefixes = [b""] + [b","] * (len(columns) - 1)
-    widths = [{"b": 1, "S": c.dtype.itemsize}.get(c.dtype.kind, FLOAT_SLOTS) for c in columns]
-    buf = np.empty((len(columns[0]), sum(map(len, prefixes)) + sum(widths) + len(suffix)), np.uint8)
-    at = 0
-    for column, prefix, slots in zip(columns, prefixes, widths):
-        buf[:, at : at + len(prefix)] = np.frombuffer(prefix, np.uint8)
-        at += len(prefix)
-        if column.dtype.kind == "b":
-            buf[:, at] = column
-            buf[:, at] += ord("0")
-        elif column.dtype.kind == "S":
-            buf[:, at : at + slots] = column.view(np.uint8).reshape(-1, slots)
-        else:
-            _spell_floats(column.astype(np.float64, copy=False), buf[:, at : at + slots])
-        at += slots
-    buf[:, at:] = np.frombuffer(suffix, np.uint8)
+    kinds = tuple(c.dtype.itemsize if c.dtype.kind == "S" else "b" if c.dtype.kind == "b" else "f" for c in columns)
+    width, text, cells, runs = _row_layout(kinds, tuple(prefixes), suffix)
+    n = len(columns[0])
+    if _BLOCK.buf.size < n * width:
+        _BLOCK.buf = np.empty(n * width, np.uint8)
+    buf = _BLOCK.buf[: n * width]
+    words = buf.view(_WORD).reshape(n, width // 8)
+    for at, run in runs:
+        _slots(buf, n, width, at, len(run))[...] = run
+    for column, kind, at in zip(columns, kinds, cells):
+        w = at // 8
+        if kind == "f":
+            _spell_floats(column.astype(np.float64, copy=False), words[:, w : w + FLOAT_WORDS], text[w + 3])
+        elif kind != "b":
+            _slots(buf, n, width, at, kind)[...] = column
+    for column, kind, at in zip(columns, kinds, cells):
+        if kind == "b":  # into the "0" in place, the float cells written
+            words[:, at // 8] |= np.left_shift(column, 8 * (at % 8), dtype=_WORD)
     return buf.tobytes().translate(None, b"\0")

@@ -46,9 +46,12 @@ _CELL_FORMATS = {float: "%.17g", np.float64: "%.17g", bool: "%d", np.bool_: "%d"
 CSV_BLOCK_ROWS = 4096
 
 # blocks with fewer rows, and record columns with fewer distinct floats, stay
-# on the % path: csvcells' fixed cost, about 0.1 ms per float column, is what
-# % spends on about 320 to 450 values of a column
-CSV_KERNEL_MIN_ROWS = 384
+# on the % path.  Timed per block (min of 21 interleaved runs of thread time,
+# x86-64, Python 3.11, numpy 2.4): a float column costs csvcells about 90 us
+# plus 0.22 us a value and % about 0.6 us a value, so the two meet near 240
+# rows; blocks of (float, float, bool), (float, float, float) and (float)
+# break even at 235, 256 and 245 rows
+CSV_KERNEL_MIN_ROWS = 256
 
 
 def _cell_type(column):

@@ -459,6 +459,29 @@ def test_hopf_m_range_too_short_for_the_tails_is_an_argument_error(tmp_path, cap
     assert len((out / "hopf_spectrum.csv").read_text().splitlines()) == 17
 
 
+@pytest.mark.parametrize(
+    "extra,config,named",
+    [
+        (["--s", 1], "", "--s"),
+        (["--F", 7], "", "--F"),
+        (["--grid=-6:6:0.02"], "", "--grid"),
+        ([], "s = 1\n", "--s"),
+        (["--F", 1, "--m", 2], "s = 1\n", "--F, --m, --s"),
+    ],
+    ids=["s", "F", "grid", "config-s", "several"],
+)
+def test_spectrum_refuses_potential_flags_beside_a_potential_csv(tmp_path, capsys, extra, config, named):
+    assert run(["potential", "--s", 0.25, "--m", 1, "--grid=-6:6:0.01", "--outdir", tmp_path]) == 0
+    cfg = tmp_path / "spectrum.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    argv = ["spectrum", "--potential-csv", tmp_path / "potential.csv", "--n", 2, "--config", cfg, "--outdir", out]
+    capsys.readouterr()
+    assert run(argv + extra) == 2
+    assert capsys.readouterr().err == f"error: --potential-csv takes the potential from its file, not from {named}\n"
+    assert not out.exists()
+
+
 def test_spectrum_rejects_missing_potential_csv(tmp_path, capsys):
     assert run(["spectrum", "--potential-csv", tmp_path / "absent.csv", "--outdir", tmp_path]) == 2
     assert capsys.readouterr().err.startswith("error: ")

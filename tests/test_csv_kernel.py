@@ -178,3 +178,77 @@ def test_columns_the_kernel_does_not_spell_stay_on_the_percent_path(tmp_path):
     write_csv(tmp_path / "t.csv", ["a", "b", "c"], rows_of(*cols))
     rows = list(zip(*(c.tolist() for c in cols)))
     assert (tmp_path / "t.csv").read_bytes() == ref.csv_text(["a", "b", "c"], rows).encode("utf-8")
+
+
+def percent_render(columns, prefixes=None, suffix=b"\n") -> bytes:
+    """render_columns' bytes by one % over the .tolist() rows."""
+    if prefixes is None:
+        prefixes = [b""] + [b","] * (len(columns) - 1)
+    convs = {"f": b"%.17g", "b": b"%d", "S": b"%s"}
+    line = b"".join(p.replace(b"%", b"%%") + convs[c.dtype.kind] for p, c in zip(prefixes, columns))
+    line += suffix.replace(b"%", b"%%")
+    cells = tuple(v for row in zip(*(c.tolist() for c in columns)) for v in row)
+    return line * len(columns[0]) % cells
+
+
+def kernel_column(kind, n, rng):
+    """A float column of any bit patterns and of plain values, a bool column,
+    or a bytes column of up to 40 printable characters, NUL-padded."""
+    if kind == "f":
+        bits = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+        plain = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+        plain[rng.random(n) < 0.3] = np.nan
+        return np.where(rng.random(n) < 0.25, bits, plain)
+    if kind == "b":
+        return rng.random(n) < 0.5
+    width = int(rng.integers(1, 41))
+    lengths = rng.integers(0, width + 1, n)
+    chars = rng.integers(33, 127, (n, width)).astype(np.uint8)
+    chars[np.arange(width) >= lengths[:, None]] = 0
+    return chars.view(f"S{width}").ravel()
+
+
+blocks = st.lists(
+    st.tuples(
+        st.integers(1, 2 * K),
+        st.lists(st.sampled_from("fbS"), min_size=1, max_size=4),
+        st.sampled_from(["csv", "records", "bare"]),
+    ),
+    min_size=2,
+    max_size=4,
+)
+
+
+@settings(max_examples=20)
+@given(blocks=blocks, seed=st.integers(0, 2**32 - 1))
+@example(blocks=[(2 * K, list("SfbS"), "records"), (1, ["f"], "csv"), (K, ["b"], "csv"), (3, list("ffff"), "records")], seed=0)
+@example(blocks=[(2 * K, list("ffff"), "csv"), (2 * K - 1, ["b", "f"], "records"), (5, list("bfbS"), "bare")], seed=1)
+def test_consecutive_blocks_leave_nothing_behind(blocks, seed):
+    # one buffer serves every call: a wider or longer block before may not
+    # leak a slot into the next, whatever the rows, columns and text around them
+    rng = np.random.default_rng(seed)
+    for n, kinds, layout in blocks:
+        columns = [kernel_column(kind, n, rng) for kind in kinds]
+        prefixes, suffix = None, b"\n"
+        if layout == "records":  # a key before each cell, an object around each row
+            keys = [b'\n      "%s": ' % bytes(rng.integers(97, 123, int(rng.integers(1, 12))).astype(np.uint8)) for _ in kinds]
+            prefixes = [b"\n    {" + keys[0]] + [b"," + key for key in keys[1:]]
+            suffix = b"\n    },"
+        elif layout == "bare":  # empty text between cells too
+            prefixes = [[b"", b";", b"%|"][int(i)] for i in rng.integers(0, 3, len(kinds))]
+            suffix = [b"", b"\n", b"|\n"][int(rng.integers(0, 3))]
+        assert csvcells.render_columns(columns, prefixes, suffix) == percent_render(columns, prefixes, suffix)
+
+
+def test_records_and_csv_in_one_process_match_their_references(tmp_path):
+    n = K + CSV_KERNEL_MIN_ROWS
+    rng = np.random.default_rng(5)
+    records = {"a_long_key": rng.standard_normal(n), "m": np.arange(n) % 7 / 2.0, "s": np.arange(n) / 3.0}
+    dicts = [{k: c[i] for k, c in records.items()} for i in range(n)]
+    cols = mixed_columns(CSV_KERNEL_MIN_ROWS)[:3]
+    csv_expected = ref.csv_text(["x", "y", "flag"], zip(*cols)).encode("utf-8")
+    for _ in range(2):  # each write after the other's wider or longer blocks
+        write_json(tmp_path / "r.json", Records(records))
+        assert (tmp_path / "r.json").read_text() == ref.records_json_text(dicts)
+        write_csv(tmp_path / "t.csv", ["x", "y", "flag"], rows_of(*cols))
+        assert (tmp_path / "t.csv").read_bytes() == csv_expected
