@@ -59,6 +59,7 @@ LIBRARY = {
     "serialize": (
         "Records",
         "complex_pairs",
+        "float_cells",
         "manifest_path",
         "rows_of",
         "write_csv",
@@ -518,7 +519,9 @@ def _cmd_flow(args):
     if not len(table.m_values):
         raise argparse.ArgumentTypeError(f"--m-max {args.m_max!r} gives no curve: the first is m = 0.5")
     n_m, n_s = table.values.shape
-    rows = rows_of(np.tile(table.s_grid, n_m), np.repeat(table.m_values, n_s), table.values.ravel())
+    # each s and m spelled once, its cells tiled and repeated over the rows
+    rows = rows_of(np.tile(float_cells(table.s_grid), n_m), np.repeat(float_cells(table.m_values), n_s),
+                   table.values.ravel())
     return {}, {"flow.csv": (["s", "m", "value"], rows), "flow_crossings.json": Records(table.crossing_columns)}
 
 

@@ -157,7 +157,7 @@ def _digit_core(a: np.ndarray) -> tuple:
         d = p.astype(np.int64)
         # floor(log10) can be one off next to a power of ten; D says which way
         step = np.subtract(d < 10**16, d >= 10**17, dtype=np.int64)
-        moved = np.flatnonzero(ok & (step != 0))
+        moved = (ok & (step != 0)).nonzero()[0]
         if moved.size:
             k[moved] += step[moved]
             ok[moved] &= np.abs(k[moved]) <= 27
@@ -166,8 +166,9 @@ def _digit_core(a: np.ndarray) -> tuple:
         frac = (p - d).astype(np.float64)  # a multiple of 2^-10, exact
     ok &= (d >= 10**16) & (d <= 10**17)
     # within the bound above 10^16, R >= 10^16 is proven only where |x| is 10^E
-    edge = np.flatnonzero(ok & (d == 10**16) & (frac <= _ERR))
-    ok[edge] = a[edge] == _POW10_F64[np.clip(16 - k[edge], 0, 22)]
+    edge = (ok & (d == 10**16) & (frac <= _ERR)).nonzero()[0]
+    if edge.size:
+        ok[edge] = a[edge] == _POW10_F64[np.clip(16 - k[edge], 0, 22)]
     if not LONG_DOUBLE_EXACT:
         ok[:] = False
     return k, d, frac, ok
@@ -180,9 +181,13 @@ def _spell_floats(x: np.ndarray, cells: np.ndarray, tail: int = 0) -> None:
     if not len(x):
         return
     a = np.abs(x)
-    finite = np.isfinite(a)  # nan and inf slow long double arithmetic a hundredfold
-    k, d, frac, ok = _digit_core(np.where(finite, a, 1.5))
-    ok &= finite
+    # no |x| outside [10^_X_MIN, 10^_X_MAX) is spelled from the core: 0, nan
+    # and inf have keys of their own, subnormals and exponents past |k| <= 27
+    # go to the '%' batch.  The core gets them as 1.5, since long double
+    # arithmetic on them is 4 to 100 times slower
+    core = (a >= 1e-12) & (a < 1e45)
+    k, d, frac, ok = _digit_core(np.where(core, a, 1.5))
+    ok &= core
     ok &= np.abs(frac - 0.5) > _ERR
     d += frac > 0.5
     carry = (d == 10**17).nonzero()[0]

@@ -41,9 +41,15 @@ def fmt(x) -> str:
 # each cell type with a %-conversion, which prints what fmt does
 _CELL_FORMATS = {float: "%.17g", np.float64: "%.17g", bool: "%d", np.bool_: "%d", int: "%d"}
 
-# rows per block, rendered and written at once: a block of two float columns
-# and a bool column is about 0.25 MB of csvcells slots
-CSV_BLOCK_ROWS = 4096
+# rows per block, rendered and written at once, so that a potential table of
+# 12k-18k rows is one block.  A block costs about 0.4 ms besides its rows
+# (the kernel's calls, the translate and the hashed write, on caches the
+# other commands left cold): over the 308 potential.csv writes of 20 s of
+# realization rounds (x86-64, Python 3.11, numpy 2.4), write_csv took 8.7 ms
+# a file at 4096 rows a block and 7.5 ms at 20480, 895 blocks fewer.  A block
+# of two float columns and a bool column is about 1.3 MB of csvcells slots;
+# 32768 rows were no faster and doubled the growth of peak RSS
+CSV_BLOCK_ROWS = 20480
 
 # blocks with fewer rows, and record columns with fewer distinct floats, stay
 # on the % path.  Timed per block (min of 21 interleaved runs of thread time,
@@ -66,15 +72,18 @@ def _kernel_column(column):
         if _cell_type(column) not in (float, np.float64, bool, np.bool_):
             return None
         column = np.array(column)
-    return column if column.dtype.kind in "fb" and column.dtype.itemsize <= 8 else None
+    kind, size = column.dtype.kind, column.dtype.itemsize
+    return column if kind == "S" or kind in "fb" and size <= 8 else None
 
 
 def _render(columns: list, n: int) -> bytes:
     """The CSV lines of one block of n rows, given as its columns (numpy
     arrays or sequences of cells), each line ending in a newline.  A block of
-    CSV_KERNEL_MIN_ROWS rows or more whose columns are all float or bool goes
-    through csvcells.  Otherwise one % renders it: a column whose cells share
-    a type with a %-conversion uses it, any other column goes through fmt."""
+    CSV_KERNEL_MIN_ROWS rows or more whose columns are all float, bool or
+    bytes (float_cells) arrays goes through csvcells.  Otherwise one %
+    renders it: a column whose cells share a type with a %-conversion uses
+    it, a column of bytes cells is written less their NUL padding, and any
+    other column goes through fmt."""
     if columns and n >= CSV_KERNEL_MIN_ROWS:
         arrays = []
         for column in columns:
@@ -89,7 +98,12 @@ def _render(columns: list, n: int) -> bytes:
     for column in columns:
         if isinstance(column, np.ndarray):
             column = column.tolist()
-        conv = _CELL_FORMATS.get(_cell_type(column))
+        cell_type = _cell_type(column)
+        if cell_type is bytes:
+            convs.append("%s")
+            cells.append([cell.translate(None, b"\0").decode() for cell in column])
+            continue
+        conv = _CELL_FORMATS.get(cell_type)
         convs.append(conv or "%s")
         cells.append(column if conv else map(fmt, column))
     return (((",".join(convs) + "\n") * n) % tuple(chain.from_iterable(zip(*cells)))).encode("utf-8")
@@ -112,6 +126,20 @@ class ColumnTable:
         n = len(self)
         for lo in range(0, n, CSV_BLOCK_ROWS):
             yield from zip(*(c[lo : min(n, lo + CSV_BLOCK_ROWS)].tolist() for c in self.columns))
+
+
+def float_cells(values) -> np.ndarray:
+    """Each float of values as its '%.17g' text, a bytes ("S") array that
+    write_csv writes as it is: spelled by one % below CSV_KERNEL_MIN_ROWS
+    values, by csvcells.spell_floats (NUL-padded cells) from there on.  A
+    column that repeats few values is cheaper spelled once per value and its
+    cells tiled or repeated."""
+    values = np.asarray(values, dtype=np.float64)
+    if len(values) < CSV_KERNEL_MIN_ROWS:
+        return np.array(("%.17g\0" * len(values) % tuple(values.tolist())).split("\0")[:-1], dtype=bytes)
+    from .csvcells import spell_floats
+
+    return spell_floats(values)
 
 
 def rows_of(*columns) -> ColumnTable:
@@ -138,8 +166,11 @@ class _HashedFile:
 
     def __init__(self, path):
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = self.path.open("wb")
+        try:
+            self._fh = self.path.open("wb")
+        except FileNotFoundError:  # the directory is made only when the open finds it missing
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._fh = self.path.open("wb")
         self._digest = hashlib.sha256()
 
     def __enter__(self):
@@ -244,17 +275,10 @@ def _json_column(values) -> np.ndarray:
     m labels of the crossings."""
     bits = np.asarray(values, dtype=np.float64).view(np.int64)
     patterns, inverse = np.unique(bits, return_inverse=True)
-    patterns = patterns.view(np.float64)
-    if len(patterns) < CSV_KERNEL_MIN_ROWS:
-        texts = ("%.17g\0" * len(patterns) % tuple(patterns.tolist())).split("\0")[:-1]
-        # mapped before the array is made, so that its width holds "-Infinity"
-        cells = np.array([_JSON_SPELLING.get(t, t) for t in texts], dtype=bytes)
-    else:
-        from .csvcells import spell_floats
-
-        cells = spell_floats(patterns)
-        for spelled, json_text in _JSON_SPELLING.items():
-            cells[cells == spelled.encode()] = json_text.encode()
+    cells = float_cells(patterns.view(np.float64))
+    cells = cells.astype(f"S{max(cells.itemsize, len('-Infinity'))}", copy=False)
+    for spelled, json_text in _JSON_SPELLING.items():
+        cells[cells == spelled.encode()] = json_text.encode()
     return cells[inverse]
 
 

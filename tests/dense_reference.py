@@ -17,14 +17,26 @@ from __future__ import annotations
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 
+from qsu2 import serialize
 from qsu2.classify import radicand_ok
 from qsu2.hopf import HopfReport, _c2_casimir, spectrum_2jz
 from qsu2.operators import CLOSURE_TOL, EDGE_BUFFER, AlgebraReport, UnitarityError
 from qsu2.qnumbers import bracket_sequence, qnumber
 from qsu2.serialize import fmt
+
+# serialize's block size in the tests that cross block boundaries: the block
+# logic does not depend on the size, and the per-cell references they compare
+# with stay quick at a few thousand rows
+BLOCK_ROWS = 4096
+
+
+def small_blocks():
+    """serialize writing BLOCK_ROWS rows (or records) a block, as a context."""
+    return mock.patch.object(serialize, "CSV_BLOCK_ROWS", BLOCK_ROWS)
 
 
 def ladder_band(d, c, ms):

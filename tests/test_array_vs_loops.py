@@ -18,7 +18,7 @@ from qsu2.classify import finite_orbit_candidates
 from qsu2.geometry import CROSSING_TOL, level_section, spectral_flow, topology_transition, unmasked_runs
 from qsu2.qnumbers import Deformation
 from qsu2.schrodinger import _cells
-from qsu2.serialize import CSV_BLOCK_ROWS, CSV_KERNEL_MIN_ROWS, Records, write_csv, write_json
+from qsu2.serialize import CSV_KERNEL_MIN_ROWS, Records, write_csv, write_json
 
 
 def bits(x) -> str:
@@ -162,8 +162,8 @@ json_floats = floats | floats.map(np.float64)
 
 
 # record lengths on either side of the kernel's threshold (in distinct float
-# patterns) and of a block boundary
-LONG_LENGTHS = [CSV_KERNEL_MIN_ROWS - 1, CSV_KERNEL_MIN_ROWS, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1]
+# patterns) and of a block boundary (within ref.small_blocks)
+LONG_LENGTHS = [CSV_KERNEL_MIN_ROWS - 1, CSV_KERNEL_MIN_ROWS, ref.BLOCK_ROWS, ref.BLOCK_ROWS + 1]
 
 
 def long_floats(rng, n) -> np.ndarray:
@@ -297,7 +297,8 @@ def test_long_records_match_json_dumps(columns, depth, tmp_path_factory):
     path = tmp_path_factory.mktemp("json") / "t.json"
     n = len(next(iter(columns.values()))) if columns else 0
     dicts = [{k: col[i] for k, col in columns.items()} for i in range(n)]
-    write_json(path, nested(Records(columns), depth))
+    with ref.small_blocks():
+        write_json(path, nested(Records(columns), depth))
     want = nested(dicts, depth)
     assert path.read_text(encoding="utf-8") == ref.records_json_text(want)
     assert_reads_back(path, want)
@@ -305,10 +306,11 @@ def test_long_records_match_json_dumps(columns, depth, tmp_path_factory):
 
 # -0 reads back as the integer 0, and nan is not JSON
 @pytest.mark.parametrize("spelled, error", [("-0", AssertionError), ("nan", json.JSONDecodeError)])
-@pytest.mark.parametrize("n", [6, CSV_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("n", [6, ref.BLOCK_ROWS + 1])
 def test_records_without_a_json_spelling_do_not_read_back(spelled, error, n, monkeypatch, tmp_path):
     # a mutant of Records that leaves one spelling of '%.17g' as it is; the
-    # long column goes through the kernel
+    # long column goes through the kernel and spans two blocks
+    monkeypatch.setattr(serialize, "CSV_BLOCK_ROWS", ref.BLOCK_ROWS)
     columns = {"x": np.r_[-0.0, math.nan, np.arange(n - 2) / 7.0]}
     dicts = [{"x": x} for x in columns["x"].tolist()]
     write_json(tmp_path / "t.json", Records(columns))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qsu2.cli import main
-from qsu2.serialize import sha256_of
+from qsu2.serialize import CSV_BLOCK_ROWS, CSV_KERNEL_MIN_ROWS, sha256_of
 
 
 def run(argv):
@@ -797,15 +797,66 @@ def test_flow_smallest_m_max_writes_one_curve(tmp_path):
     assert json.loads((tmp_path / "flow_crossings.json").read_text()) == []
 
 
+# four curves on a grid of a quarter block and one point: four rows more
+# than a block holds, so the last block has fewer than CSV_KERNEL_MIN_ROWS
+PAST_A_BLOCK = f"0.05:2.95:{2.9 / (CSV_BLOCK_ROWS // 4)!r}"
+
+
+@pytest.mark.parametrize("m_max, s_grid", [(1.0, "0.1:3.0:0.1"), (2.0, PAST_A_BLOCK)], ids=["one-block", "two-blocks"])
+def test_flow_csv_is_fmt_of_each_cell(tmp_path, m_max, s_grid):
+    # s and m are spelled once per value and their cells tiled and repeated:
+    # below CSV_KERNEL_MIN_ROWS values by %, from there on by csvcells, whose
+    # NUL-padded cells a short last block writes on the % path
+    import dense_reference as ref
+    from qsu2.cli import _grid, _parse_grid
+    from qsu2.geometry import spectral_flow
+
+    assert run(["flow", "--m-max", m_max, "--s-grid", s_grid, "--outdir", tmp_path]) == 0
+    table = spectral_flow(m_max, _grid(_parse_grid(s_grid)))
+    rows = [(s, m, v) for m, curve in zip(table.m_values.tolist(), table.values.tolist())
+            for s, v in zip(table.s_grid.tolist(), curve)]
+    if m_max == 1.0:
+        assert len(rows) < CSV_KERNEL_MIN_ROWS
+    else:
+        assert len(table.s_grid) >= CSV_KERNEL_MIN_ROWS and len(rows) == CSV_BLOCK_ROWS + 4
+    assert (tmp_path / "flow.csv").read_bytes() == ref.csv_text(["s", "m", "value"], rows).encode()
+
+
+def test_writers_make_the_directory_only_when_it_is_missing(tmp_path, monkeypatch):
+    from qsu2.serialize import Records, rows_of, write_csv, write_json
+
+    made = []
+    mkdir = Path.mkdir
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        return mkdir(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", counted)
+    writers = {
+        "t.csv": lambda path: write_csv(path, ["x"], rows_of(np.arange(3.0))),
+        "t.json": lambda path: write_json(path, {"r": Records({"x": [0.5]})}),
+    }
+    for k, (name, write) in enumerate(writers.items()):
+        out = tmp_path / f"missing{k}" / "dir"
+        write(out / name)  # a missing directory is made, its parents too
+        assert out in made and (out / name).is_file()
+        made.clear()
+        write(out / f"again-{name}")  # an existing one is not
+        write(out / name)
+        assert made == []
+        assert sorted(p.name for p in out.iterdir()) == sorted([name, f"again-{name}"])
+
+
 def test_flow_crossings_json_is_json_dumps_of_the_library_crossings(tmp_path):
     import dense_reference as ref
     from qsu2.geometry import spectral_flow
 
-    # the default grid: 500 points on [0.05, pi - 0.05]; thousands of
-    # crossings, so the records cross a block boundary and reach the kernel
-    assert run(["flow", "--m-max", 16, "--outdir", tmp_path]) == 0
-    table = spectral_flow(16.0, 0.05 + (math.pi - 0.1) / 499 * np.arange(500))
-    assert len(table.crossings) > 4096
+    # the default grid: 500 points on [0.05, pi - 0.05]; more crossings than
+    # a block holds, so the records cross a block boundary and reach the kernel
+    assert run(["flow", "--m-max", 24, "--outdir", tmp_path]) == 0
+    table = spectral_flow(24.0, 0.05 + (math.pi - 0.1) / 499 * np.arange(500))
+    assert len(table.crossings) > CSV_BLOCK_ROWS
     want = [{"s": s, "m_low": lo, "m_high": hi} for s, lo, hi in table.crossings]
     # json.dumps's layout, each float spelled '%.17g' in JSON's spelling
     text = (tmp_path / "flow_crossings.json").read_text(encoding="utf-8")

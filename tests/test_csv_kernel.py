@@ -2,6 +2,7 @@
 patterns (with and without its long-double fast path), int columns, write_csv
 around the block size and the small-block crossover, which blocks reach the
 kernel, which record columns reach it, and the column table read as rows.
+Blocks are ref.BLOCK_ROWS rows here (ref.small_blocks).
 """
 
 import math
@@ -15,10 +16,16 @@ from hypothesis import strategies as st
 
 import dense_reference as ref
 from qsu2 import csvcells
-from qsu2.serialize import CSV_BLOCK_ROWS, CSV_KERNEL_MIN_ROWS, Records, rows_of, write_csv, write_json
+from qsu2.serialize import CSV_KERNEL_MIN_ROWS, Records, float_cells, rows_of, write_csv, write_json
 
-K = CSV_BLOCK_ROWS
+K = ref.BLOCK_ROWS
 SIGN = 1 << 63
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _small_blocks():
+    with ref.small_blocks():
+        yield
 
 
 def from_bits(bits: int) -> float:
@@ -73,7 +80,7 @@ def test_float_kernel_on_a_million_bit_patterns():
 
 
 def test_records_reach_the_kernel_from_enough_distinct_values(tmp_path):
-    n = CSV_BLOCK_ROWS + 1
+    n = K + 1
     columns = {
         "many": np.arange(n) / 7.0,  # n patterns: the kernel
         "few": np.arange(n) % 3 / 2.0,  # 3 patterns: %
@@ -142,6 +149,24 @@ def test_float_and_bool_blocks_of_enough_rows_reach_the_kernel(rows, tmp_path):
     assert kernel_blocks(*cols) == []  # an int column
 
 
+@pytest.mark.parametrize("distinct, n", [(10, 50), (CSV_KERNEL_MIN_ROWS, 3 * CSV_KERNEL_MIN_ROWS), (300, K + 100)])
+@pytest.mark.parametrize("rows", ["table", "generator"])
+def test_float_cells_write_as_their_floats(distinct, n, rows, tmp_path):
+    # a few values spelled once and tiled, as flow.csv's s column: by % below
+    # CSV_KERNEL_MIN_ROWS values, by csvcells (NUL-padded cells) from there
+    # on; a block of fewer rows (the last, K + 100) takes the cells on %
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(distinct) * 10.0 ** rng.integers(-30, 30, distinct)
+    values[:4] = [math.nan, -math.inf, -0.0, 5e-324]
+    x, y = np.resize(values, n), np.arange(n) / 7.0
+    table = rows_of(np.resize(float_cells(values), n), y)
+    with mock.patch.object(csvcells, "render_columns", wraps=csvcells.render_columns) as kernel:
+        write_csv(tmp_path / "t.csv", ["x", "y"], table if rows == "table" else (row for row in table))
+    assert (tmp_path / "t.csv").read_bytes() == ref.csv_text(["x", "y"], zip(x, y)).encode("utf-8")
+    kernel_rows = [len(call.args[0][0]) for call in kernel.call_args_list]
+    assert kernel_rows == ([min(n, K)] if rows == "table" and n >= CSV_KERNEL_MIN_ROWS else [])
+
+
 def test_write_csv_row_blocks_that_the_kernel_cannot_take(tmp_path):
     n = K + 1
     big = [(i * 0.5, 10**30 if i == 3 else i) for i in range(n)]  # an int beyond int64
@@ -159,8 +184,8 @@ def spelled(rows) -> list:
 def test_column_table_iterates_as_the_old_rows_of():
     def old_rows_of(*columns):
         n = min(map(len, columns))
-        for lo in range(0, n, CSV_BLOCK_ROWS):
-            yield from zip(*(c[lo : lo + CSV_BLOCK_ROWS].tolist() for c in columns))
+        for lo in range(0, n, K):
+            yield from zip(*(c[lo : lo + K].tolist() for c in columns))
 
     cols = mixed_columns(2 * K + 3) + [np.linspace(0.0, 1.0, 2 * K + 3)]
     table = rows_of(*cols)

@@ -25,7 +25,7 @@ from qsu2.schrodinger import (
     realization,
     solve_f1,
 )
-from qsu2.serialize import CSV_BLOCK_ROWS, rows_of, write_csv
+from qsu2.serialize import CSV_BLOCK_ROWS, CSV_KERNEL_MIN_ROWS, rows_of, write_csv
 
 STEP = 0.01
 
@@ -152,7 +152,7 @@ def test_eigenvalues_only_are_bit_identical_per_cell(cell):
 # ----------------------------------------------------------------------
 # block-rendered CSV
 
-K = CSV_BLOCK_ROWS
+K = ref.BLOCK_ROWS  # within ref.small_blocks
 SWITCHES = {
     "float-to-empty": (0.25, ""),
     "bool-to-int": (np.bool_(True), 7),
@@ -172,22 +172,36 @@ def test_write_csv_across_block_boundaries(switch, n, at, tmp_path):
     before, after = SWITCHES[switch]
     rows = [(i * 0.1, i % 3 == 0, before if i < at else after, i) for i in range(n)]
     path = tmp_path / "t.csv"
-    write_csv(path, ["x", "flag", "cell", "i"], iter(rows))
+    with ref.small_blocks():
+        write_csv(path, ["x", "flag", "cell", "i"], iter(rows))
     assert path.read_bytes() == ref.csv_text(["x", "flag", "cell", "i"], rows).encode("utf-8")
 
 
-@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2051, K - 1, K, K + 1, 2 * K + 3])
-def test_rows_of_renders_as_numpy_rows(n, tmp_path):
+def written_and_numpy_rows(n, path) -> tuple:
+    """The bytes write_csv writes for a table of n rows, and the rows the
+    numpy columns gave before: numpy scalars, one fmt per cell."""
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
     special = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324])
     x[: min(n, 5)] = special[: min(n, 5)]
     y = np.arange(n, dtype=float) / 3.0
     mask = rng.random(n) < 0.5
-    path = tmp_path / "t.csv"
     write_csv(path, ["r", "V", "mask"], rows_of(x, y, mask))
-    # the rows the numpy columns gave before: numpy scalars, one fmt per cell
-    assert path.read_bytes() == ref.csv_text(["r", "V", "mask"], zip(x, y, mask)).encode("utf-8")
+    return path.read_bytes(), ref.csv_text(["r", "V", "mask"], zip(x, y, mask)).encode("utf-8")
+
+
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 2051, K - 1, K, K + 1, 2 * K + 3])
+def test_rows_of_renders_as_numpy_rows(n, tmp_path):
+    with ref.small_blocks():
+        written, want = written_and_numpy_rows(n, tmp_path / "t.csv")
+    assert written == want
+
+
+@pytest.mark.parametrize("n", [CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + CSV_KERNEL_MIN_ROWS])
+def test_rows_of_renders_as_numpy_rows_in_blocks_of_the_real_size(n, tmp_path):
+    # one whole block, then a second block on the kernel
+    written, want = written_and_numpy_rows(n, tmp_path / "t.csv")
+    assert written == want
 
 
 def test_rows_of_yields_python_scalars():
