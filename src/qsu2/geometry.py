@@ -100,22 +100,33 @@ def spectral_flow(m_max: float, s_grid) -> FlowTable:
     m_vals = np.arange(1, int(round(2 * m_max)) + 1, dtype=float) / 2.0
     vals = np.sin(2.0 * np.outer(m_vals, s)) / np.sin(s)
 
-    # one curve against all later ones at a time keeps the extra memory O(M S)
-    at, low, high = [], [], []
-    for i in range(len(m_vals) - 1):
-        diff = vals[i] - vals[i + 1 :]
-        sign = np.sign(diff)
-        j, k = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
-        # linear interpolation of the crossing location
-        t = diff[j, k] / (diff[j, k] - diff[j, k + 1])
-        tj, tk = np.nonzero(np.abs(diff) <= CROSSING_TOL)
-        at += [s[k] + t * (s[k + 1] - s[k]), s[tk]]
-        high += [m_vals[i + 1 + j], m_vals[i + 1 + tj]]
-        low.append(np.full(len(j) + len(tj), m_vals[i]))
-    at, low, high = (np.concatenate(a) if a else np.empty(0) for a in (at, low, high))
-    # a stable sort, so equal keys keep the pair loop's order
-    order = np.lexsort((high, low, at))
-    columns = {"s": at[order], "m_low": low[order], "m_high": high[order]}
+    # every pair (i, j > i) at once: the temporaries are O(M^2 S), the size of
+    # the crossings the command writes
+    low, high = np.triu_indices(len(m_vals), 1)
+    diff = vals[low]
+    diff -= vals[high]
+    sign = np.sign(diff)
+    cross = np.zeros(diff.shape, dtype=bool)
+    np.less(sign[:, :-1] * sign[:, 1:], 0, out=cross[:, :-1])
+    flat = diff.ravel()
+    g = np.flatnonzero(cross)  # p * len(s) + k for a sign change between s[k] and s[k + 1]
+    # linear interpolation of the crossing location
+    t = flat[g] / (flat[g] - flat[g + 1])
+    p, k = np.divmod(g, len(s))
+    tp, tk = np.divmod(np.flatnonzero(np.abs(diff) <= CROSSING_TOL), len(s))
+    at = np.concatenate((s[k] + t * (s[k + 1] - s[k]), s[tk]))
+    pair = np.concatenate((p, tp))
+    # sorted by s, then by pair index, which orders as (m_low, m_high) do.
+    # Rows with equal keys hold equal triples, so neither sort need be
+    # stable: an argsort on s (lexsort's pass over floats costs 4-5 times as
+    # much), then a lexsort of the runs of equal s alone
+    order = np.argsort(at)
+    at = at[order]
+    tied = np.flatnonzero(at[1:] == at[:-1])
+    tied = np.union1d(tied, tied + 1)
+    order[tied] = order[tied][np.lexsort((pair[order[tied]], at[tied]))]
+    pair = pair[order]
+    columns = {"s": at, "m_low": m_vals[low[pair]], "m_high": m_vals[high[pair]]}
     return FlowTable(s_grid=s, m_values=m_vals, values=vals, crossing_columns=columns)
 
 

@@ -302,12 +302,10 @@ def liouville_factor(f1: RadialProfile, grid, kappa: float = 1.0, mode: str = "e
     return np.exp(expo)
 
 
-def transform_term(f1: RadialProfile, kappa: float, r) -> np.ndarray:
+def transform_term(kappa: float, f1v, f1d) -> np.ndarray:
     """Potential contribution of eliminating the -kappa f1 d_r term:
-    (kappa f1)^2/4 + kappa f1'/2."""
-    r = np.asarray(r, dtype=float)
-    v = f1(r)
-    return (kappa * v) ** 2 / 4.0 + kappa * f1.deriv(r) / 2.0
+    (kappa f1)^2/4 + kappa f1'/2, from the values f1v of f1 and f1d of f1'."""
+    return (kappa * f1v) ** 2 / 4.0 + kappa * f1d / 2.0
 
 
 def realization(
@@ -363,21 +361,22 @@ def build_potential(
     start, step, count = float(grid[0]), float(grid[1]), int(grid[2])
     r = start + step * np.arange(count)
     f1v = fns.f1(r)
+    f1d = fns.f1.deriv(r)
     f2v = fns.f2(r)
 
     kappa = kappa_for(d, m, kappa_mode)
     br = lambda x: qnumber(x, d)
     if transform == "eliminate":
-        t_transform = transform_term(fns.f1, kappa, r)
+        t_transform = transform_term(kappa, f1v, f1d)
     elif transform == "literal":
         # -a''/a for a = exp(-int f1): f1' - f1^2
-        t_transform = fns.f1.deriv(r) - f1v**2
+        t_transform = f1d - f1v**2
     else:
         raise ValueError(f"unknown transform {transform!r}")
     t_f1sq = br(2.0 * m) * br(2.0 * m - 2.0) * f1v**2 / 4.0
     t_f1f2 = -f1v * f2v * br(2.0 * m - 1.0)
     if f1_derivative_form == "first":
-        t_f1der = -(fns.f1.deriv(r) / 2.0) * br(2.0 * m)
+        t_f1der = -(f1d / 2.0) * br(2.0 * m)
     elif f1_derivative_form == "second":
         t_f1der = -(fns.f1.second(r) / 2.0) * br(2.0 * m)
     else:
@@ -396,8 +395,11 @@ def build_potential(
     mask = np.zeros(count, dtype=bool)
     for period, origin in lattices:
         n = np.arange(math.ceil((start - half - origin) / period), math.floor((r[-1] + half - origin) / period) + 1)
-        for p in origin + period * n:
-            mask |= np.abs(r - p) <= half
+        # each pole tests only its own window of samples, with a step to spare on both sides
+        for p in (origin + period * n).tolist():
+            lo = max(math.floor((p - half - start) / step) - 1, 0)
+            hi = min(math.ceil((p + half - start) / step) + 2, count)
+            mask[lo:hi] |= np.abs(r[lo:hi] - p) <= half
 
     return PotentialProfile(
         start=start,

@@ -3,7 +3,7 @@
 These are the dense n x n and Kronecker-product forms that `build_rep`,
 `verify_algebra`, `casimir_gen`, `conjugation_residual`,
 `hopf_axiom_report` and `complex_pairs` replace, and the Python loops that
-the array code of `build_rep`, `build_gen_rep`, `spectral_flow`,
+the array code of `build_rep`, `build_gen_rep`, `build_potential`, `spectral_flow`,
 `level_section`, `_cells`, `write_csv`, `Records`, `finite_orbit_candidates`,
 `topology_transition` and `commensurability_peak` replaces, and scipy's
 `eigh_tridiagonal`, which `eigensolve`'s LAPACK kernel replaces.  The property
@@ -257,6 +257,44 @@ def cells(mask):
         else:
             i += 1
     return out
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def build_potential(d, m, fns, grid, kappa_mode="exact", f1_derivative_form="first", transform="eliminate"):
+    """(values, pole_mask, terms) of build_potential, each term evaluating f1
+    and f1' afresh, and each pole tested over the whole grid."""
+    from qsu2.schrodinger import F1_BRANCHES, F2_BRANCHES, POLE_MASK_STEPS, _rate, kappa_for
+
+    start, step, count = float(grid[0]), float(grid[1]), int(grid[2])
+    r = start + step * np.arange(count)
+    kappa = kappa_for(d, m, kappa_mode)
+    br = lambda x: qnumber(x, d)
+    f1, f2 = fns.f1, fns.f2
+    if transform == "eliminate":
+        t_transform = (kappa * f1(r)) ** 2 / 4.0 + kappa * f1.deriv(r) / 2.0
+    else:
+        t_transform = f1.deriv(r) - f1(r) ** 2
+    f1_derivative = f1.deriv if f1_derivative_form == "first" else f1.second
+    terms = {
+        "transform": t_transform,
+        "f1_square": br(2.0 * m) * br(2.0 * m - 2.0) * f1(r) ** 2 / 4.0,
+        "f1_f2": -f1(r) * f2(r) * br(2.0 * m - 1.0),
+        "f1_derivative": -(f1_derivative(r) / 2.0) * br(2.0 * m),
+        "f2_terms": f2(r) ** 2 + f2.deriv(r),
+    }
+    values = (terms["transform"] + terms["f1_square"] + terms["f1_f2"] + terms["f1_derivative"] + terms["f2_terms"]
+              + (br(m) ** 2 + br(m - 0.5) ** 2))
+
+    shifts = {"d1": fns.d1, "d2": fns.d2}
+    entries = (F1_BRANCHES.get(f1.tag), F2_BRANCHES.get(f2.tag))
+    lattices = {b.lattice(_rate(d), shifts.get(b.shift, 0.0)) for b in entries if b and b.lattice}
+    half = POLE_MASK_STEPS * step
+    mask = np.zeros(count, dtype=bool)
+    for period, origin in lattices:
+        n = np.arange(math.ceil((start - half - origin) / period), math.floor((r[-1] + half - origin) / period) + 1)
+        for p in origin + period * n:
+            mask |= np.abs(r - p) <= half
+    return values, mask, terms
 
 
 def eigensolve(p, n_states, cell="largest", vectors=True):

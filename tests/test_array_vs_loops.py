@@ -54,10 +54,22 @@ def s_grids(draw):
 @given(m_max=st.integers(0, 24).map(lambda k: k / 2.0), s=s_grids())
 @example(m_max=4.5, s=np.linspace(0.05, math.pi - 0.05, 500))
 @example(m_max=3.0, s=np.array(ROOTS))
+@example(m_max=16.0, s=np.linspace(0.05, 3.0, 38))  # the benchmark's largest flow: 8,038 crossings
+@example(m_max=30.0, s=0.05 + (math.pi - 0.1) / 499 * np.arange(500))  # the CLI's default grid: 66,692
 def test_spectral_flow_crossings_match_pair_loop(m_max, s):
     table = spectral_flow(m_max, s)
     want = ref.flow_crossings(table.m_values, table.s_grid, table.values, CROSSING_TOL)
     assert same_crossings(table.crossings, want)
+
+
+@pytest.mark.parametrize("m_max, s", [(0.5, np.linspace(0.1, 3.0, 10)), (1.0, np.linspace(0.1, 0.5, 10))],
+                         ids=["no-pairs", "no-crossings"])
+def test_spectral_flow_without_crossings_has_float64_columns(m_max, s):
+    # one curve has no pair; [1] = 1 stays below [2] = 2 cos s on s < pi/3
+    table = spectral_flow(m_max, s)
+    assert table.crossings == ()
+    for name in ("s", "m_low", "m_high"):
+        assert table.crossing_columns[name].dtype == np.float64 and table.crossing_columns[name].shape == (0,)
 
 
 def test_spectral_flow_touches_are_found():

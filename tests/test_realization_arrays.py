@@ -1,7 +1,8 @@
 """The array code of the realization path against its references
 (dense_reference.py): the masked-FFT lag scan against the lag loop, the
-values-only eigensolve against the full one, and the block-rendered CSV
-against per-cell fmt, byte for byte.
+values-only eigensolve against the full one, the block-rendered CSV
+against per-cell fmt, and build_potential against per-term evaluation and
+a whole-grid test of every pole, byte for byte.
 """
 
 import math
@@ -240,3 +241,41 @@ def test_cli_tables_match_numpy_rows(s, F, grid, cell, cells, tmp_path):
         res = eigensolve(prof, 3, c)
         want = ref.csv_text(["r", "psi_0", "psi_1", "psi_2"], zip(res.r, *res.eigenvectors.T))
         assert (tmp_path / f"spectrum_vectors_{c}.csv").read_text(encoding="utf-8") == want
+
+
+# at cos s = 1/4 the tan poles are pi + 2 pi n, exact floats: this grid has
+# one on its first sample, one on its middle sample and one on its last
+POLES_ON_SAMPLES = (-math.pi, math.pi / 1024, 4097)
+
+
+@pytest.mark.parametrize("transform", ["eliminate", "literal"])
+@pytest.mark.parametrize("form", ["first", "second"])
+@pytest.mark.parametrize(
+    "s, m, f1b, f2b, F, d1, d2, grid",
+    [
+        (0.25, 1.0, "tan", "cosine", 0.5, 0.0, 0.0, (-6.0, 1e-3, 12001)),
+        (1.0, 2.0, "tan", "cosine", 0.5, 0.0, 0.7, (-6.0, 1e-3, 12001)),
+        (1.0, 0.5, "tan", "constant", 0.0, 0.0, 0.0, (-24.0, 1e-3, 48001)),
+        (math.pi / 2, 1.0, "linear", "constant", 0.5, 0.0, 0.0, (-3.0, 1e-3, 6001)),
+        (3.0, 1.0, "tanh", "sech", 0.5, 0.4, 0.0, (-24.0, 4e-3, 12001)),
+        (3.05, 2.0, "constant", "exponential", 0.5, 0.0, 0.0, (-6.0, 1e-3, 12001)),
+        (math.acos(0.25), 1.0, "tan", "cosine", 0.5, 0.0, 0.0, POLES_ON_SAMPLES),
+        (math.acos(0.25), 1.0, "tan", "cosine", 0.5, 0.0, 0.7, POLES_ON_SAMPLES),
+    ],
+    ids=["tan-cosine", "tan-cosine-d2", "tan-constant", "linear", "tanh-sech-d1", "constant-exponential",
+         "poles-on-samples", "poles-on-samples-d2"],
+)
+def test_build_potential_matches_per_term_evaluation(s, m, f1b, f2b, F, d1, d2, grid, form, transform):
+    # f1 and f1' evaluated once and each pole tested on its own window give
+    # the bytes of evaluating them per term and testing every pole everywhere
+    d = Deformation(s)
+    fns = realization(d, m, f1b, f2b, F=F, d1=d1, d2=d2)
+    prof = build_potential(d, m, fns, grid=grid, f1_derivative_form=form, transform=transform)
+    values, mask, terms = ref.build_potential(d, m, fns, grid, f1_derivative_form=form, transform=transform)
+    assert prof.values.tobytes() == values.tobytes()
+    assert prof.pole_mask.tobytes() == mask.tobytes()
+    assert prof.terms.keys() == terms.keys()
+    for name, term in terms.items():
+        assert prof.terms[name].tobytes() == term.tobytes(), name
+    if grid == POLES_ON_SAMPLES:
+        assert mask[0] and mask[grid[2] // 2] and mask[-1]
