@@ -325,9 +325,9 @@ def classify(d: Deformation, c: float) -> list[RepDescriptor]:
     return out
 
 
-def continuous_series_c(d: Deformation, k: int, sigma: float) -> float:
-    """Casimir value cosh^2(s sigma)/sin^2 s of the continuous series;
-    equals c0 at sigma = 0.  k labels the window and does not change c."""
+def continuous_series_c(d: Deformation, sigma: float) -> float:
+    """Casimir value cosh^2(s sigma)/sin^2 s of the continuous series, the
+    same in every window of m; equals c0 at sigma = 0."""
     return math.cosh(d.s * sigma) ** 2 / d.sin_s**2
 
 

@@ -418,14 +418,12 @@ def _potential_from_args(args):
     """The potential the flags describe, and its resolved branches."""
     if args.s is None or args.m is None:
         raise argparse.ArgumentTypeError("needs --s and --m (or a potential CSV)")
-    d = _deformation(args.s)
     fns = realization(
-        d, args.m, f1_branch=args.f1_branch, f2_branch=args.f2_branch, F=args.F, d1=args.d1, d2=args.d2
+        _deformation(args.s), f1_branch=args.f1_branch, f2_branch=args.f2_branch, F=args.F, d1=args.d1, d2=args.d2
     )
     prof = build_potential(
-        d,
-        args.m,
         fns,
+        args.m,
         grid=args.grid,
         kappa_mode=args.kappa_mode,
         f1_derivative_form=args.f1_derivative_form,

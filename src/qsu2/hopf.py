@@ -58,7 +58,7 @@ def _profile_sech(params, gd):
     scale = (gd.q1 - 1.0) ** 2
 
     def b(m):
-        return (sech_profile(m, gd, f_lo, f_hi) - 1.0) / scale
+        return (sech_profile(m, f_lo, f_hi) - 1.0) / scale
 
     return b
 
@@ -265,7 +265,7 @@ def window_inequalities(f, c: float, gd: GenDeformation):
     return e35, e36
 
 
-def sech_profile(m, gd: GenDeformation, f_lo: float, f_hi: float):
+def sech_profile(m, f_lo: float, f_hi: float):
     """(f_hi - f_lo)/cosh^2(m) + f_lo; image inside (f_lo, f_hi]."""
     if not (f_hi > f_lo > 0.0):
         raise ValueError("requires f_hi > f_lo > 0")

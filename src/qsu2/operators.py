@@ -81,18 +81,17 @@ class AlgebraReport:
     interior_buffer: int  # rows excluded from residuals at each edge (0 when closed)
 
 
-def _dir_sign(direction) -> int:
-    if direction in (1, +1, "+", "plus", "raise"):
-        return +1
-    if direction in (-1, "-", "minus", "lower"):
-        return -1
-    raise ValueError(f"direction must be +/-, got {direction!r}")
+def _ladder_sign(sign) -> int:
+    """A ladder move's direction, +1 (raise) or -1 (lower); else a ValueError."""
+    if sign not in (1, -1):
+        raise ValueError(f"direction sign must be +1 or -1, got {sign!r}")
+    return sign
 
 
-def ladder_coeff(d: Deformation, c: float, m: float | np.ndarray, direction) -> float | np.ndarray:
-    """sqrt(c - [m +- 1/2]^2) >= 0, elementwise for an array m, raising at the
-    first m that violates unitarity; a NaN radicand (NaN c) gives NaN."""
-    sign = _dir_sign(direction)
+def ladder_coeff(d: Deformation, c: float, m: float | np.ndarray, sign: int) -> float | np.ndarray:
+    """sqrt(c - [m + sign/2]^2) >= 0 (sign = +1 or -1), elementwise for an array
+    m, raising at the first m that violates unitarity; a NaN c gives NaN."""
+    sign = _ladder_sign(sign)
     rad = ladder_radicand(d, c, m, sign)
     bad = np.flatnonzero(~(radicand_ok(rad, c) | np.isnan(rad)))
     if bad.size:
@@ -104,11 +103,11 @@ def ladder_coeff(d: Deformation, c: float, m: float | np.ndarray, direction) -> 
     return root if np.ndim(m) else float(root)
 
 
-def continuous_ladder_coeff(d: Deformation, sigma: float, m: float, direction, k: int = 0) -> float:
-    """Continuous-series coefficient in its trig/hyperbolic closed form,
+def continuous_ladder_coeff(d: Deformation, sigma: float, m: float, sign: int) -> float:
+    """Continuous-series coefficient (sign = +1 or -1) in its closed form
     sqrt(cos^2(beta) cosh^2(sigma s) + sin^2(beta) sinh^2(sigma s))/sin s
-    with beta = -+ m s - s/2.  Equals ladder_coeff at c = cosh^2(s sigma)/sin^2 s."""
-    sign = _dir_sign(direction)
+    with beta = -sign m s - s/2.  Equals ladder_coeff at c = cosh^2(s sigma)/sin^2 s."""
+    sign = _ladder_sign(sign)
     beta = -sign * m * d.s - d.s / 2.0
     val = math.cos(beta) ** 2 * math.cosh(sigma * d.s) ** 2 + math.sin(beta) ** 2 * math.sinh(
         sigma * d.s

@@ -27,13 +27,13 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .classify import rational_pi_fraction, unitary_ok
 from .geometry import unmasked_runs
-from .operators import _dir_sign
+from .operators import _ladder_sign
 from .qnumbers import Deformation, qnumber
 
 COS_ZERO_TOL = 1e-12
@@ -58,15 +58,13 @@ class RadialProfile:
 
 @dataclass(frozen=True)
 class RealizationFns:
-    """The (f1, f2) pair of a realization with its constants."""
+    """The (f1, f2) pair of a realization and the deformation they solve for."""
 
+    d: Deformation
     f1: RadialProfile
     f2: RadialProfile
-    s: float
-    m: float
     d1: float = 0.0
     d2: float = 0.0
-    constants: dict = field(default_factory=dict)  # F1..F4 actually used
 
 
 @dataclass(frozen=True)
@@ -122,7 +120,6 @@ class Branch:
     lattice: object = None  # (k, shift) -> (period, offset): poles at offset + n period
     cos_sign: int = 0  # f1 only: the sign of cos s it needs (0: |cos s| <= COS_ZERO_TOL)
     pairs: tuple = ()  # f2 only: the f1 branches it solves against, its default partner first
-    label: str = ""  # f2 only: the name of its constant F
     shift: str | None = None  # f2 only: the shift it takes, "d1" or "d2"
 
 
@@ -164,26 +161,26 @@ F2_BRANCHES = {
         lambda r, k, F, shift: F / np.cosh(k * r + shift),
         lambda r, k, F, shift: -F * k * np.sinh(k * r + shift) / np.cosh(k * r + shift) ** 2,
         lambda r, k, F, shift: F * k**2 * (np.sinh(k * r + shift) ** 2 - 1.0) / np.cosh(k * r + shift) ** 3,
-        pairs=("tanh",), label="F1", shift="d1",
+        pairs=("tanh",), shift="d1",
     ),
     "exponential": Branch(
         lambda r, k, F, shift: F * np.exp(k * r),
         lambda r, k, F, shift: F * k * np.exp(k * r),
         lambda r, k, F, shift: F * k**2 * np.exp(k * r),
-        pairs=("constant",), label="F2",
+        pairs=("constant",),
     ),
     "cosine": Branch(
         lambda r, k, F, shift: F / np.cos(k * r + shift),
         lambda r, k, F, shift: F * k * np.sin(k * r + shift) / np.cos(k * r + shift) ** 2,
         lambda r, k, F, shift: F * k**2 * (1.0 + np.sin(k * r + shift) ** 2) / np.cos(k * r + shift) ** 3,
         lattice=lambda k, shift: (math.pi / k, (math.pi / 2.0 - shift) / k),
-        pairs=("tan",), label="F3", shift="d2",
+        pairs=("tan",), shift="d2",
     ),
     "constant": Branch(
         lambda r, k, F, shift: np.full_like(r, F),
         lambda r, k, F, shift: np.zeros_like(r),
         lambda r, k, F, shift: np.zeros_like(r),
-        pairs=("linear", "tan", "tanh", "constant"), label="F4",
+        pairs=("linear", "tan", "tanh", "constant"),
     ),
 }
 
@@ -310,16 +307,15 @@ def transform_term(kappa: float, f1v, f1d) -> np.ndarray:
 
 def realization(
     d: Deformation,
-    m: float,
     f1_branch: str | None = None,
     f2_branch: str | None = None,
     F: float = 1.0,
     d1: float = 0.0,
     d2: float = 0.0,
 ) -> RealizationFns:
-    """Assemble the canonical (f1, f2) pair for (s, m); branches default to
-    the sign of cos s, and f2 to the branch that pairs with f1 first.  A
-    non-zero d1 or d2 that the f2 branch does not take is a ValueError."""
+    """Assemble the canonical (f1, f2) pair for s, which serves every m;
+    branches default to the sign of cos s, and f2 to the branch that pairs with
+    f1 first.  A non-zero d1 or d2 the f2 branch does not take is a ValueError."""
     f1 = canonical_f1(d) if f1_branch is None else solve_f1(d, f1_branch)
     if f2_branch is None:
         f2_branch = next(name for name, b in F2_BRANCHES.items() if b.pairs[0] == f1.tag)
@@ -330,21 +326,20 @@ def realization(
             taker = next(name for name, b in F2_BRANCHES.items() if b.shift == flag)
             raise ValueError(f"{flag} = {value!r} has no effect on the {f2_branch} f2 branch; only {taker} takes {flag}")
     f2 = solve_f2(d, f1, f2_branch, F=F, d_shift=shifts.get(entry.shift, 0.0))
-    return RealizationFns(f1=f1, f2=f2, s=d.s, m=m, d1=d1, d2=d2, constants={entry.label: F})
+    return RealizationFns(d, f1, f2, d1=d1, d2=d2)
 
 
 # an overflowing profile or term is recorded as inf or NaN, which the solvers refuse
 @np.errstate(over="ignore", invalid="ignore")
 def build_potential(
-    d: Deformation,
-    m: float,
     fns: RealizationFns,
+    m: float,
     grid=(-6.0, 1e-3, 12001),
     kappa_mode: str = "exact",
     f1_derivative_form: str = "first",
     transform: str = "eliminate",
 ) -> PotentialProfile:
-    """Assemble V(r; m, s) term by term.
+    """Assemble V(r; m, s) term by term, s from the realization's fns.d.
 
     Terms: the transform term for -kappa f1 d_r, [2m][2m-2] f1^2/4,
     -f1 f2 [2m-1], -(f1'/2)[2m] (or the f1'' variant), f2^2 + f2',
@@ -358,6 +353,7 @@ def build_potential(
     into positive poles with growing m) but leaving a first-derivative
     remainder in the operator.
     """
+    d = fns.d
     start, step, count = float(grid[0]), float(grid[1]), int(grid[2])
     r = start + step * np.arange(count)
     f1v = fns.f1(r)
@@ -589,9 +585,8 @@ def _refine_profile(p: PotentialProfile) -> PotentialProfile:
         raise ValueError("the profile records no realization to rebuild at half the step (a raw or loaded profile)")
     pr = p.params
     return build_potential(
-        Deformation(pr["s"]),
-        pr["m"],
         p.fns,
+        pr["m"],
         grid=(p.start, p.step / 2.0, 2 * p.count - 1),
         kappa_mode=pr["kappa_mode"],
         f1_derivative_form=pr["f1_derivative_form"],
@@ -611,22 +606,22 @@ def _ladder_coefficient(d: Deformation, m: float, f1v: np.ndarray, f2v: np.ndarr
 
 def ladder_apply(
     psi: np.ndarray,
-    d: Deformation,
     fns: RealizationFns,
     m: float,
-    direction,
+    sign: int,
     r: np.ndarray,
     kappa_mode: str = "exact",
     c: float | None = None,
 ) -> LadderResult:
-    """First-order ladder map between neighbouring-m Schrodinger problems.
+    """First-order ladder map of the realization fns from m to m + sign (+1 or -1).
 
     Maps psi into the source R frame (R = a_m psi), applies
     +- R' + (-(f1/2)[2m] + f2) R with central differences, and transforms
     back with the target factor a_{m +- 1}.  If c is given, the move is
     flagged when (c, m +- 1) leaves the unitary region.
     """
-    sign = _dir_sign(direction)
+    sign = _ladder_sign(sign)
+    d = fns.d
     r = np.asarray(r, dtype=float)
     h = r[1] - r[0]
     a_src = liouville_factor(fns.f1, r, kappa_for(d, m, kappa_mode))
@@ -667,9 +662,9 @@ def ladder_residual(
     return math.sqrt(h * float(np.sum(res**2))) / norm
 
 
-def ladder_shift(d: Deformation, m: float, direction) -> float:
-    """Casimir-offset bookkeeping for a ladder move: [m +- 1]^2 - [m]^2."""
-    sign = _dir_sign(direction)
+def ladder_shift(d: Deformation, m: float, sign: int) -> float:
+    """Casimir-offset bookkeeping for a ladder move: [m + sign]^2 - [m]^2."""
+    sign = _ladder_sign(sign)
     return qnumber(m + sign, d) ** 2 - qnumber(m, d) ** 2
 
 

@@ -16,7 +16,7 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from itertools import chain, groupby, islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -192,9 +192,11 @@ class _HashedFile:
 def write_csv(path, header, rows) -> Written:
     """Header line, then one line per row, each cell as fmt formats it.  rows
     is a ColumnTable (from rows_of), whose column slices are rendered, or any
-    iterable of cell sequences, whose runs of rows of one length are
-    transposed and rendered; either CSV_BLOCK_ROWS rows at a time.  The
-    directory is created if missing."""
+    iterable of cell sequences, which are transposed and rendered; either
+    CSV_BLOCK_ROWS rows at a time.  A row whose width is not the header's is
+    a ValueError.  The directory is created if missing."""
+    if isinstance(rows, ColumnTable) and len(rows.columns) != len(header):
+        raise ValueError(f"row 0 has {len(rows.columns)} cells; the header has {len(header)} columns")
     with _HashedFile(path) as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
         if isinstance(rows, ColumnTable):
@@ -203,11 +205,14 @@ def write_csv(path, header, rows) -> Written:
                 hi = min(n, lo + CSV_BLOCK_ROWS)
                 fh.write(_render([c[lo:hi] for c in rows.columns], hi - lo))
         else:
-            rows = iter(rows)
+            rows, lo = iter(rows), 0
             while block := list(islice(rows, CSV_BLOCK_ROWS)):
-                for _, same_length in groupby(block, len):
-                    run = list(same_length)
-                    fh.write(_render(list(zip(*run)), len(run)))
+                widths = list(map(len, block))
+                if widths.count(len(header)) != len(block):
+                    k = next(k for k, width in enumerate(widths) if width != len(header))
+                    raise ValueError(f"row {lo + k} has {widths[k]} cells; the header has {len(header)} columns")
+                fh.write(_render(list(zip(*block)), len(block)))
+                lo += len(block)
     return fh.written()
 
 

@@ -260,11 +260,12 @@ def cells(mask):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def build_potential(d, m, fns, grid, kappa_mode="exact", f1_derivative_form="first", transform="eliminate"):
+def build_potential(fns, m, grid, kappa_mode="exact", f1_derivative_form="first", transform="eliminate"):
     """(values, pole_mask, terms) of build_potential, each term evaluating f1
     and f1' afresh, and each pole tested over the whole grid."""
     from qsu2.schrodinger import F1_BRANCHES, F2_BRANCHES, POLE_MASK_STEPS, _rate, kappa_for
 
+    d = fns.d
     start, step, count = float(grid[0]), float(grid[1]), int(grid[2])
     r = start + step * np.arange(count)
     kappa = kappa_for(d, m, kappa_mode)

@@ -168,10 +168,10 @@ def _flat_profile(start, step, count, values):
 def test_criterion_07_eigensolver_certification():
     # particle in a box: Richardson ratio for the three lowest levels
     d = Deformation(math.pi / 2)
-    fns = realization(d, 0.0, F=0.0)
-    coarse = build_potential(d, 0.0, fns, grid=(-0.5, 4e-3, 251))
-    mid = build_potential(d, 0.0, fns, grid=(-0.5, 2e-3, 501))
-    fine = build_potential(d, 0.0, fns, grid=(-0.5, 1e-3, 1001))
+    fns = realization(d, F=0.0)
+    coarse = build_potential(fns, 0.0, grid=(-0.5, 4e-3, 251))
+    mid = build_potential(fns, 0.0, grid=(-0.5, 2e-3, 501))
+    fine = build_potential(fns, 0.0, grid=(-0.5, 1e-3, 1001))
     ratios = []
     for k in range(3):
         c1 = eigensolve(coarse, k + 1).eigenvalues[k]
@@ -195,8 +195,8 @@ def test_criterion_08_harmonic_regime():
     worst_rel = 0.0
     const_resids = []
     for m, F in ((0.0, 0.5), (1.0, 0.5), (2.0, 0.0)):
-        fns = realization(d, m, F=F)
-        prof = build_potential(d, m, fns, grid=(-4.0, 1e-3, 8001))
+        fns = realization(d, F=F)
+        prof = build_potential(fns, m, grid=(-4.0, 1e-3, 8001))
         coef = np.polyfit(prof.r, prof.values, 2)
         resid = np.abs(np.polyval(coef, prof.r) - prof.values).max()
         worst_rel = max(worst_rel, resid / max(np.abs(prof.values).max(), 1.0))
@@ -210,9 +210,9 @@ def test_criterion_08_harmonic_regime():
 def test_criterion_09_periodicity():
     d = Deformation(0.25)
     period = math.pi / math.sqrt(d.cos_s)
-    fns = realization(d, 1.0, F=0.0)
-    a = build_potential(d, 1.0, fns, grid=(-6.0, 0.01, 1201))
-    b = build_potential(d, 1.0, fns, grid=(-6.0 + period, 0.01, 1201))
+    fns = realization(d, F=0.0)
+    a = build_potential(fns, 1.0, grid=(-6.0, 0.01, 1201))
+    b = build_potential(fns, 1.0, grid=(-6.0 + period, 0.01, 1201))
     ok = ~a.pole_mask & ~b.pole_mask
     dev = np.abs(a.values[ok] - b.values[ok]).max()
     assert dev < 1e-9
@@ -222,13 +222,13 @@ def test_criterion_09_periodicity():
 def test_criterion_10_ladder_consistency():
     d = Deformation(math.pi / 2)
     m = 0.0
-    fns = realization(d, m, F=0.0)
+    fns = realization(d, F=0.0)
     grid = (-3.0, 1e-3, 6001)
-    src = build_potential(d, m, fns, grid=grid)
-    dst = build_potential(d, m + 1, fns, grid=grid)
+    src = build_potential(fns, m, grid=grid)
+    dst = build_potential(fns, m + 1, grid=grid)
     res = eigensolve(src, 3)
     c = res.eigenvalues[2]
-    lad = ladder_apply(res.eigenvectors[:, 2], d, fns, m, "+", res.r, c=c)
+    lad = ladder_apply(res.eigenvectors[:, 2], fns, m, +1, res.r, c=c)
     assert not lad.flagged
     c_exp = c - src.casimir_offset + dst.casimir_offset
     resid = ladder_residual(lad.psi, dst, c_exp, buffer=3)

@@ -151,13 +151,39 @@ cells = (
 
 
 @settings(max_examples=300)
-@given(rows=st.lists(st.lists(cells, max_size=6), max_size=12))
-def test_write_csv_matches_per_cell_fmt(rows, tmp_path_factory):
+@given(table=st.integers(0, 6).flatmap(
+    lambda width: st.tuples(st.just(width), st.lists(st.lists(cells, min_size=width, max_size=width), max_size=12))
+))
+def test_write_csv_matches_per_cell_fmt(table, tmp_path_factory):
+    width, rows = table
     path = tmp_path_factory.mktemp("csv") / "t.csv"
-    header = ["a", "b"]
+    header = [f"c{k}" for k in range(width)]
     # rows as lists, tuples, or a one-shot generator (the tracer's stand-in)
     write_csv(path, header, (tuple(r) if i % 2 else r for i, r in enumerate(rows)))
     assert path.read_bytes() == ref.csv_text(header, rows).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([(1.0, 2.0, 3.0), (4.0, 5.0), ("x",)], "row 1 has 2 cells; the header has 3 columns"),
+        ([[1.0, 2.0, 3.0, 4.0]], "row 0 has 4 cells; the header has 3 columns"),
+        # counted across blocks: the first bad row is in the second block
+        ([(1.0, 2.0, 3.0)] * (serialize.CSV_BLOCK_ROWS + 3) + [(1.0,)], f"row {serialize.CSV_BLOCK_ROWS + 3} has 1 "),
+    ],
+    ids=["narrower", "wider", "second-block"],
+)
+def test_write_csv_refuses_rows_of_another_width(rows, message, tmp_path):
+    with pytest.raises(ValueError, match=message):
+        write_csv(tmp_path / "t.csv", ["a", "b", "c"], iter(rows))
+
+
+@pytest.mark.parametrize("columns", [2, 4], ids=["narrower", "wider"])
+def test_write_csv_refuses_a_table_of_another_width(columns, tmp_path):
+    table = serialize.rows_of(*[np.arange(5.0)] * columns)
+    with pytest.raises(ValueError, match=f"row 0 has {columns} cells; the header has 3 columns"):
+        write_csv(tmp_path / "t.csv", ["a", "b", "c"], table)
+    assert not (tmp_path / "t.csv").exists()
 
 
 @settings(max_examples=300)

@@ -80,14 +80,14 @@ IGNORED_SHIFTS = [
 @pytest.mark.parametrize("s,f1b,f2b,flag", IGNORED_SHIFTS)
 def test_realization_rejects_a_shift_the_branch_ignores(s, f1b, f2b, flag):
     with pytest.raises(ValueError, match=f"{flag} = 0.5 has no effect on the {f2b} f2 branch"):
-        realization(Deformation(s), 1.0, f1b, f2b, **{flag: 0.5})
+        realization(Deformation(s), f1b, f2b, **{flag: 0.5})
 
 
 def test_realization_takes_d1_on_sech_and_d2_on_cosine():
-    fns = realization(Deformation(3.0), 1.0, "tanh", "sech", F=2.0, d1=0.5)
+    fns = realization(Deformation(3.0), "tanh", "sech", F=2.0, d1=0.5)
     assert fns.f2(np.zeros(1))[0] == 2.0 / math.cosh(0.5)
     d = Deformation(0.25)
-    fns = realization(d, 1.0, "tan", "cosine", F=2.0, d2=0.5)
+    fns = realization(d, "tan", "cosine", F=2.0, d2=0.5)
     assert fns.f2(np.zeros(1))[0] == 2.0 / math.cos(0.5)
     with pytest.raises(ValueError, match="takes no shift"):
         solve_f2(Deformation(3.05), solve_f1(Deformation(3.05), "constant"), "exponential", d_shift=0.5)
@@ -114,13 +114,13 @@ def test_constant_f2_against_a_non_linear_f1_exits_2(tmp_path, capsys):
     assert "tan f1 branch with F = 1.0" in err
     assert not any(tmp_path.iterdir())
     with pytest.raises(ValueError, match="tanh f1 branch with F = -0.5"):
-        realization(Deformation(3.0), 1.0, "tanh", "constant", F=-0.5)
+        realization(Deformation(3.0), "tanh", "constant", F=-0.5)
 
 
 def test_constant_f2_at_zero_F_is_the_zero_solution(tmp_path):
     argv = ["potential", "--s", 0.25, "--m", 1, "--f2-branch", "constant", "--F", 0, "--outdir", tmp_path]
     assert run(argv) == 0
-    fns = realization(Deformation(0.25), 1.0, "tan", "constant", F=0.0)
+    fns = realization(Deformation(0.25), "tan", "constant", F=0.0)
     r = np.linspace(-1.0, 1.0, 101)
     assert np.all(fns.f2(r) == 0.0) and np.all(schrodinger.f2_residual(Deformation(0.25), fns.f1, fns.f2, r) == 0.0)
 
@@ -129,7 +129,7 @@ def test_linear_and_constant_at_half_pi_are_unchanged(tmp_path):
     s = math.pi / 2
     argv = ["potential", "--s", s, "--m", 1, "--f1-branch", "linear", "--f2-branch", "constant", "--F", 1.3]
     assert run(argv + ["--grid=-3:3:0.01", "--outdir", tmp_path]) == 0
-    fns = realization(Deformation(s), 1.0, "linear", "constant", F=1.3)
+    fns = realization(Deformation(s), "linear", "constant", F=1.3)
     r = np.linspace(-2.0, 2.0, 101)
     assert np.all(fns.f2(r) == 1.3)
     assert np.abs(schrodinger.f2_residual(Deformation(s), fns.f1, fns.f2, r)).max() < 1e-15
@@ -147,7 +147,7 @@ def mask_faults(s, m, F, f1b="tan", f2b="cosine", d1=0.0, d2=0.0):
     finer; the other branches have none.  The profile's casimir_offset
     must be the [m]^2 term, whatever lattices the mask loop walks."""
     d = Deformation(s)
-    prof = build_potential(d, m, realization(d, m, f1b, f2b, F=F, d1=d1, d2=d2), grid=GRID)
+    prof = build_potential(realization(d, f1b, f2b, F=F, d1=d1, d2=d2), m, grid=GRID)
     assert prof.casimir_offset == qnumber(m, d) ** 2
     r = prof.r
     window, fine = POLE_MASK_STEPS * prof.step, prof.step / 4.0
@@ -207,7 +207,7 @@ def test_shifted_cosine_spectrum_solves_a_well_between_poles(tmp_path):
     inline = (tmp_path / "inline" / "spectrum.csv").read_text().splitlines()
     assert inline[1].startswith("largest,0,3.41179252")
     d = Deformation(0.25)
-    prof = build_potential(d, 1.0, realization(d, 1.0, F=0.5, d2=0.7))
+    prof = build_potential(realization(d, F=0.5, d2=0.7), 1.0)
     assert eigensolve(prof, 2, vectors=False).cell == (1215, 3692)
     # the same spectrum from the written potential
     assert run(["potential", *argv, "--outdir", tmp_path / "pot"]) == 0

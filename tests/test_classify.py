@@ -233,13 +233,13 @@ def test_oracle_equivalence_500():
 def test_continuous_series_c():
     d = Deformation(math.pi / 2)
     th = thresholds(d)
-    assert continuous_series_c(d, 0, 0.0) == pytest.approx(th.c0, abs=1e-14)
+    assert continuous_series_c(d, 0.0) == pytest.approx(th.c0, abs=1e-14)
     # frozen 40-digit evaluation of cosh^2(pi/2)/sin^2(pi/2)
-    assert continuous_series_c(d, 0, 1.0) == pytest.approx(6.2959766377607603, rel=1e-14)
-    assert continuous_series_c(d, 3, 40.0) > 1e10
+    assert continuous_series_c(d, 1.0) == pytest.approx(6.2959766377607603, rel=1e-14)
+    assert continuous_series_c(d, 40.0) > 1e10
     for s, sigma in ((0.6, 0.3), (2.1, 1.7)):
         d2 = Deformation(s)
-        assert continuous_series_c(d2, 0, sigma) > thresholds(d2).c0
+        assert continuous_series_c(d2, sigma) > thresholds(d2).c0
 
 
 def test_class2a_enumeration():

@@ -86,7 +86,7 @@ def test_identity_check_fails_a_nonzero_abstol():
 
 def wells_at(s=0.25, grid=(-12.0, 1e-3, 24001)):
     d = Deformation(s)
-    prof = build_potential(d, 1.0, realization(d, 1.0), grid=grid)
+    prof = build_potential(realization(d), 1.0, grid=grid)
     return prof, solvable_cells(prof)[0]
 
 

@@ -86,13 +86,12 @@ def test_window_against_direct_inequalities():
 
 
 def test_sech_profile_shape():
-    gd = GD_ORDERED
-    assert sech_profile(0.0, gd, 0.8, 1.2) == pytest.approx(1.2, abs=1e-15)
-    assert sech_profile(40.0, gd, 0.8, 1.2) == pytest.approx(0.8, abs=1e-12)
-    vals = sech_profile(np.linspace(-10, 10, 401), gd, 0.8, 1.2)
+    assert sech_profile(0.0, 0.8, 1.2) == pytest.approx(1.2, abs=1e-15)
+    assert sech_profile(40.0, 0.8, 1.2) == pytest.approx(0.8, abs=1e-12)
+    vals = sech_profile(np.linspace(-10, 10, 401), 0.8, 1.2)
     assert vals.min() >= 0.8 and vals.max() <= 1.2
     with pytest.raises(ValueError):
-        sech_profile(0.0, gd, 1.2, 0.8)
+        sech_profile(0.0, 1.2, 0.8)
 
 
 def _sech_gd(c=1.0, margin=0.05):

@@ -35,13 +35,13 @@ def test_ladder_coeff_boundary_zero():
         d = Deformation(s)
         c = 1.0 / d.sin_s**2  # sigma = 0
         m = (k + 0.5) * math.pi / s - 0.5
-        assert ladder_coeff(d, c, m, "+") < 1e-7
+        assert ladder_coeff(d, c, m, +1) < 1e-7
 
 
 def test_ladder_coeff_su2_limit():
     d = Deformation(1e-8)
     c = qnumber(1.5, d) ** 2  # j = 1
-    assert ladder_coeff(d, c, 0.0, "+") == pytest.approx(math.sqrt(2.0), abs=1e-6)
+    assert ladder_coeff(d, c, 0.0, +1) == pytest.approx(math.sqrt(2.0), abs=1e-6)
 
 
 def test_ladder_coeff_brute_force():
@@ -59,14 +59,14 @@ def test_ladder_coeff_brute_force():
 def test_ladder_coeff_error_names_inputs():
     d = Deformation(1.0)
     with pytest.raises(UnitarityError, match="c=0.1"):
-        ladder_coeff(d, 0.1, 0.0, "+")
+        ladder_coeff(d, 0.1, 0.0, +1)
     # numpy scalars are named as plain floats
     with pytest.raises(UnitarityError, match=r"at c=0\.1, m=0\.0$"):
-        ladder_coeff(d, np.float64(0.1), np.float64(0.0), "+")
+        ladder_coeff(d, np.float64(0.1), np.float64(0.0), +1)
 
 
 def test_ladder_coeff_nan_casimir_propagates():
-    assert math.isnan(ladder_coeff(Deformation(1.0), math.nan, 0.0, "+"))
+    assert math.isnan(ladder_coeff(Deformation(1.0), math.nan, 0.0, +1))
 
 
 def same_float(a, b) -> bool:
@@ -136,12 +136,12 @@ def test_ladder_directions_are_antisymmetric(s, c, m):
     ms = np.array([m, -m, m + 1.0])
     assert np.array_equal(ladder_radicand(d, c, ms, -1), ladder_radicand(d, c, -ms, +1))
     try:
-        down = ladder_coeff(d, c, m, "-")
+        down = ladder_coeff(d, c, m, -1)
     except UnitarityError:
         with pytest.raises(UnitarityError):
-            ladder_coeff(d, c, -m, "+")
+            ladder_coeff(d, c, -m, +1)
     else:
-        assert same_float(down, ladder_coeff(d, c, -m, "+"))
+        assert same_float(down, ladder_coeff(d, c, -m, +1))
 
 
 def test_continuous_coefficient_closed_form():

@@ -87,8 +87,8 @@ def well_profile(ratio):
     omega = 2.0 * math.pi * ratio / period
     f2 = RadialProfile("cos", lambda r: np.cos(omega * r), lambda r: -omega * np.sin(omega * r),
                        lambda r: -(omega**2) * np.cos(omega * r))
-    fns = RealizationFns(f1=solve_f1(d, "tan"), f2=f2, s=d.s, m=1.0)
-    return build_potential(d, 1.0, fns, grid=(-60.0, STEP, 12001)).values, period
+    fns = RealizationFns(d, solve_f1(d, "tan"), f2)
+    return build_potential(fns, 1.0, grid=(-60.0, STEP, 12001)).values, period
 
 
 @pytest.mark.parametrize("ratio", [1.0, math.sqrt(2.0)], ids=["commensurate", "incommensurate"])
@@ -143,7 +143,7 @@ def test_eigenvalues_only_are_bit_identical(n, seed, n_states):
 @pytest.mark.parametrize("cell", ["largest", 0, 1, 2])
 def test_eigenvalues_only_are_bit_identical_per_cell(cell):
     d = Deformation(0.25)
-    prof = build_potential(d, 1.0, realization(d, 1.0), grid=(-6.0, 1e-3, 12001))
+    prof = build_potential(realization(d), 1.0, grid=(-6.0, 1e-3, 12001))
     full = eigensolve(prof, 4, cell)
     only = eigensolve(prof, 4, cell, vectors=False)
     assert only.eigenvalues.tobytes() == full.eigenvalues.tobytes()
@@ -234,7 +234,7 @@ def test_cli_tables_match_numpy_rows(s, F, grid, cell, cells, tmp_path):
     d = Deformation(s)
     start, stop, step = grid
     count = int(math.floor((stop - start) / step + 0.5)) + 1
-    prof = build_potential(d, 1.0, realization(d, 1.0, F=F), grid=(start, step, count))
+    prof = build_potential(realization(d, F=F), 1.0, grid=(start, step, count))
     want = ref.csv_text(["r", "V", "mask"], zip(prof.r, prof.values, prof.pole_mask))
     assert (tmp_path / "potential.csv").read_text(encoding="utf-8") == want
     for c in cells:
@@ -269,9 +269,9 @@ def test_build_potential_matches_per_term_evaluation(s, m, f1b, f2b, F, d1, d2, 
     # f1 and f1' evaluated once and each pole tested on its own window give
     # the bytes of evaluating them per term and testing every pole everywhere
     d = Deformation(s)
-    fns = realization(d, m, f1b, f2b, F=F, d1=d1, d2=d2)
-    prof = build_potential(d, m, fns, grid=grid, f1_derivative_form=form, transform=transform)
-    values, mask, terms = ref.build_potential(d, m, fns, grid, f1_derivative_form=form, transform=transform)
+    fns = realization(d, f1b, f2b, F=F, d1=d1, d2=d2)
+    prof = build_potential(fns, m, grid=grid, f1_derivative_form=form, transform=transform)
+    values, mask, terms = ref.build_potential(fns, m, grid, f1_derivative_form=form, transform=transform)
     assert prof.values.tobytes() == values.tobytes()
     assert prof.pole_mask.tobytes() == mask.tobytes()
     assert prof.terms.keys() == terms.keys()

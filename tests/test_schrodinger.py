@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from qsu2.operators import continuous_ladder_coeff, ladder_coeff
 from qsu2.qnumbers import Deformation, qnumber
 from qsu2.schrodinger import (
     PotentialProfile,
@@ -146,9 +147,9 @@ def test_transform_eliminates_first_derivative():
     # a * phi reproduces a * (-phi'' + V phi) for a smooth test function
     d = Deformation(2.9)
     m = 1.0
-    fns = realization(d, m, F=0.4)
+    fns = realization(d, F=0.4)
     grid = (-3.0, 1e-3, 6001)
-    prof = build_potential(d, m, fns, grid=grid)
+    prof = build_potential(fns, m, grid=grid)
     r = prof.r
     h = prof.step
     kappa = prof.params["kappa"]
@@ -187,8 +188,8 @@ def test_kappa_modes():
 def test_harmonic_regime_quadratic_fit():
     d = Deformation(math.pi / 2)
     for m, F in ((0.0, 0.5), (1.0, 0.5), (2.0, 0.0)):
-        fns = realization(d, m, F=F)
-        prof = build_potential(d, m, fns, grid=(-4.0, 1e-3, 8001))
+        fns = realization(d, F=F)
+        prof = build_potential(fns, m, grid=(-4.0, 1e-3, 8001))
         coef = np.polyfit(prof.r, prof.values, 2)
         resid = np.abs(np.polyval(coef, prof.r) - prof.values).max()
         rel = resid / max(np.abs(prof.values).max(), 1.0)
@@ -200,8 +201,8 @@ def test_harmonic_regime_quadratic_fit():
 def test_harmonic_display_mode():
     # the parity display constants give a genuine oscillator shape
     d = Deformation(math.pi / 2)
-    fns = realization(d, 1.0, F=0.0)
-    prof = build_potential(d, 1.0, fns, grid=(-4.0, 1e-3, 8001), kappa_mode="parity")
+    fns = realization(d, F=0.0)
+    prof = build_potential(fns, 1.0, grid=(-4.0, 1e-3, 8001), kappa_mode="parity")
     coef = np.polyfit(prof.r, prof.values, 2)
     assert coef[0] == pytest.approx((1.5) ** 2 / 4.0, rel=1e-10)
 
@@ -209,16 +210,16 @@ def test_harmonic_display_mode():
 def test_periodic_regime():
     d = Deformation(0.25)
     period = math.pi / math.sqrt(d.cos_s)
-    fns = realization(d, 1.0, F=0.0)
-    a = build_potential(d, 1.0, fns, grid=(-6.0, 0.01, 1201))
-    b = build_potential(d, 1.0, fns, grid=(-6.0 + period, 0.01, 1201))
+    fns = realization(d, F=0.0)
+    a = build_potential(fns, 1.0, grid=(-6.0, 0.01, 1201))
+    b = build_potential(fns, 1.0, grid=(-6.0 + period, 0.01, 1201))
     ok = ~a.pole_mask & ~b.pole_mask
     assert np.abs(a.values[ok] - b.values[ok]).max() < 1e-9
     # with the reciprocal-cosine f2 present the f2-odd terms double the
     # period: 2-period shifts still match
-    fns1 = realization(d, 1.0, F=1.0)
-    a1 = build_potential(d, 1.0, fns1, grid=(-6.0, 0.01, 1201))
-    b1 = build_potential(d, 1.0, fns1, grid=(-6.0 + 2 * period, 0.01, 1201))
+    fns1 = realization(d, F=1.0)
+    a1 = build_potential(fns1, 1.0, grid=(-6.0, 0.01, 1201))
+    b1 = build_potential(fns1, 1.0, grid=(-6.0 + 2 * period, 0.01, 1201))
     ok1 = ~a1.pole_mask & ~b1.pole_mask
     assert np.abs(a1.values[ok1] - b1.values[ok1]).max() < 1e-9
 
@@ -228,12 +229,11 @@ def test_periodic_wells_figure_trend():
     # of unbounded depth at small m flipping to positive poles above m ~ 2
     # (the f2-free member; the reciprocal-cosine f2 adds poles of both signs)
     d = Deformation(0.25)
-    fns = realization(d, 1.0, F=0.0)
-    low = build_potential(d, 1.0, fns, grid=(-6.0, 0.01, 1201), transform="literal")
+    fns = realization(d, F=0.0)
+    low = build_potential(fns, 1.0, grid=(-6.0, 0.01, 1201), transform="literal")
     assert low.values[~low.pole_mask].min() < -100.0
     assert low.values[~low.pole_mask].max() < 10.0
-    fns_hi = realization(d, 3.0, F=0.0)
-    hi = build_potential(d, 3.0, fns_hi, grid=(-6.0, 0.01, 1201), transform="literal")
+    hi = build_potential(fns, 3.0, grid=(-6.0, 0.01, 1201), transform="literal")
     assert hi.values[~hi.pole_mask].max() > 100.0
     assert hi.values[~hi.pole_mask].min() > -5.0
 
@@ -241,8 +241,8 @@ def test_periodic_wells_figure_trend():
 def test_poschl_teller_like_shape():
     # tanh/sech pair at s = 3, m = 1: even well
     d = Deformation(3.0)
-    fns = realization(d, 1.0, F=0.3)
-    prof = build_potential(d, 1.0, fns, grid=(-6.0, 0.01, 1201))
+    fns = realization(d, F=0.3)
+    prof = build_potential(fns, 1.0, grid=(-6.0, 0.01, 1201))
     v = prof.values
     assert np.abs(v - v[::-1]).max() / np.abs(v).max() < 0.01
     assert v.min() < v[0] - 0.3
@@ -252,8 +252,8 @@ def test_morse_like_shape():
     # constant/exponential pair near pi: Morse wall with bound states below
     # the flat asymptote
     d = Deformation(3.05)
-    fns = realization(d, 3.0, f1_branch="constant", f2_branch="exponential")
-    prof = build_potential(d, 3.0, fns, grid=(-8.0, 5e-3, 3201))
+    fns = realization(d, f1_branch="constant", f2_branch="exponential")
+    prof = build_potential(fns, 3.0, grid=(-8.0, 5e-3, 3201))
     res = eigensolve(prof, 6)
     below = int((res.eigenvalues < prof.values[0]).sum())
     assert below >= 1
@@ -262,18 +262,18 @@ def test_morse_like_shape():
 
 def test_potential_rebuild_bit_identical():
     d = Deformation(0.25)
-    fns = realization(d, 1.0, F=1.0)
-    a = build_potential(d, 1.0, fns, grid=(-6.0, 0.01, 1201))
-    b = build_potential(d, 1.0, fns, grid=(-6.0, 0.01, 1201))
+    fns = realization(d, F=1.0)
+    a = build_potential(fns, 1.0, grid=(-6.0, 0.01, 1201))
+    b = build_potential(fns, 1.0, grid=(-6.0, 0.01, 1201))
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.pole_mask, b.pole_mask)
 
 
 def test_f1_derivative_form_flag():
     d = Deformation(2.9)
-    fns = realization(d, 2.0, F=0.0)
-    first = build_potential(d, 2.0, fns, grid=(-3.0, 0.01, 601))
-    second = build_potential(d, 2.0, fns, grid=(-3.0, 0.01, 601), f1_derivative_form="second")
+    fns = realization(d, F=0.0)
+    first = build_potential(fns, 2.0, grid=(-3.0, 0.01, 601))
+    second = build_potential(fns, 2.0, grid=(-3.0, 0.01, 601), f1_derivative_form="second")
     assert not np.array_equal(first.values, second.values)
     diff = first.terms["f1_derivative"] - second.terms["f1_derivative"]
     want = -(fns.f1.deriv(first.r) - fns.f1.second(first.r)) / 2.0 * qnumber(4.0, d)
@@ -286,8 +286,8 @@ def test_f1_derivative_form_flag():
 
 def test_box_levels():
     d = Deformation(math.pi / 2)
-    fns = realization(d, 0.0, F=0.0)
-    prof = build_potential(d, 0.0, fns, grid=(-0.5, 1e-3, 1001))
+    fns = realization(d, F=0.0)
+    prof = build_potential(fns, 0.0, grid=(-0.5, 1e-3, 1001))
     res = eigensolve(prof, 4)
     v0 = prof.values[0]
     exact = (np.arange(1, 5) * math.pi / 1.0) ** 2 + v0
@@ -296,10 +296,10 @@ def test_box_levels():
 
 def test_richardson_ratio():
     d = Deformation(math.pi / 2)
-    fns = realization(d, 0.0, F=0.0)
-    coarse = build_potential(d, 0.0, fns, grid=(-0.5, 4e-3, 251))
-    mid = build_potential(d, 0.0, fns, grid=(-0.5, 2e-3, 501))
-    fine = build_potential(d, 0.0, fns, grid=(-0.5, 1e-3, 1001))
+    fns = realization(d, F=0.0)
+    coarse = build_potential(fns, 0.0, grid=(-0.5, 4e-3, 251))
+    mid = build_potential(fns, 0.0, grid=(-0.5, 2e-3, 501))
+    fine = build_potential(fns, 0.0, grid=(-0.5, 1e-3, 1001))
     for k in range(3):
         c1 = eigensolve(coarse, k + 1).eigenvalues[k]
         c2 = eigensolve(mid, k + 1).eigenvalues[k]
@@ -337,8 +337,8 @@ def _raw_profile(start, step, count, values):
 
 def test_orthonormality():
     d = Deformation(math.pi / 2)
-    fns = realization(d, 1.0, F=0.3)
-    prof = build_potential(d, 1.0, fns, grid=(-4.0, 1e-3, 8001))
+    fns = realization(d, F=0.3)
+    prof = build_potential(fns, 1.0, grid=(-4.0, 1e-3, 8001))
     res = eigensolve(prof, 5)
     gram = res.eigenvectors.T @ res.eigenvectors * res.h
     assert np.abs(gram - np.eye(5)).max() < 1e-8
@@ -346,8 +346,8 @@ def test_orthonormality():
 
 def test_eigensolve_per_cell_and_guard():
     d = Deformation(0.25)
-    fns = realization(d, 1.0, F=0.0)
-    prof = build_potential(d, 1.0, fns, grid=(-6.0, 1e-3, 12001))
+    fns = realization(d, F=0.0)
+    prof = build_potential(fns, 1.0, grid=(-6.0, 1e-3, 12001))
     r1 = eigensolve(prof, 2, cell=1)
     r2 = eigensolve(prof, 2, cell=2)
     assert r1.cell != r2.cell
@@ -377,7 +377,7 @@ def assert_refines(prof):
 @example(s=2.0, m=1.0, F=1.0)
 def test_refinement_rebuilds_a_realization_profile(s, m, F):
     d = Deformation(s)
-    assert_refines(build_potential(d, m, realization(d, m, F=F), grid=(-3.0, 1e-2, 601)))
+    assert_refines(build_potential(realization(d, F=F), m, grid=(-3.0, 1e-2, 601)))
 
 
 def test_refinement_rebuilds_from_the_profiles_own_fns():
@@ -385,10 +385,10 @@ def test_refinement_rebuilds_from_the_profiles_own_fns():
     # the branches by name and took F = 1, not this profile's F = 0.3
     d = Deformation(0.25)
     f1 = solve_f1(d, "tan")
-    direct = RealizationFns(f1=f1, f2=solve_f2(d, f1, "cosine", F=0.3), s=d.s, m=1.0)
-    prof = build_potential(d, 1.0, direct)
+    direct = RealizationFns(d, f1, solve_f2(d, f1, "cosine", F=0.3))
+    prof = build_potential(direct, 1.0)
     assert_refines(prof)
-    via = build_potential(d, 1.0, realization(d, 1.0, F=0.3))
+    via = build_potential(realization(d, F=0.3), 1.0)
     assert prof.values.tobytes() == via.values.tobytes()
     assert eigen_discretization_error(prof, 2) == eigen_discretization_error(via, 2)
 
@@ -402,7 +402,7 @@ def test_refinement_rebuilds_a_custom_f2():
         lambda r: -0.8 * r * np.exp(-(r**2)),
         lambda r: (1.6 * r**2 - 0.8) * np.exp(-(r**2)),
     )
-    prof = build_potential(d, 1.0, RealizationFns(f1=solve_f1(d, "tan"), f2=gauss, s=d.s, m=1.0))
+    prof = build_potential(RealizationFns(d, solve_f1(d, "tan"), gauss), 1.0)
     assert_refines(prof)
     assert eigen_discretization_error(prof, 0) < 1e-3
 
@@ -430,9 +430,9 @@ def test_decoupled_declaration():
 
 def test_ladder_linearity_zero():
     d = Deformation(math.pi / 2)
-    fns = realization(d, 0.0, F=0.0)
+    fns = realization(d, F=0.0)
     r = np.linspace(-3, 3, 601)
-    out = ladder_apply(np.zeros_like(r), d, fns, 0.0, "+", r)
+    out = ladder_apply(np.zeros_like(r), fns, 0.0, +1, r)
     assert np.all(out.psi == 0.0)
 
 
@@ -440,16 +440,16 @@ def test_ladder_consistency_decoupled():
     # exactly decoupled point: s = pi/2, integer m, F4 = 0
     d = Deformation(math.pi / 2)
     m = 0.0
-    fns = realization(d, m, F=0.0)
+    fns = realization(d, F=0.0)
     grid = (-3.0, 1e-3, 6001)
-    src = build_potential(d, m, fns, grid=grid)
-    dst = build_potential(d, m + 1, fns, grid=grid)
+    src = build_potential(fns, m, grid=grid)
+    dst = build_potential(fns, m + 1, grid=grid)
     res = eigensolve(src, 3)
     c = res.eigenvalues[2]
-    lad = ladder_apply(res.eigenvectors[:, 2], d, fns, m, "+", res.r, c=c)
+    lad = ladder_apply(res.eigenvectors[:, 2], fns, m, +1, res.r, c=c)
     assert not lad.flagged
     c_exp = c - src.casimir_offset + dst.casimir_offset
-    assert c_exp == pytest.approx(c + ladder_shift(d, m, "+"), abs=1e-12)
+    assert c_exp == pytest.approx(c + ladder_shift(d, m, +1), abs=1e-12)
     resid = ladder_residual(lad.psi, dst, c_exp, buffer=3)
     e_self = eigen_discretization_error(src, 2)
     print(f"ladder residual {resid:.3e} vs eigensolver residual {e_self:.3e}")
@@ -463,7 +463,7 @@ def test_ladder_annihilation_at_edge():
     d = Deformation(1.0)
     N, c = finite_orbit_candidates(d)[1]
     m0 = -N / 2.0
-    fns = realization(d, m0, F=0.0)
+    fns = realization(d, F=0.0)
     r = np.linspace(-0.7, 0.7, 7001)
     h = r[1] - r[0]
     coeff = -(fns.f1(r) / 2.0) * qnumber(2.0 * m0, d) + fns.f2(r)
@@ -471,7 +471,7 @@ def test_ladder_annihilation_at_edge():
     big_r = np.exp(cum - cum[len(r) // 2])
     a_m = liouville_factor(fns.f1, r, kappa_for(d, m0))
     psi_edge = big_r / a_m
-    out = ladder_apply(psi_edge, d, fns, m0, "-", r)
+    out = ladder_apply(psi_edge, fns, m0, -1, r)
     n_in = math.sqrt(h * float(np.sum(psi_edge**2)))
     n_out = math.sqrt(h * float(np.sum(out.psi[3:-3] ** 2)))
     assert n_out < 1e-6 * n_in
@@ -479,38 +479,36 @@ def test_ladder_annihilation_at_edge():
 
 def test_ladder_flags_nonunitary_move():
     d = Deformation(1.0)
-    fns = realization(d, 0.5, F=0.0)
+    fns = realization(d, F=0.0)
     r = np.linspace(-0.5, 0.5, 501)
-    out = ladder_apply(np.exp(-(r**2)), d, fns, 0.5, "+", r, c=0.3)
+    out = ladder_apply(np.exp(-(r**2)), fns, 0.5, +1, r, c=0.3)
     assert out.flagged and "unitary" in out.note
 
 
-def test_ladder_direction_names():
+def test_ladder_direction_is_a_sign():
     d = Deformation(1.0)
-    fns = realization(d, 0.5, F=0.0)
+    fns = realization(d, F=0.0)
     r = np.linspace(-0.5, 0.5, 501)
     psi = np.exp(-(r**2))
-    for raising, lowering in (("+", "-"), (1, -1), ("plus", "minus")):
-        assert np.array_equal(
-            ladder_apply(psi, d, fns, 0.5, "raise", r).psi, ladder_apply(psi, d, fns, 0.5, raising, r).psi
-        )
-        assert np.array_equal(
-            ladder_apply(psi, d, fns, 0.5, "lower", r).psi, ladder_apply(psi, d, fns, 0.5, lowering, r).psi
-        )
-        assert ladder_shift(d, 0.5, "raise") == ladder_shift(d, 0.5, raising)
-        assert ladder_shift(d, 0.5, "lower") == ladder_shift(d, 0.5, lowering)
-    assert ladder_shift(d, 0.5, "raise") != ladder_shift(d, 0.5, "lower")
+    assert not np.array_equal(ladder_apply(psi, fns, 0.5, +1, r).psi, ladder_apply(psi, fns, 0.5, -1, r).psi)
+    assert ladder_shift(d, 0.5, +1) != ladder_shift(d, 0.5, -1)
+    with pytest.raises(ValueError, match="direction"):
+        ladder_shift(d, 0.5, "raise")
 
 
-@pytest.mark.parametrize("bogus", ["up", "rasie", 0, None])
+@pytest.mark.parametrize("bogus", ["up", "rasie", 0, None, "+", "raise"])
 def test_ladder_direction_rejects_unknown(bogus):
     d = Deformation(1.0)
-    fns = realization(d, 0.5, F=0.0)
+    fns = realization(d, F=0.0)
     r = np.linspace(-0.5, 0.5, 51)
-    with pytest.raises(ValueError, match="direction"):
-        ladder_apply(np.exp(-(r**2)), d, fns, 0.5, bogus, r)
-    with pytest.raises(ValueError, match="direction"):
-        ladder_shift(d, 0.5, bogus)
+    for move in (
+        lambda: ladder_apply(np.exp(-(r**2)), fns, 0.5, bogus, r),
+        lambda: ladder_shift(d, 0.5, bogus),
+        lambda: ladder_coeff(d, 2.0, 0.5, bogus),
+        lambda: continuous_ladder_coeff(d, 0.3, 0.5, bogus),
+    ):
+        with pytest.raises(ValueError, match="direction"):
+            move()
 
 
 def test_coupled_constant_c():
@@ -539,8 +537,8 @@ def test_coupled_decoupled_cross_check():
     f2 = solve_f2(d, f1, "sech", F=1.0)
     out = coupled_solve(d, m, f2, np.linspace(-6.0, 6.0, 12001), f1=f1)
 
-    fns = realization(d, m, F=1.0)
-    prof = build_potential(d, m, fns, grid=(-6.0, 1e-3, 12001))
+    fns = realization(d, F=1.0)
+    prof = build_potential(fns, m, grid=(-6.0, 1e-3, 12001))
     v_true = prof.values - prof.casimir_offset + prof.terms["f1_f2"] * (d.cos_s - 1.0)
 
     # closed-form tail oracle: A -> cos(s)[m]^2 f1(inf), P -> -kappa f1(inf)
@@ -609,8 +607,8 @@ def test_commensurability_dichotomy():
         )
 
     def build(omega):
-        fns = RealizationFns(f1=f1, f2=cos_profile(omega), s=d.s, m=1.0)
-        return build_potential(d, 1.0, fns, grid=(-40.0, 0.01, 8001))
+        fns = RealizationFns(d, f1, cos_profile(omega))
+        return build_potential(fns, 1.0, grid=(-40.0, 0.01, 8001))
 
     peak_comm, lag = commensurability_peak(build(2 * math.pi / period).values, 0.01, period)
     peak_inc, _ = commensurability_peak(
