@@ -460,11 +460,22 @@ def solvable_cells(p: PotentialProfile) -> tuple:
     return cells, [k for k, size in enumerate(sizes) if size < MIN_CELL_SAMPLES]
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
+def _usable_cpus() -> list:
+    """The CPUs the calling thread may run on (its affinity set), ascending;
+    where the set cannot be read, range(cpu_count)."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        return sorted(os.sched_getaffinity(0))
+    return list(range(os.cpu_count() or 1))
+
+
+def _pin_worker(free: list) -> None:
+    """Pool initializer: pin the calling worker thread to a CPU popped from
+    free (list.pop is atomic, so each worker gets its own).  Where there is
+    no sched_setaffinity, or the CPU cannot be set, the worker runs unpinned."""
+    try:
+        os.sched_setaffinity(0, {free.pop()})  # pid 0: this thread only
+    except (AttributeError, OSError):
+        pass
 
 
 @functools.cache
@@ -549,6 +560,10 @@ def eigensolve(p: PotentialProfile, n_states: int, cell="largest", vectors: bool
     cell may also be a sequence of cells: the result is then a list of one
     EigenResult per cell, in order, the wells solved concurrently on
     min(len(cell), usable CPUs) threads; with one, on the calling thread.
+    Each worker thread pins itself to its own CPU of the caller's affinity
+    set: left to the scheduler, both workers of a 2-CPU host were measured
+    sharing one CPU for every solve, each taking about twice its CPU time.
+    The caller's own affinity is not changed.
     """
     many = not isinstance(cell, (str, int, np.integer))
     runs = _cells(p.pole_mask)
@@ -561,12 +576,13 @@ def eigensolve(p: PotentialProfile, n_states: int, cell="largest", vectors: bool
     solve = functools.partial(_solve_well, p.values, p.r, p.step, n_states, vectors, _lapack())
     if not many:
         return solve(bounds[0])
-    workers = min(len(bounds), _usable_cpus())
+    cpus = _usable_cpus()
+    workers = min(len(bounds), len(cpus))
     if workers <= 1:
         return [solve(b) for b in bounds]
     from concurrent.futures import ThreadPoolExecutor  # not at the top: `import qsu2.cli` needs no threads
 
-    with ThreadPoolExecutor(workers) as pool:
+    with ThreadPoolExecutor(workers, initializer=_pin_worker, initargs=(cpus[:workers],)) as pool:
         return list(pool.map(solve, bounds))
 
 
@@ -671,11 +687,9 @@ def ladder_shift(d: Deformation, m: float, sign: int) -> float:
 @dataclass(frozen=True)
 class CoupledResult:
     r: np.ndarray
-    big_r: np.ndarray  # radial solution, log-rescaled to R(center) = 1
     c_estimate: float
     residual: float
     success: bool
-    integrand_ratio: float  # alternative closed-form exponent integrand over A, = eta^2 [2m]
 
 
 def coupled_solve(
@@ -687,10 +701,10 @@ def coupled_solve(
 ) -> CoupledResult:
     """General-coupling construction: R from R' = A(r) R, then c(r) = (C R)/R.
 
-    A collects the coupling of f2 to the radial function; R is integrated
-    in log space from the grid center with R(center) = 1.  The full
-    Casimir form is applied to R and the deviation of c(r) from its median
-    on the interior is the residual; success means residual <
+    A collects the coupling of f2 to the radial function.  The full Casimir
+    form applied to R, divided by R, involves only R'/R = A and its
+    derivative, so R itself is never formed.  The deviation of c(r) from
+    its median on the interior is the residual; success means residual <
     1e-4 (1 + |c|).  Preconditions: s/pi irrational (no root of unity) and
     [2m] != 0.
     """
@@ -723,14 +737,6 @@ def coupled_solve(
     if not np.all(np.isfinite(a_vals)):
         raise FloatingPointError("A(r) is not finite on the grid (f1 pole?)")
 
-    # log-space integration of R' = A R, anchored R(center) = 1
-    mid = len(r) // 2
-    cum = np.concatenate(([0.0], np.cumsum((a_vals[1:] + a_vals[:-1]) / 2.0 * h)))
-    log_r = cum - cum[mid]
-    if not np.all(np.isfinite(log_r)):
-        raise FloatingPointError("log R overflowed")
-    big_r = np.exp(np.clip(log_r, -700.0, 700.0))
-
     # c(r) = [m-1/2]^2 + (B1 - A)' + (B1 - A)(A1 + A) from the exact
     # expansion of [J_z - 1/2]^2 + J_+ J_- on the realization
     b1 = _ladder_coefficient(d, m, f1v, f2v)
@@ -745,16 +751,11 @@ def coupled_solve(
     if not np.isfinite(residual):
         raise FloatingPointError("Casimir estimate not finite")
 
-    # the alternative closed-form exponent integrand equals A * eta^2 [2m]
-    ratio = eta2 * br2m
-
     return CoupledResult(
         r=r,
-        big_r=big_r,
         c_estimate=c_med,
         residual=residual,
         success=residual < 1e-4 * (1.0 + abs(c_med)),
-        integrand_ratio=ratio,
     )
 
 

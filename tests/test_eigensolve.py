@@ -1,11 +1,14 @@
 """The hard-wall eigensolver's LAPACK kernel against scipy's
 eigh_tridiagonal (dense_reference.eigensolve), byte for byte: one cell at a
 time, a list of cells solved on worker threads, and the same list on the
-one-worker path.
+one-worker path.  The worker threads each run on their own CPU of the
+caller's affinity set, or unpinned where a CPU cannot be set.
 """
 
 import concurrent.futures
 import ctypes
+import os
+import threading
 from unittest import mock
 
 import numpy as np
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 
 import dense_reference as ref
 from qsu2 import schrodinger
+from qsu2.cli import main
 from qsu2.qnumbers import Deformation
 from qsu2.schrodinger import (
     MIN_CELL_SAMPLES,
@@ -93,16 +97,16 @@ def wells_at(s=0.25, grid=(-12.0, 1e-3, 24001)):
 class CountingPool(concurrent.futures.ThreadPoolExecutor):
     sizes = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, **kwargs):
         CountingPool.sizes.append(max_workers)
-        super().__init__(max_workers)
+        super().__init__(max_workers, **kwargs)
 
 
 @pytest.mark.parametrize("cpus", [2, 3, 64])
 def test_workers_are_capped_by_cpus_and_wells(cpus):
     prof, cells = wells_at()
     CountingPool.sizes = []
-    with mock.patch.object(schrodinger, "_usable_cpus", lambda: cpus), \
+    with mock.patch.object(schrodinger, "_usable_cpus", lambda: list(range(cpus))), \
             mock.patch.object(concurrent.futures, "ThreadPoolExecutor", CountingPool):
         threaded = eigensolve(prof, 3, cells)
     assert CountingPool.sizes == [min(cpus, len(cells))]
@@ -115,9 +119,9 @@ def test_workers_are_capped_by_cpus_and_wells(cpus):
 def test_one_cpu_solves_without_a_pool(vectors):
     prof, cells = wells_at()
     assert len(cells) > 1
-    with mock.patch.object(schrodinger, "_usable_cpus", lambda: 3):
+    with mock.patch.object(schrodinger, "_usable_cpus", lambda: [0, 1, 2]):
         threaded = eigensolve(prof, 4, cells, vectors=vectors)
-    with mock.patch.object(schrodinger, "_usable_cpus", lambda: 1), \
+    with mock.patch.object(schrodinger, "_usable_cpus", lambda: [0]), \
             mock.patch.object(concurrent.futures, "ThreadPoolExecutor", None):
         serial = eigensolve(prof, 4, cells, vectors=vectors)
     for a, b in zip(threaded, serial):
@@ -138,10 +142,128 @@ def test_one_cell_gives_one_result_and_no_pool(cell):
 
 def test_usable_cpus_is_the_affinity_set(monkeypatch):
     if hasattr(schrodinger.os, "sched_getaffinity"):
-        assert schrodinger._usable_cpus() == len(schrodinger.os.sched_getaffinity(0))
+        assert schrodinger._usable_cpus() == sorted(schrodinger.os.sched_getaffinity(0))
     monkeypatch.delattr(schrodinger.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(schrodinger.os, "cpu_count", lambda: 5)
-    assert schrodinger._usable_cpus() == 5
+    assert schrodinger._usable_cpus() == [0, 1, 2, 3, 4]
+
+
+# ----------------------------------------------------------------------
+# worker placement
+
+needs_affinity = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs at least 2 usable CPUs",
+)
+
+
+def placed_solves(monkeypatch):
+    """Record, for each well solved, the solving thread and its CPU
+    affinity set at the time of the solve."""
+    placed = []
+    solve = schrodinger._solve_well
+
+    def recording(*args):
+        placed.append((threading.get_ident(), frozenset(os.sched_getaffinity(0))))
+        return solve(*args)
+
+    monkeypatch.setattr(schrodinger, "_solve_well", recording)
+    return placed
+
+
+def serial_solve(prof, n_states, cells, vectors=True):
+    with mock.patch.object(schrodinger, "_usable_cpus", lambda: [0]), \
+            mock.patch.object(concurrent.futures, "ThreadPoolExecutor", None):
+        return eigensolve(prof, n_states, cells, vectors=vectors)
+
+
+def assert_same_bytes(results, serial):
+    assert len(results) == len(serial)
+    for a, b in zip(results, serial):
+        assert a.cell == b.cell and a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+        assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
+
+
+@needs_affinity
+def test_each_worker_solves_on_its_own_cpu(monkeypatch):
+    prof, cells = wells_at(grid=(-30.0, 2e-3, 30001))
+    serial = serial_solve(prof, 4, cells)
+    caller, threads = os.sched_getaffinity(0), threading.active_count()
+    placed = placed_solves(monkeypatch)
+    pinned = eigensolve(prof, 4, cells)
+    assert len(placed) == len(cells)
+    sets = dict(placed)  # solving thread -> its affinity set
+    assert all(len(cpus) == 1 and cpus <= caller for _, cpus in placed)
+    assert all(sets[thread] == cpus for thread, cpus in placed)  # a worker stays where it was pinned
+    assert len(set(sets.values())) == len(sets)  # and no two workers share a CPU
+    assert threading.get_ident() not in sets
+    assert_same_bytes(pinned, serial)
+    assert os.sched_getaffinity(0) == caller and threading.active_count() == threads
+
+
+@needs_affinity
+def test_spectrum_leaves_the_callers_affinity_and_threads(tmp_path, monkeypatch):
+    argv = ["spectrum", "--s", "0.25", "--m", "1", "--grid=-30:30:0.002", "--n", "4", "--cell", "all"]
+    caller, threads = os.sched_getaffinity(0), threading.active_count()
+    placed = placed_solves(monkeypatch)
+    assert main(argv + ["--outdir", str(tmp_path / "pinned")]) == 0
+    assert len(placed) == 19 and all(len(cpus) == 1 for _, cpus in placed)
+    assert os.sched_getaffinity(0) == caller and threading.active_count() == threads
+    monkeypatch.setattr(schrodinger, "_usable_cpus", lambda: [0])
+    assert main(argv + ["--outdir", str(tmp_path / "serial")]) == 0
+    pinned, serial = (tmp_path / "pinned" / "spectrum.csv").read_bytes(), (tmp_path / "serial" / "spectrum.csv").read_bytes()
+    assert pinned == serial
+
+
+def unpinnable_cpus():
+    """The caller's CPUs and three more past the host's last CPU, which no
+    thread can be pinned to."""
+    real = sorted(os.sched_getaffinity(0))
+    top = max(os.cpu_count() or 1, real[-1] + 1)
+    return real + [top, top + 1, top + 2]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+@pytest.mark.parametrize("fault", [pytest.param("missing", marks=needs_affinity),
+                                   pytest.param("oserror", marks=needs_affinity),
+                                   "more_workers_than_cpus"])
+def test_a_worker_that_cannot_be_pinned_runs_unpinned(fault, monkeypatch):
+    prof, cells = wells_at(grid=(-30.0, 2e-3, 30001))
+    serial = serial_solve(prof, 4, cells)
+    caller, threads = os.sched_getaffinity(0), threading.active_count()
+    if fault == "missing":
+        monkeypatch.delattr(os, "sched_setaffinity")
+    elif fault == "oserror":
+        def refuse(pid, cpus):
+            raise OSError(22, "Invalid argument")
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    else:
+        monkeypatch.setattr(schrodinger, "_usable_cpus", unpinnable_cpus)
+    pin, after_pin = schrodinger._pin_worker, []
+
+    def recording(free):
+        pin(free)
+        after_pin.append(frozenset(os.sched_getaffinity(0)))
+
+    monkeypatch.setattr(schrodinger, "_pin_worker", recording)
+    placed = placed_solves(monkeypatch)
+    CountingPool.sizes = []
+    with mock.patch.object(concurrent.futures, "ThreadPoolExecutor", CountingPool):
+        results = eigensolve(prof, 4, cells)
+    assert CountingPool.sizes == [min(len(cells), len(schrodinger._usable_cpus()))]
+    assert len(placed) == len(cells) and 1 <= len(after_pin) <= CountingPool.sizes[0]
+    assert_same_bytes(results, serial)
+    if fault == "more_workers_than_cpus":
+        # the first CPU a worker takes is the last listed, past the host's,
+        # so that worker keeps the caller's set; a worker that takes one
+        # of the caller's CPUs runs on it alone
+        assert CountingPool.sizes[0] > len(caller) and caller in after_pin
+        pinned = [cpus for cpus in after_pin if cpus != caller]
+        assert all(len(cpus) == 1 and cpus <= caller for cpus in pinned)
+        assert len(set(pinned)) == len(pinned)
+    else:
+        assert all(cpus == caller for cpus in after_pin) and all(cpus == caller for _, cpus in placed)
+    assert os.sched_getaffinity(0) == caller and threading.active_count() == threads
 
 
 # ----------------------------------------------------------------------
