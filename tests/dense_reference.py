@@ -89,6 +89,11 @@ def _maxabs(a, lo, hi):
     return float(np.abs(block).max()) if block.size else 0.0
 
 
+def _worst(*residuals) -> float:
+    """The largest residual; NaN when any of them is NaN."""
+    return float(np.max(residuals))
+
+
 def verify_algebra(jz, jp, jm, ms, d, c) -> AlgebraReport:
     ms = np.asarray(ms, dtype=float)
     n = len(ms)
@@ -101,7 +106,7 @@ def verify_algebra(jz, jp, jm, ms, d, c) -> AlgebraReport:
         raise ValueError(f"basis of size {n} leaves no interior rows at buffer {buf}")
 
     eye = np.eye(n)
-    res1 = max(
+    res1 = _worst(
         _maxabs(jz @ jp - jp @ jz - jp, lo, hi),
         _maxabs(jz @ jm - jm @ jz + jm, lo, hi),
     )
@@ -115,14 +120,11 @@ def verify_algebra(jz, jp, jm, ms, d, c) -> AlgebraReport:
     anti = (jp @ jm + jm @ jp) / 2.0
     cas_sym = d.cos_s * np.diag(qnumber(ms, d) ** 2) + anti + br_half**2 * eye
 
-    res_cas = max(_maxabs(cas_a - c * eye, lo, hi), _maxabs(cas_b - c * eye, lo, hi))
-    forms_dev = max(_maxabs(cas_a - cas_b, lo, hi), _maxabs(cas_a - cas_sym, lo, hi))
+    res_cas = _worst(_maxabs(cas_a - c * eye, lo, hi), _maxabs(cas_b - c * eye, lo, hi))
+    forms_dev = _worst(_maxabs(cas_a - cas_b, lo, hi), _maxabs(cas_a - cas_sym, lo, hi))
 
     lo2, hi2 = (lo + 1, hi - 1) if not closed else (lo, hi)
-    commutes = 0.0
-    if hi2 > lo2:
-        for x in (jz, jp, jm):
-            commutes = max(commutes, _maxabs(cas_b @ x - x @ cas_b, lo2, hi2))
+    commutes = _worst(0.0, *(_maxabs(cas_b @ x - x @ cas_b, lo2, hi2) for x in (jz, jp, jm)))
 
     shift = 1.0 / (4.0 * math.cos(d.s / 2.0) ** 2)
     mae = c * eye - d.cos_s * np.diag(qnumber(ms, d) ** 2) - anti
@@ -138,7 +140,6 @@ def verify_algebra(jz, jp, jm, ms, d, c) -> AlgebraReport:
         res_jz_jpm=res1,
         res_jp_jm=res2,
         res_casimir=res_cas,
-        hermiticity=float(np.abs(jm - jp.conj().T).max()),
         casimir_forms_dev=forms_dev,
         casimir_commutes=commutes,
         maekawa_shift_dev=mae_dev,

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsu2.classify import finite_orbit_candidates, ladder_radicand, thresholds
+from qsu2.hopf import GenDeformation, build_gen_rep
 from qsu2.operators import (
     OperatorMatrix,
     UnitarityError,
@@ -196,6 +197,54 @@ def test_build_rep_bands_share_no_memory():
     assert np.array_equal(jm.band, jp.band) and math.copysign(1.0, jm.fill.imag) == -1.0
 
 
+def assert_jm_is_jp_adjoint(jp, jm):
+    """J_- is J_+'s band byte for byte, one diagonal up, with the conjugate fill."""
+    assert (jp.offset, jm.offset) == (-1, 1)
+    assert jm.band.tobytes() == jp.band.tobytes()
+    assert np.array([jm.fill]).tobytes() == np.array([jp.fill.conjugate()]).tobytes()
+
+
+@settings(max_examples=200)
+@given(
+    s=st.floats(0.05, math.pi - 0.05),
+    k=st.floats(0.0, 4.0) | st.just(math.nan),
+    m0=st.floats(-60.0, 60.0) | st.integers(-120, 120).map(lambda k: k / 2.0),
+    n=st.integers(1, 200),
+)
+def test_build_rep_jm_is_jp_adjoint(s, k, m0, n):
+    """verify_algebra checks each relation once, on J_+: it has no
+    hermiticity residual, no J_- halves of [J_z, J_+-] and [C, J_+-], and
+    no [C, J_z] term, because this invariant makes each of them equal to
+    a J_+ half or to zero.  If it ever breaks, those residuals must come
+    back."""
+    d = Deformation(s)
+    c = k / d.sin_s**2
+    try:
+        _, jp, jm = build_rep(d, c, m0 + np.arange(n, dtype=float))
+    except UnitarityError:
+        assume(False)
+    assert_jm_is_jp_adjoint(jp, jm)
+
+
+@settings(max_examples=100)
+@given(
+    alpha=st.sampled_from([2.0, 3.0]),
+    f0=st.floats(1.5, 30.0),
+    c=st.floats(0.0, 1e4),
+    m0=st.none() | st.integers(-20, 20).map(lambda k: k / 2.0),
+    n=st.integers(3, 60),
+)
+def test_gen_rep_jm_is_jp_adjoint(alpha, f0, c, m0, n):
+    """The invariant of test_build_rep_jm_is_jp_adjoint for the generalized
+    deformation's telescoped representation."""
+    gd = GenDeformation(alpha=alpha, profile="geometric", profile_params={"f0": f0})
+    try:
+        _, jp, jm, _ = build_gen_rep(gd, n, c, m0)
+    except ValueError:  # no unitary truncation at this anchor
+        assume(False)
+    assert_jm_is_jp_adjoint(jp, jm)
+
+
 def test_truncated_continuous_interior():
     d = Deformation(0.77)
     c = 2.5 / d.sin_s**2
@@ -220,7 +269,6 @@ def test_finite_rep_full_residuals():
     assert report.res_jz_jpm < 1e-10
     assert report.res_jp_jm < 1e-10
     assert report.res_casimir < 1e-10
-    assert report.hermiticity == 0.0
     assert report.casimir_forms_dev < 1e-12
     assert report.maekawa_shift_dev < 1e-10
     print(f"Maekawa 2s-reading deviation (recorded): {report.maekawa_2s_dev:.3e}")
