@@ -118,7 +118,7 @@ EXIT_NUMERIC = 4
 
 ASSERTED_RESIDUAL_TOL = 1e-10
 # the AlgebraReport fields `rep --verify` asserts
-REP_ASSERTED = ("res_jz_jpm", "res_jp_jm", "res_casimir", "casimir_forms_dev", "maekawa_shift_dev")
+REP_ASSERTED = ("res_jz_jpm", "res_jp_jm", "res_casimir")
 
 
 class VerificationFailure(Exception):
@@ -177,11 +177,15 @@ def _parse_basis(spec: str):
     """m0:count basis specification (unit spacing)."""
     try:
         m0, count = spec.split(":")
-        if not math.isfinite(float(m0)):
+        m0 = float(m0)
+        if not math.isfinite(m0):
             raise ValueError("m0 is not finite")
-        if int(count) < 1:
-            raise ValueError(f"count must be >= 1, got {int(count)}")
-        return float(m0), int(count)
+        count = int(count)
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
+        if abs(m0) + count >= 2**52:  # beyond it, m0 + i no longer steps by exactly 1
+            raise ValueError(f"|m0| + count must be < 2**52, got {abs(m0) + count!r}")
+        return m0, count
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad basis spec {spec!r}: {exc}") from None
 

@@ -166,13 +166,13 @@ def test_singlet_matches_dense():
     assert verify_algebra(build_rep(d, c, [0.0]), d, c).closed
 
 
-def test_overflowing_casimir_commutator_is_nan_like_dense():
-    # at c = 1e300, [C, J_+] is inf - inf on the interior rows: both reports
-    # keep the NaN, which a Python max after a zero term would drop
-    d, c, ms = Deformation(0.7), 1e300, np.arange(-3.0, 8.0)
+def test_overflowing_maekawa_sum_is_inf_like_dense():
+    # at c = 1.7e308, J_+ J_- + J_- J_+ overflows on the interior rows: both
+    # reports record maekawa_2s_dev as inf, and the band code warns nothing
+    d, c, ms = Deformation(0.7), 1.7e308, np.arange(-3.0, 8.0)
     with np.errstate(over="ignore", invalid="ignore"):  # as verify_algebra records them
         check_against_dense(d, c, ms)
-    assert math.isnan(verify_algebra(build_rep(d, c, ms), d, c).casimir_commutes)
+    assert math.isinf(verify_algebra(build_rep(d, c, ms), d, c).maekawa_2s_dev)
 
 
 def test_short_truncation_rejected_like_dense():

@@ -309,7 +309,7 @@ def test_numerical_failure_exit_code(tmp_path):
 def test_non_finite_values_are_data_not_warnings(tmp_path, capsys):
     # an overflowing residual or potential term is recorded, and the gates
     # refuse it by exit code, without a numpy warning on stderr
-    rep = ["rep", "--s", 1, "--c", 1e300, "--basis=0:8", "--outdir", tmp_path]
+    rep = ["rep", "--s", 1, "--c", 1.7e308, "--basis=0:8", "--outdir", tmp_path]
     potential = ["--s", 3, "--m", 1, "--f1-branch", "tanh", "--f2-branch", "sech", "--F", 1e300,
                  "--outdir", tmp_path]
     with warnings.catch_warnings():
@@ -866,6 +866,18 @@ def test_rep_basis_count_below_one_is_an_argument_error(tmp_path, capsys, count)
     err = capsys.readouterr().err
     assert f"argument --basis: bad basis spec '0:{count}': count must be >= 1, got {count}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", ["1e17:3", "-1e17:3", "4503599627370494:2", "0:4503599627370496"])
+def test_rep_basis_beyond_unit_spacing_is_an_argument_error(tmp_path, capsys, spec):
+    # from |m| = 2**52 on, m0 + i no longer steps by exactly 1
+    out = tmp_path / "out"
+    assert run(["rep", "--s", 1, "--c", 3, f"--basis={spec}", "--outdir", out]) == 2
+    err = capsys.readouterr().err
+    assert f"argument --basis: bad basis spec '{spec}': |m0| + count must be < 2**52" in err
+    assert not out.exists()
+    # the largest basis below the bound still builds and verifies
+    assert run(["rep", "--s", 1, "--c", 3, "--basis=4503599627370490.5:5", "--verify", "--outdir", out]) == 0
 
 
 def test_rep_basis_too_short_for_a_truncation_is_an_argument_error(tmp_path, capsys):
