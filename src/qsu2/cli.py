@@ -428,7 +428,7 @@ def _potential_from_args(args):
         f1_derivative_form=args.f1_derivative_form,
         transform=args.transform,
     )
-    return prof, {"f1_branch": prof.params["f1_branch"], "f2_branch": prof.params["f2_branch"]}
+    return prof, {"f1_branch": fns.f1.tag, "f2_branch": fns.f2.tag}
 
 
 @_uses("qnumbers", "schrodinger")
@@ -469,10 +469,7 @@ def _load_potential_csv(path):
     step = (r[-1] - r[0]) / (len(r) - 1)
     if not (step > 0 and np.all(np.abs(np.diff(r) - step) <= GRID_RTOL * step)):
         raise ValueError(f"{path}: r is not an increasing uniform grid")
-    prof = PotentialProfile(
-        start=float(r[0]), step=float(step), count=len(r), values=v, pole_mask=mask == 1,
-        params={}, casimir_offset=0.0, terms={},
-    )
+    prof = PotentialProfile(float(r[0]), float(step), len(r), v, mask == 1)
     return prof, hashlib.sha256(data).hexdigest()
 
 
@@ -697,7 +694,8 @@ def main(argv=None, defaults: dict | None = None) -> int:
         paths = _write_outputs(outdir, outputs, args.command, params | computed, argv, defaults)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    except (argparse.ArgumentTypeError, ValueError) as exc:  # SingularDeformation is a ValueError
+    # SingularDeformation is a ValueError; a MemoryError is an array the arguments size past any allocator
+    except (argparse.ArgumentTypeError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ARGS
     except VerificationFailure as exc:

@@ -73,7 +73,10 @@ def topology_transition(c: float, s_grid):
     Returns None when the classification does not change over the grid.
     All s with cos s <= 0 classify Connected; when the transition lies in
     (0, pi/2) it satisfies c = cos(s*)/sin^2(s*) within grid resolution.
+    A section exists only for c > 0, as in level_section.
     """
+    if c <= 0.0:
+        raise ValueError("c must be positive")
     s = np.asarray(s_grid, dtype=float)
     cos = np.cos(s)
     # gaps exist iff cos s > 0 and c sin^2 s < cos s (radicand negative at

@@ -18,8 +18,8 @@ first-derivative coefficient of the Casimir form is -kappa f1 with the
 exact kappa = cos((2m-1) s); the regime approximations kappa = 1 and
 kappa = (2 + (-1)^{m+1})/2 remain available as display modes.  The
 assembled V carries the conventional [m]^2 term, which is not invariant under
-m -> m +- 1; its value is stored as casimir_offset so ladder moves can
-compare eigenvalues like for like.
+m -> m +- 1; ladder_shift gives its change, so ladder moves can compare
+eigenvalues like for like.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ class RadialProfile:
     deriv: object
     second: object
     antiderivative: object = None  # r -> values, zero at r = 0; f1 branches only
+    poles: tuple | None = None  # (period, origin): poles at origin + n period; None for a profile without poles
 
     def __call__(self, r):
         return self.func(np.asarray(r, dtype=float))
@@ -63,21 +64,17 @@ class RealizationFns:
     d: Deformation
     f1: RadialProfile
     f2: RadialProfile
-    d1: float = 0.0
-    d2: float = 0.0
 
 
 @dataclass(frozen=True)
 class PotentialProfile:
+    """V sampled on the grid start + step * arange(count): the solver input."""
+
     start: float
     step: float
     count: int
     values: np.ndarray
     pole_mask: np.ndarray  # True where the sample is excluded
-    params: dict
-    casimir_offset: float  # [m]^2 term, not invariant under the ladder
-    terms: dict
-    fns: RealizationFns | None = None  # what build_potential built it from; None for a raw or loaded profile
 
     @property
     def r(self) -> np.ndarray:
@@ -117,7 +114,7 @@ class Branch:
     deriv: object
     second: object
     antiderivative: object = None  # f1 only, zero at r = 0
-    lattice: object = None  # (k, shift) -> (period, offset): poles at offset + n period
+    lattice: object = None  # (k, shift) -> (period, origin): poles at origin + n period
     cos_sign: int = 0  # f1 only: the sign of cos s it needs (0: |cos s| <= COS_ZERO_TOL)
     pairs: tuple = ()  # f2 only: the f1 branches it solves against, its default partner first
     shift: str | None = None  # f2 only: the shift it takes, "d1" or "d2"
@@ -209,8 +206,10 @@ def solve_f1(d: Deformation, branch: str) -> RadialProfile:
     cs = d.cos_s
     if not (abs(cs) <= COS_ZERO_TOL if entry.cos_sign == 0 else cs * entry.cos_sign > 0.0):
         raise ValueError(f"{branch} branch requires {_COS_SIGN_TEXT[entry.cos_sign]}")
+    k = _rate(d)
     forms = (entry.value, entry.deriv, entry.second, entry.antiderivative)
-    return RadialProfile(branch, *(functools.partial(form, k=_rate(d)) for form in forms))
+    poles = entry.lattice(k, 0.0) if entry.lattice else None
+    return RadialProfile(branch, *(functools.partial(form, k=k) for form in forms), poles=poles)
 
 
 def canonical_f1(d: Deformation) -> RadialProfile:
@@ -245,8 +244,10 @@ def solve_f2(d: Deformation, f1: RadialProfile, branch: str, F: float = 1.0, d_s
         )
     if d_shift != 0.0 and entry.shift is None:
         raise ValueError(f"the {branch} branch takes no shift, got {d_shift!r}")
+    k = _rate(d)
     forms = (entry.value, entry.deriv, entry.second)
-    return RadialProfile(branch, *(functools.partial(form, k=_rate(d), F=F, shift=d_shift) for form in forms))
+    poles = entry.lattice(k, d_shift) if entry.lattice else None
+    return RadialProfile(branch, *(functools.partial(form, k=k, F=F, shift=d_shift) for form in forms), poles=poles)
 
 
 def f2_residual(d: Deformation, f1: RadialProfile, f2: RadialProfile, r) -> np.ndarray:
@@ -278,25 +279,18 @@ def kappa_for(d: Deformation, m: float, mode: str = "exact") -> float:
     raise ValueError(f"unknown kappa mode {mode!r}")
 
 
-def liouville_factor(f1: RadialProfile, grid, kappa: float = 1.0, mode: str = "eliminate"):
+def liouville_factor(f1: RadialProfile, grid, kappa: float = 1.0):
     """Transform factor a(r) with R = a Psi, normalized to a = 1 at the grid center.
 
-    "eliminate" (default) solves 2 a' + kappa f1 a = 0, removing the
-    first-derivative coefficient -kappa f1 of the operator; "literal" is
-    the unscaled form a = a0 exp(-int f1 dr), kept for comparison.
+    Solves 2 a' + kappa f1 a = 0, removing the first-derivative coefficient
+    -kappa f1 of the operator; kappa = 2 gives the unscaled form
+    a = exp(-int f1 dr).
     """
     r = np.asarray(grid, dtype=float)
     if f1.antiderivative is None:
         raise ValueError(f"no antiderivative for f1 branch {f1.tag!r}")
     anti = f1.antiderivative(r)
-    center = anti[len(r) // 2]
-    if mode == "eliminate":
-        expo = -0.5 * kappa * (anti - center)
-    elif mode == "literal":
-        expo = -(anti - center)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return np.exp(expo)
+    return np.exp(-0.5 * kappa * (anti - anti[len(r) // 2]))
 
 
 def transform_term(kappa: float, f1v, f1d) -> np.ndarray:
@@ -326,7 +320,7 @@ def realization(
             taker = next(name for name, b in F2_BRANCHES.items() if b.shift == flag)
             raise ValueError(f"{flag} = {value!r} has no effect on the {f2_branch} f2 branch; only {taker} takes {flag}")
     f2 = solve_f2(d, f1, f2_branch, F=F, d_shift=shifts.get(entry.shift, 0.0))
-    return RealizationFns(d, f1, f2, d1=d1, d2=d2)
+    return RealizationFns(d, f1, f2)
 
 
 # an overflowing profile or term is recorded as inf or NaN, which the solvers refuse
@@ -344,8 +338,8 @@ def build_potential(
     Terms: the transform term for -kappa f1 d_r, [2m][2m-2] f1^2/4,
     -f1 f2 [2m-1], -(f1'/2)[2m] (or the f1'' variant), f2^2 + f2',
     [m]^2, and [m-1/2]^2.  Samples within POLE_MASK_STEPS grid steps of a
-    pole of f1 or of the shifted f2 are masked, each distinct pole lattice
-    once.
+    pole of f1 or f2 (each profile's poles lattice) are masked, each
+    distinct lattice once.
 
     transform = "eliminate" (default) eliminates the first-derivative
     coefficient exactly; "literal" uses -a''/a with a = exp(-int f1 dr),
@@ -378,18 +372,13 @@ def build_potential(
     else:
         raise ValueError(f"unknown f1_derivative_form {f1_derivative_form!r}")
     t_f2 = f2v**2 + fns.f2.deriv(r)
-    offset = br(m) ** 2
-    t_const = offset + br(m - 0.5) ** 2
+    t_const = br(m) ** 2 + br(m - 0.5) ** 2
 
     values = t_transform + t_f1sq + t_f1f2 + t_f1der + t_f2 + t_const
 
-    # the poles offset + n period of f1 and of the shifted f2, each distinct lattice once
-    shifts = {"d1": fns.d1, "d2": fns.d2}
-    entries = (F1_BRANCHES.get(fns.f1.tag), F2_BRANCHES.get(fns.f2.tag))  # none for an unnamed profile
-    lattices = {b.lattice(_rate(d), shifts.get(b.shift, 0.0)) for b in entries if b and b.lattice}
     half = POLE_MASK_STEPS * step
     mask = np.zeros(count, dtype=bool)
-    for period, origin in lattices:
+    for period, origin in {f.poles for f in (fns.f1, fns.f2) if f.poles}:  # each distinct lattice once
         n = np.arange(math.ceil((start - half - origin) / period), math.floor((r[-1] + half - origin) / period) + 1)
         # each pole tests only its own window of samples, with a step to spare on both sides
         for p in (origin + period * n).tolist():
@@ -397,32 +386,7 @@ def build_potential(
             hi = min(math.ceil((p + half - start) / step) + 2, count)
             mask[lo:hi] |= np.abs(r[lo:hi] - p) <= half
 
-    return PotentialProfile(
-        start=start,
-        step=step,
-        count=count,
-        values=values,
-        pole_mask=mask,
-        params={
-            "s": d.s,
-            "m": m,
-            "f1_branch": fns.f1.tag,
-            "f2_branch": fns.f2.tag,
-            "kappa": kappa,
-            "kappa_mode": kappa_mode,
-            "f1_derivative_form": f1_derivative_form,
-            "transform": transform,
-        },
-        casimir_offset=float(offset),
-        terms={
-            "transform": t_transform,
-            "f1_square": t_f1sq,
-            "f1_f2": t_f1f2,
-            "f1_derivative": t_f1der,
-            "f2_terms": t_f2,
-        },
-        fns=fns,
-    )
+    return PotentialProfile(start, step, count, values, mask)
 
 
 # ----------------------------------------------------------------------
@@ -586,28 +550,15 @@ def eigensolve(p: PotentialProfile, n_states: int, cell="largest", vectors: bool
         return list(pool.map(solve, bounds))
 
 
-def eigen_discretization_error(p: PotentialProfile, state: int, cell="largest") -> float:
-    """Richardson estimate of the h^2 eigenvalue error: (4/3)|c_h - c_{h/2}|,
-    the h/2 profile rebuilt from p.fns; ValueError on a profile without fns."""
-    fine = _refine_profile(p)
-    res_h = eigensolve(p, state + 1, cell, vectors=False)
+def eigen_discretization_error(fns: RealizationFns, m: float, state: int, grid, cell="largest", **options) -> float:
+    """Richardson estimate of the h^2 eigenvalue error of build_potential(fns,
+    m, grid, **options): (4/3)|c_h - c_{h/2}|, both profiles built from fns."""
+    start, step, count = float(grid[0]), float(grid[1]), int(grid[2])
+    coarse = build_potential(fns, m, grid=grid, **options)
+    fine = build_potential(fns, m, grid=(start, step / 2.0, 2 * count - 1), **options)
+    res_h = eigensolve(coarse, state + 1, cell, vectors=False)
     res_h2 = eigensolve(fine, state + 1, cell, vectors=False)
     return 4.0 / 3.0 * abs(res_h.eigenvalues[state] - res_h2.eigenvalues[state])
-
-
-def _refine_profile(p: PotentialProfile) -> PotentialProfile:
-    """Rebuild the profile at half the step from the realization it was built from."""
-    if p.fns is None:
-        raise ValueError("the profile records no realization to rebuild at half the step (a raw or loaded profile)")
-    pr = p.params
-    return build_potential(
-        p.fns,
-        pr["m"],
-        grid=(p.start, p.step / 2.0, 2 * p.count - 1),
-        kappa_mode=pr["kappa_mode"],
-        f1_derivative_form=pr["f1_derivative_form"],
-        transform=pr["transform"],
-    )
 
 
 # ----------------------------------------------------------------------

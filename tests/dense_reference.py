@@ -249,9 +249,12 @@ def cells(mask):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def build_potential(fns, m, grid, kappa_mode="exact", f1_derivative_form="first", transform="eliminate"):
-    """(values, pole_mask, terms) of build_potential, each term evaluating f1
-    and f1' afresh, and each pole tested over the whole grid."""
+def build_potential(fns, m, grid, d1=0.0, d2=0.0, kappa_mode="exact", f1_derivative_form="first",
+                    transform="eliminate"):
+    """(values, pole_mask) of build_potential, each term evaluating f1 and
+    f1' afresh, and each pole tested over the whole grid.  The pole
+    lattices come from the branch tables by the profiles' tags, at the
+    shifts d1 and d2 the realization was made with, not from the profiles."""
     from qsu2.schrodinger import F1_BRANCHES, F2_BRANCHES, POLE_MASK_STEPS, _rate, kappa_for
 
     d = fns.d
@@ -275,7 +278,7 @@ def build_potential(fns, m, grid, kappa_mode="exact", f1_derivative_form="first"
     values = (terms["transform"] + terms["f1_square"] + terms["f1_f2"] + terms["f1_derivative"] + terms["f2_terms"]
               + (br(m) ** 2 + br(m - 0.5) ** 2))
 
-    shifts = {"d1": fns.d1, "d2": fns.d2}
+    shifts = {"d1": d1, "d2": d2}
     entries = (F1_BRANCHES.get(f1.tag), F2_BRANCHES.get(f2.tag))
     lattices = {b.lattice(_rate(d), shifts.get(b.shift, 0.0)) for b in entries if b and b.lattice}
     half = POLE_MASK_STEPS * step
@@ -284,7 +287,7 @@ def build_potential(fns, m, grid, kappa_mode="exact", f1_derivative_form="first"
         n = np.arange(math.ceil((start - half - origin) / period), math.floor((r[-1] + half - origin) / period) + 1)
         for p in origin + period * n:
             mask |= np.abs(r - p) <= half
-    return values, mask, terms
+    return values, mask
 
 
 def eigensolve(p, n_states, cell="largest", vectors=True):

@@ -159,10 +159,7 @@ def test_criterion_06_ode_residuals_and_continuity():
 
 
 def _flat_profile(start, step, count, values):
-    return PotentialProfile(
-        start=start, step=step, count=count, values=values,
-        pole_mask=np.zeros(count, dtype=bool), params={}, casimir_offset=0.0, terms={},
-    )
+    return PotentialProfile(start, step, count, values, np.zeros(count, dtype=bool))
 
 
 def test_criterion_07_eigensolver_certification():
@@ -230,9 +227,9 @@ def test_criterion_10_ladder_consistency():
     c = res.eigenvalues[2]
     lad = ladder_apply(res.eigenvectors[:, 2], fns, m, +1, res.r, c=c)
     assert not lad.flagged
-    c_exp = c - src.casimir_offset + dst.casimir_offset
+    c_exp = c - qnumber(m, d) ** 2 + qnumber(m + 1, d) ** 2
     resid = ladder_residual(lad.psi, dst, c_exp, buffer=3)
-    e_self = eigen_discretization_error(src, 2)
+    e_self = eigen_discretization_error(fns, m, 2, grid)
     assert resid <= 20.0 * e_self
     report(10, f"ladder residual {resid:.2e} <= 20 x eigensolver residual {e_self:.2e}")
 

@@ -124,8 +124,13 @@ def transition_cases(draw):
 # c sin s * sin s < cos s at s = 0.123...; with the pow square it is not
 @example(case=(65.85358906320685, np.array([0.1, 0.12307178089430208, 0.2, 2.0])))
 @example(case=(0.7, np.linspace(math.pi / 2, 3.1, 200)))
+@example(case=(-0.5, np.linspace(0.1, 3.0, 50)))  # a value of cos s / sin^2 s past s = pi/2
 def test_topology_transition_matches_scalar_loop(case):
     c, s = case
+    if c <= 0.0:  # cos s / sin^2 s past s = pi/2: no section exists
+        with pytest.raises(ValueError, match="c must be positive"):
+            topology_transition(c, s)
+        return
     got, want = topology_transition(c, s), ref.topology_transition(c, s)
     assert (got is None and want is None) or bits(got) == bits(want)
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qsu2 import schrodinger
 from qsu2.cli import main
-from qsu2.qnumbers import Deformation, qnumber
+from qsu2.qnumbers import Deformation
 from qsu2.schrodinger import (
     F1_BRANCHES,
     F2_BRANCHES,
@@ -144,11 +144,9 @@ def mask_faults(s, m, F, f1b="tan", f2b="cosine", d1=0.0, d2=0.0):
     step inside the POLE_MASK_STEPS window of a pole, and masked ones more
     than one fine step outside every window.  The poles are bracketed by
     sign changes of cos(k r) (tan) and cos(k r + d2) (cosine) on a grid 4x
-    finer; the other branches have none.  The profile's casimir_offset
-    must be the [m]^2 term, whatever lattices the mask loop walks."""
+    finer; the other branches have none."""
     d = Deformation(s)
     prof = build_potential(realization(d, f1b, f2b, F=F, d1=d1, d2=d2), m, grid=GRID)
-    assert prof.casimir_offset == qnumber(m, d) ** 2
     r = prof.r
     window, fine = POLE_MASK_STEPS * prof.step, prof.step / 4.0
     rf = r[0] - window - fine + fine * np.arange(4 * (prof.count - 1) + 8 * POLE_MASK_STEPS + 9)

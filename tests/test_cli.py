@@ -149,6 +149,16 @@ def test_surface_transition_value(tmp_path):
     assert payload["s_star"] == pytest.approx(0.90455689430238136, abs=2e-3)
 
 
+@pytest.mark.parametrize("c", [-1.0, 0.0])
+@pytest.mark.parametrize("mode", [["--transition"], ["--s", 0.5]], ids=["transition", "section"])
+def test_surface_refuses_c_not_positive(tmp_path, capsys, c, mode):
+    # no section exists below c = 0, so neither mode reports one
+    out = tmp_path / "out"
+    assert run(["surface", "--c", c, *mode, "--outdir", out]) == 2
+    assert capsys.readouterr().err == "error: c must be positive\n"
+    assert not out.exists()
+
+
 def test_hopf_reports(tmp_path):
     assert (
         run(
@@ -771,6 +781,16 @@ def test_spectrum_n_below_one_is_an_argument_error(tmp_path, capsys, n):
     out = tmp_path / "out"
     assert run(["spectrum", "--s", 0.25, "--m", 1, "--grid=-6:6:0.01", "--n", n, "--outdir", out]) == 2
     assert f"argument --n: must be >= 1, got {n}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("step", ["1e-18", "1e-300"])
+def test_grid_past_any_allocator_is_an_argument_error(tmp_path, capsys, step):
+    # 1e18 + 1 samples ask numpy for 6.94 EiB, which no allocator grants
+    out = tmp_path / "out"
+    assert run(["potential", "--s", 0.25, "--m", 1, f"--grid=0:1:{step}", "--outdir", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -38,7 +38,7 @@ def masked_profile(sizes, gaps, step, seed, short=None):
     mask = np.concatenate([np.r_[np.zeros(n, dtype=bool), np.ones(g, dtype=bool)]
                            for n, g in zip(runs, gaps)])
     values = np.random.default_rng(seed).uniform(-50.0, 50.0, len(mask))
-    return PotentialProfile(-1.0, step, len(mask), values, mask, {}, 0.0, {})
+    return PotentialProfile(-1.0, step, len(mask), values, mask)
 
 
 @st.composite

@@ -131,7 +131,7 @@ def test_commensurability_leaves_the_input_alone():
 @given(n=st.integers(210, 800), seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 8))
 def test_eigenvalues_only_are_bit_identical(n, seed, n_states):
     values = np.random.default_rng(seed).uniform(-50.0, 50.0, n)
-    prof = PotentialProfile(0.0, 0.01, n, values, np.zeros(n, dtype=bool), {}, 0.0, {})
+    prof = PotentialProfile(0.0, 0.01, n, values, np.zeros(n, dtype=bool))
     full = eigensolve(prof, n_states)
     only = eigensolve(prof, n_states, vectors=False)
     assert only.eigenvalues.tobytes() == full.eigenvalues.tobytes()
@@ -271,11 +271,47 @@ def test_build_potential_matches_per_term_evaluation(s, m, f1b, f2b, F, d1, d2, 
     d = Deformation(s)
     fns = realization(d, f1b, f2b, F=F, d1=d1, d2=d2)
     prof = build_potential(fns, m, grid=grid, f1_derivative_form=form, transform=transform)
-    values, mask, terms = ref.build_potential(fns, m, grid, f1_derivative_form=form, transform=transform)
+    values, mask = ref.build_potential(fns, m, grid, d1, d2, f1_derivative_form=form, transform=transform)
     assert prof.values.tobytes() == values.tobytes()
     assert prof.pole_mask.tobytes() == mask.tobytes()
-    assert prof.terms.keys() == terms.keys()
-    for name, term in terms.items():
-        assert prof.terms[name].tobytes() == term.tobytes(), name
     if grid == POLES_ON_SAMPLES:
         assert mask[0] and mask[grid[2] // 2] and mask[-1]
+
+
+# (s range, f1 branch, f2 branch, the shift the f2 branch takes or None)
+BRANCH_PAIRS = [
+    ((0.05, 1.5), "tan", "cosine", "d2"),
+    ((0.05, 1.5), "tan", "constant", None),
+    ((1.65, 3.1), "tanh", "sech", "d1"),
+    ((1.65, 3.1), "tanh", "constant", None),
+    ((1.65, 3.1), "constant", "exponential", None),
+    ((1.65, 3.1), "constant", "constant", None),
+    ((math.pi / 2, math.pi / 2), "linear", "constant", None),
+]
+
+
+@st.composite
+def realizations(draw):
+    """(s, f1 branch, f2 branch, F, d1, d2, grid) over every branch pair,
+    with the shift its f2 branch takes and a grid of 200 to 4,000 samples."""
+    (lo, hi), f1b, f2b, shift = draw(st.sampled_from(BRANCH_PAIRS))
+    s = draw(st.floats(lo, hi))
+    F = 0.0 if f2b == "constant" and f1b != "linear" else draw(st.floats(-2.0, 2.0))
+    value = draw(st.floats(-3.0, 3.0)) if shift else 0.0
+    d1, d2 = (value, 0.0) if shift == "d1" else (0.0, value)
+    count = draw(st.integers(200, 4000))
+    grid = (draw(st.floats(-30.0, 0.0)), draw(st.floats(1e-3, 0.05)), count)
+    return s, f1b, f2b, F, d1, d2, grid
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=realizations(), m=st.sampled_from([0.5, 1.0, 2.0]))
+def test_build_potential_matches_the_reference_on_any_realization(case, m):
+    # the poles the profiles carry mask what the branch tables' lattices,
+    # at the realization's shifts, mask in the reference
+    s, f1b, f2b, F, d1, d2, grid = case
+    fns = realization(Deformation(s), f1b, f2b, F=F, d1=d1, d2=d2)
+    prof = build_potential(fns, m, grid=grid)
+    values, mask = ref.build_potential(fns, m, grid, d1, d2)
+    assert prof.values.tobytes() == values.tobytes()
+    assert prof.pole_mask.tobytes() == mask.tobytes()

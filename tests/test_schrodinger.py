@@ -24,7 +24,6 @@ from qsu2.schrodinger import (
     ladder_apply,
     ladder_residual,
     ladder_shift,
-    _refine_profile,
     liouville_factor,
     realization,
     solve_f1,
@@ -131,8 +130,8 @@ def test_liouville_factor_forms():
     # default: 2a' - r a = 0 -> a = exp(r^2/4)
     a = liouville_factor(f1, r, kappa=1.0)
     assert np.abs(a - np.exp(r**2 / 4)).max() < 1e-12
-    # paper-literal: a = exp(-int f1) = exp(r^2/2)
-    a_lit = liouville_factor(f1, r, mode="literal")
+    # paper-literal: a = exp(-int f1) = exp(r^2/2), kappa = 2
+    a_lit = liouville_factor(f1, r, kappa=2.0)
     assert np.abs(a_lit - np.exp(r**2 / 2)).max() < 1e-12
     # constant f1 with kappa = 1: linear exponent
     d2 = Deformation(2.8)
@@ -140,6 +139,13 @@ def test_liouville_factor_forms():
     v = f1c(np.zeros(1))[0]
     a_c = liouville_factor(f1c, r, kappa=1.0)
     assert np.abs(a_c - np.exp(-v * r / 2.0)).max() < 1e-12
+    # the unscaled form exp(-(A - A_center)) of the antiderivative A is
+    # kappa = 2 bit for bit on every f1 branch
+    for s, branch in ((0.25, "tan"), (3.0, "tanh"), (2.8, "constant"), (math.pi / 2, "linear")):
+        f1b = solve_f1(Deformation(s), branch)
+        anti = f1b.antiderivative(r)
+        literal = np.exp(-(anti - anti[len(r) // 2]))
+        assert liouville_factor(f1b, r, kappa=2.0).tobytes() == literal.tobytes(), branch
 
 
 def test_transform_eliminates_first_derivative():
@@ -152,7 +158,7 @@ def test_transform_eliminates_first_derivative():
     prof = build_potential(fns, m, grid=grid)
     r = prof.r
     h = prof.step
-    kappa = prof.params["kappa"]
+    kappa = kappa_for(d, m)
     a = liouville_factor(fns.f1, r, kappa)
     phi = np.exp(-(r**2)) * np.sin(2 * r)
     big_r = a * phi
@@ -275,7 +281,7 @@ def test_f1_derivative_form_flag():
     first = build_potential(fns, 2.0, grid=(-3.0, 0.01, 601))
     second = build_potential(fns, 2.0, grid=(-3.0, 0.01, 601), f1_derivative_form="second")
     assert not np.array_equal(first.values, second.values)
-    diff = first.terms["f1_derivative"] - second.terms["f1_derivative"]
+    diff = first.values - second.values
     want = -(fns.f1.deriv(first.r) - fns.f1.second(first.r)) / 2.0 * qnumber(4.0, d)
     assert np.abs(diff - want).max() < 1e-12
 
@@ -321,18 +327,7 @@ def test_poschl_teller_oracle():
 
 
 def _raw_profile(start, step, count, values):
-    from qsu2.schrodinger import PotentialProfile
-
-    return PotentialProfile(
-        start=start,
-        step=step,
-        count=count,
-        values=values,
-        pole_mask=np.zeros(count, dtype=bool),
-        params={},
-        casimir_offset=0.0,
-        terms={},
-    )
+    return PotentialProfile(start, step, count, values, np.zeros(count, dtype=bool))
 
 
 def test_orthonormality():
@@ -362,10 +357,13 @@ def test_eigensolve_per_cell_and_guard():
 # refinement at half the step
 
 
-def assert_refines(prof):
-    """The half-step rebuild holds the profile's own bits at every unmasked
-    coarse sample: the fine grid's even points are the coarse points."""
-    fine = _refine_profile(prof)
+def assert_refines(fns, m, grid):
+    """The half-step profile eigen_discretization_error builds holds the
+    profile's own bits at every unmasked coarse sample: the fine grid's
+    even points are the coarse points."""
+    start, step, count = grid
+    prof = build_potential(fns, m, grid=grid)
+    fine = build_potential(fns, m, grid=(start, step / 2.0, 2 * count - 1))
     kept = ~prof.pole_mask
     assert fine.values[::2][kept].tobytes() == prof.values[kept].tobytes()
 
@@ -376,21 +374,20 @@ def assert_refines(prof):
 @example(s=math.pi / 2, m=1.0, F=1.0)
 @example(s=2.0, m=1.0, F=1.0)
 def test_refinement_rebuilds_a_realization_profile(s, m, F):
-    d = Deformation(s)
-    assert_refines(build_potential(realization(d, F=F), m, grid=(-3.0, 1e-2, 601)))
+    assert_refines(realization(Deformation(s), F=F), m, (-3.0, 1e-2, 601))
 
 
-def test_refinement_rebuilds_from_the_profiles_own_fns():
-    # built directly, not through realization(): the rebuild once re-resolved
-    # the branches by name and took F = 1, not this profile's F = 0.3
+def test_discretization_error_of_a_directly_built_realization():
+    # built directly, not through realization(): the estimate is the same,
+    # F = 0.3 and all, as both of its profiles come from the fns it is given
     d = Deformation(0.25)
+    grid = (-6.0, 1e-3, 12001)
     f1 = solve_f1(d, "tan")
     direct = RealizationFns(d, f1, solve_f2(d, f1, "cosine", F=0.3))
-    prof = build_potential(direct, 1.0)
-    assert_refines(prof)
-    via = build_potential(realization(d, F=0.3), 1.0)
-    assert prof.values.tobytes() == via.values.tobytes()
-    assert eigen_discretization_error(prof, 2) == eigen_discretization_error(via, 2)
+    assert_refines(direct, 1.0, grid)
+    via = realization(d, F=0.3)
+    assert build_potential(direct, 1.0, grid).values.tobytes() == build_potential(via, 1.0, grid).values.tobytes()
+    assert eigen_discretization_error(direct, 1.0, 2, grid) == eigen_discretization_error(via, 1.0, 2, grid)
 
 
 def test_refinement_rebuilds_a_custom_f2():
@@ -402,21 +399,23 @@ def test_refinement_rebuilds_a_custom_f2():
         lambda r: -0.8 * r * np.exp(-(r**2)),
         lambda r: (1.6 * r**2 - 0.8) * np.exp(-(r**2)),
     )
-    prof = build_potential(RealizationFns(d, solve_f1(d, "tan"), gauss), 1.0)
-    assert_refines(prof)
-    assert eigen_discretization_error(prof, 0) < 1e-3
+    fns = RealizationFns(d, solve_f1(d, "tan"), gauss)
+    grid = (-6.0, 1e-3, 12001)
+    assert_refines(fns, 1.0, grid)
+    assert eigen_discretization_error(fns, 1.0, 0, grid) < 1e-3
 
 
-def test_refinement_refuses_a_profile_without_a_realization(tmp_path):
-    from qsu2.cli import _load_potential_csv, main
-
-    assert main(["potential", "--s", "0.25", "--m", "1", "--grid=-6:6:0.01", "--outdir", str(tmp_path)]) == 0
-    loaded, _ = _load_potential_csv(tmp_path / "potential.csv")
-    raw = PotentialProfile(-1.0, 0.01, 201, np.zeros(201), np.zeros(201, dtype=bool), {}, 0.0, {})
-    for prof in (loaded, raw):
-        assert prof.fns is None
-        with pytest.raises(ValueError, match="records no realization to rebuild"):
-            eigen_discretization_error(prof, 0)
+def test_discretization_error_passes_the_build_options():
+    # the options shape both profiles: a kappa mode that changes V changes the estimate
+    d = Deformation(1.4)
+    fns = realization(d, F=0.0)
+    grid = (-1.0, 1e-3, 2001)
+    exact = eigen_discretization_error(fns, 1.0, 0, grid)
+    unit = eigen_discretization_error(fns, 1.0, 0, grid, kappa_mode="unit")
+    coarse = eigensolve(build_potential(fns, 1.0, grid, kappa_mode="unit"), 1, vectors=False)
+    fine = eigensolve(build_potential(fns, 1.0, (-1.0, 5e-4, 4001), kappa_mode="unit"), 1, vectors=False)
+    assert unit == 4.0 / 3.0 * abs(coarse.eigenvalues[0] - fine.eigenvalues[0])
+    assert unit != exact
 
 
 # ----------------------------------------------------------------------
@@ -448,10 +447,10 @@ def test_ladder_consistency_decoupled():
     c = res.eigenvalues[2]
     lad = ladder_apply(res.eigenvectors[:, 2], fns, m, +1, res.r, c=c)
     assert not lad.flagged
-    c_exp = c - src.casimir_offset + dst.casimir_offset
+    c_exp = c - qnumber(m, d) ** 2 + qnumber(m + 1, d) ** 2
     assert c_exp == pytest.approx(c + ladder_shift(d, m, +1), abs=1e-12)
     resid = ladder_residual(lad.psi, dst, c_exp, buffer=3)
-    e_self = eigen_discretization_error(src, 2)
+    e_self = eigen_discretization_error(fns, m, 2, grid)
     print(f"ladder residual {resid:.3e} vs eigensolver residual {e_self:.3e}")
     assert resid <= 20.0 * e_self
 
@@ -539,7 +538,9 @@ def test_coupled_decoupled_cross_check():
 
     fns = realization(d, F=1.0)
     prof = build_potential(fns, m, grid=(-6.0, 1e-3, 12001))
-    v_true = prof.values - prof.casimir_offset + prof.terms["f1_f2"] * (d.cos_s - 1.0)
+    r = prof.r
+    t_f1f2 = -fns.f1(r) * fns.f2(r) * qnumber(2.0 * m - 1.0, d)
+    v_true = prof.values - qnumber(m, d) ** 2 + t_f1f2 * (d.cos_s - 1.0)
 
     # closed-form tail oracle: A -> cos(s)[m]^2 f1(inf), P -> -kappa f1(inf)
     f1_inf = -1.0 / math.sqrt(-d.cos_s)
