@@ -274,8 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     flag("--f1-branch", default=None, choices=["tan", "tanh", "constant", "linear"])
     flag("--f2-branch", default=None, choices=["sech", "exponential", "cosine", "constant"])
     flag("--F", type=_finite, default=1.0, help="integration constant of the f2 branch")
-    flag("--d1", type=_finite, default=0.0)
-    flag("--d2", type=_finite, default=0.0)
     flag("--grid", type=_parse_grid, default=(-6.0, 1e-3, 12001), help="start:stop:step")
     flag("--kappa-mode", default="exact", choices=["exact", "unit", "parity"])
     flag("--f1-derivative-form", default="first", choices=["first", "second"])
@@ -417,9 +415,7 @@ def _potential_from_args(args):
     """The potential the flags describe, and its resolved branches."""
     if args.s is None or args.m is None:
         raise argparse.ArgumentTypeError("needs --s and --m (or a potential CSV)")
-    fns = realization(
-        _deformation(args.s), f1_branch=args.f1_branch, f2_branch=args.f2_branch, F=args.F, d1=args.d1, d2=args.d2
-    )
+    fns = realization(_deformation(args.s), f1_branch=args.f1_branch, f2_branch=args.f2_branch, F=args.F)
     prof = build_potential(
         fns,
         args.m,

@@ -10,7 +10,8 @@ and f2 couples to the radial eigenfunction; in the decoupled regimes
 with the Casimir on R(r) e^{i m phi} and removing the first-derivative
 term by R = a(r) Psi(r) yields a Schrodinger problem (-d_r^2 + V) Psi =
 c Psi whose potential V(r; m, s) runs from periodic wells (cos s > 0)
-through a free/oscillator point (s = pi/2) to Poschl-Teller- and
+through s = pi/2, where V is constant plus linear in r (an oscillator
+only under the parity display constants of kappa), to Poschl-Teller- and
 Morse-like shapes (cos s < 0).
 
 Conventions fixed here (see the term list in build_potential): the
@@ -51,7 +52,7 @@ class RadialProfile:
     deriv: object
     second: object
     antiderivative: object = None  # r -> values, zero at r = 0; f1 branches only
-    poles: tuple | None = None  # (period, origin): poles at origin + n period; None for a profile without poles
+    poles: tuple | None = None  # f1 branches only: (period, origin), poles at origin + n period; None without poles
 
     def __call__(self, r):
         return self.func(np.asarray(r, dtype=float))
@@ -105,7 +106,7 @@ def decoupled_ok(d: Deformation, m: float, threshold: float = DECOUPLED_THRESHOL
 
 # ----------------------------------------------------------------------
 # closed-form f1 / f2 branches, each defined once in its rate k = sqrt|cos s|:
-# an f1 branch's forms take (r, k), an f2 branch's (r, k, F, shift)
+# an f1 branch's forms take (r, k), an f2 branch's (r, k, F)
 
 
 @dataclass(frozen=True)
@@ -114,10 +115,9 @@ class Branch:
     deriv: object
     second: object
     antiderivative: object = None  # f1 only, zero at r = 0
-    lattice: object = None  # (k, shift) -> (period, origin): poles at origin + n period
+    lattice: object = None  # f1 only: k -> (period, origin), poles at origin + n period
     cos_sign: int = 0  # f1 only: the sign of cos s it needs (0: |cos s| <= COS_ZERO_TOL)
     pairs: tuple = ()  # f2 only: the f1 branches it solves against, its default partner first
-    shift: str | None = None  # f2 only: the shift it takes, "d1" or "d2"
 
 
 F1_BRANCHES = {
@@ -126,7 +126,7 @@ F1_BRANCHES = {
         lambda r, k: -1.0 / np.cos(k * r) ** 2,
         lambda r, k: -2.0 * k * np.tan(k * r) / np.cos(k * r) ** 2,
         antiderivative=lambda r, k: np.log(np.abs(np.cos(k * r))) / k**2,
-        lattice=lambda k, shift: (math.pi / k, math.pi / (2.0 * k)), cos_sign=1,
+        lattice=lambda k: (math.pi / k, math.pi / (2.0 * k)), cos_sign=1,
     ),
     "tanh": Branch(
         lambda r, k: -np.tanh(k * r) / k,
@@ -148,35 +148,34 @@ F1_BRANCHES = {
     ),
 }
 
-# For the tan branch the f2 solution is the reciprocal cosine
-# F/cos(k r + d2); a plain cosine does not satisfy the equation against the
-# canonical f1.  A constant f2 solves cos(s) f1 f2 = -f2' only where
-# cos s = 0 (the linear f1) or F = 0, so solve_f2 takes it against another
-# f1 only at F = 0.
+# Given f1, cos(s) f1 f2 = -f2' is linear and first order, so its solution
+# is f2 = F exp(-cos(s) int f1) and nothing else: for the tan branch the
+# reciprocal cosine F/cos(k r), singular only at the tan poles.  A constant
+# f2 solves it only where cos s = 0 (the linear f1) or F = 0, so solve_f2
+# takes it against another f1 only at F = 0.
 F2_BRANCHES = {
     "sech": Branch(
-        lambda r, k, F, shift: F / np.cosh(k * r + shift),
-        lambda r, k, F, shift: -F * k * np.sinh(k * r + shift) / np.cosh(k * r + shift) ** 2,
-        lambda r, k, F, shift: F * k**2 * (np.sinh(k * r + shift) ** 2 - 1.0) / np.cosh(k * r + shift) ** 3,
-        pairs=("tanh",), shift="d1",
+        lambda r, k, F: F / np.cosh(k * r),
+        lambda r, k, F: -F * k * np.sinh(k * r) / np.cosh(k * r) ** 2,
+        lambda r, k, F: F * k**2 * (np.sinh(k * r) ** 2 - 1.0) / np.cosh(k * r) ** 3,
+        pairs=("tanh",),
     ),
     "exponential": Branch(
-        lambda r, k, F, shift: F * np.exp(k * r),
-        lambda r, k, F, shift: F * k * np.exp(k * r),
-        lambda r, k, F, shift: F * k**2 * np.exp(k * r),
+        lambda r, k, F: F * np.exp(k * r),
+        lambda r, k, F: F * k * np.exp(k * r),
+        lambda r, k, F: F * k**2 * np.exp(k * r),
         pairs=("constant",),
     ),
     "cosine": Branch(
-        lambda r, k, F, shift: F / np.cos(k * r + shift),
-        lambda r, k, F, shift: F * k * np.sin(k * r + shift) / np.cos(k * r + shift) ** 2,
-        lambda r, k, F, shift: F * k**2 * (1.0 + np.sin(k * r + shift) ** 2) / np.cos(k * r + shift) ** 3,
-        lattice=lambda k, shift: (math.pi / k, (math.pi / 2.0 - shift) / k),
-        pairs=("tan",), shift="d2",
+        lambda r, k, F: F / np.cos(k * r),
+        lambda r, k, F: F * k * np.sin(k * r) / np.cos(k * r) ** 2,
+        lambda r, k, F: F * k**2 * (1.0 + np.sin(k * r) ** 2) / np.cos(k * r) ** 3,
+        pairs=("tan",),
     ),
     "constant": Branch(
-        lambda r, k, F, shift: np.full_like(r, F),
-        lambda r, k, F, shift: np.zeros_like(r),
-        lambda r, k, F, shift: np.zeros_like(r),
+        lambda r, k, F: np.full_like(r, F),
+        lambda r, k, F: np.zeros_like(r),
+        lambda r, k, F: np.zeros_like(r),
         pairs=("linear", "tan", "tanh", "constant"),
     ),
 }
@@ -208,7 +207,7 @@ def solve_f1(d: Deformation, branch: str) -> RadialProfile:
         raise ValueError(f"{branch} branch requires {_COS_SIGN_TEXT[entry.cos_sign]}")
     k = _rate(d)
     forms = (entry.value, entry.deriv, entry.second, entry.antiderivative)
-    poles = entry.lattice(k, 0.0) if entry.lattice else None
+    poles = entry.lattice(k) if entry.lattice else None
     return RadialProfile(branch, *(functools.partial(form, k=k) for form in forms), poles=poles)
 
 
@@ -225,14 +224,14 @@ def f1_residual(d: Deformation, f1: RadialProfile, r) -> np.ndarray:
     return f1.deriv(r) + 1.0 + f1(r) ** 2 * d.cos_s
 
 
-def solve_f2(d: Deformation, f1: RadialProfile, branch: str, F: float = 1.0, d_shift: float = 0.0) -> RadialProfile:
-    """Closed-form solution of the decoupled equation cos(s) f1 f2 = -f2'.
+def solve_f2(d: Deformation, f1: RadialProfile, branch: str, F: float = 1.0) -> RadialProfile:
+    """Closed-form solution of the decoupled equation cos(s) f1 f2 = -f2',
+    F exp(-cos(s) int f1), which has no poles but f1's.
 
     Branch pairing follows f1 (F2_BRANCHES): "sech" with tanh,
     "exponential" with constant, "cosine" with tan, "constant" with linear,
     and with any other f1 only at F = 0, where f2 = 0 (elsewhere it is no
-    solution: a ValueError).  d_shift shifts the argument of sech and
-    cosine; a non-zero d_shift on another branch is a ValueError.
+    solution: a ValueError).
     """
     entry = _branch(F2_BRANCHES, "f2", branch)
     if f1.tag not in entry.pairs:
@@ -242,12 +241,9 @@ def solve_f2(d: Deformation, f1: RadialProfile, branch: str, F: float = 1.0, d_s
             f"--f2-branch constant solves cos(s) f1 f2 = -f2' only where cos s = 0 (the linear f1 branch) "
             f"or F = 0; got the {f1.tag} f1 branch with F = {F!r}"
         )
-    if d_shift != 0.0 and entry.shift is None:
-        raise ValueError(f"the {branch} branch takes no shift, got {d_shift!r}")
     k = _rate(d)
     forms = (entry.value, entry.deriv, entry.second)
-    poles = entry.lattice(k, d_shift) if entry.lattice else None
-    return RadialProfile(branch, *(functools.partial(form, k=k, F=F, shift=d_shift) for form in forms), poles=poles)
+    return RadialProfile(branch, *(functools.partial(form, k=k, F=F) for form in forms))
 
 
 def f2_residual(d: Deformation, f1: RadialProfile, f2: RadialProfile, r) -> np.ndarray:
@@ -304,23 +300,14 @@ def realization(
     f1_branch: str | None = None,
     f2_branch: str | None = None,
     F: float = 1.0,
-    d1: float = 0.0,
-    d2: float = 0.0,
 ) -> RealizationFns:
     """Assemble the canonical (f1, f2) pair for s, which serves every m;
     branches default to the sign of cos s, and f2 to the branch that pairs with
-    f1 first.  A non-zero d1 or d2 the f2 branch does not take is a ValueError."""
+    f1 first."""
     f1 = canonical_f1(d) if f1_branch is None else solve_f1(d, f1_branch)
     if f2_branch is None:
         f2_branch = next(name for name, b in F2_BRANCHES.items() if b.pairs[0] == f1.tag)
-    entry = _branch(F2_BRANCHES, "f2", f2_branch)
-    shifts = {"d1": d1, "d2": d2}
-    for flag, value in shifts.items():
-        if value != 0.0 and flag != entry.shift:
-            taker = next(name for name, b in F2_BRANCHES.items() if b.shift == flag)
-            raise ValueError(f"{flag} = {value!r} has no effect on the {f2_branch} f2 branch; only {taker} takes {flag}")
-    f2 = solve_f2(d, f1, f2_branch, F=F, d_shift=shifts.get(entry.shift, 0.0))
-    return RealizationFns(d, f1, f2)
+    return RealizationFns(d, f1, solve_f2(d, f1, f2_branch, F=F))
 
 
 # an overflowing profile or term is recorded as inf or NaN, which the solvers refuse
@@ -338,8 +325,8 @@ def build_potential(
     Terms: the transform term for -kappa f1 d_r, [2m][2m-2] f1^2/4,
     -f1 f2 [2m-1], -(f1'/2)[2m] (or the f1'' variant), f2^2 + f2',
     [m]^2, and [m-1/2]^2.  Samples within POLE_MASK_STEPS grid steps of a
-    pole of f1 or f2 (each profile's poles lattice) are masked, each
-    distinct lattice once.
+    pole of f1 (its profile's poles lattice) are masked; f2 = F exp(-cos(s)
+    int f1) has no other poles.
 
     transform = "eliminate" (default) eliminates the first-derivative
     coefficient exactly; "literal" uses -a''/a with a = exp(-int f1 dr),
@@ -378,7 +365,8 @@ def build_potential(
 
     half = POLE_MASK_STEPS * step
     mask = np.zeros(count, dtype=bool)
-    for period, origin in {f.poles for f in (fns.f1, fns.f2) if f.poles}:  # each distinct lattice once
+    if fns.f1.poles:
+        period, origin = fns.f1.poles
         n = np.arange(math.ceil((start - half - origin) / period), math.floor((r[-1] + half - origin) / period) + 1)
         # each pole tests only its own window of samples, with a step to spare on both sides
         for p in (origin + period * n).tolist():

@@ -249,13 +249,12 @@ def cells(mask):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def build_potential(fns, m, grid, d1=0.0, d2=0.0, kappa_mode="exact", f1_derivative_form="first",
-                    transform="eliminate"):
+def build_potential(fns, m, grid, kappa_mode="exact", f1_derivative_form="first", transform="eliminate"):
     """(values, pole_mask) of build_potential, each term evaluating f1 and
-    f1' afresh, and each pole tested over the whole grid.  The pole
-    lattices come from the branch tables by the profiles' tags, at the
-    shifts d1 and d2 the realization was made with, not from the profiles."""
-    from qsu2.schrodinger import F1_BRANCHES, F2_BRANCHES, POLE_MASK_STEPS, _rate, kappa_for
+    f1' afresh, and each pole tested over the whole grid.  The pole lattice
+    comes from the f1 branch table by the profile's tag, not from the
+    profile."""
+    from qsu2.schrodinger import F1_BRANCHES, POLE_MASK_STEPS, _rate, kappa_for
 
     d = fns.d
     start, step, count = float(grid[0]), float(grid[1]), int(grid[2])
@@ -278,12 +277,11 @@ def build_potential(fns, m, grid, d1=0.0, d2=0.0, kappa_mode="exact", f1_derivat
     values = (terms["transform"] + terms["f1_square"] + terms["f1_f2"] + terms["f1_derivative"] + terms["f2_terms"]
               + (br(m) ** 2 + br(m - 0.5) ** 2))
 
-    shifts = {"d1": d1, "d2": d2}
-    entries = (F1_BRANCHES.get(f1.tag), F2_BRANCHES.get(f2.tag))
-    lattices = {b.lattice(_rate(d), shifts.get(b.shift, 0.0)) for b in entries if b and b.lattice}
+    lattice = F1_BRANCHES[f1.tag].lattice
     half = POLE_MASK_STEPS * step
     mask = np.zeros(count, dtype=bool)
-    for period, origin in lattices:
+    if lattice:
+        period, origin = lattice(_rate(d))
         n = np.arange(math.ceil((start - half - origin) / period), math.floor((r[-1] + half - origin) / period) + 1)
         for p in origin + period * n:
             mask |= np.abs(r - p) <= half

@@ -187,21 +187,26 @@ def test_criterion_07_eigensolver_certification():
               f"Poschl-Teller levels off by ({e0:.1e}, {e1:.1e}) < 5e-3")
 
 
-def test_criterion_08_harmonic_regime():
+def _linear_form_excess(d, m, F, kappa_mode):
+    """max |V - (C + a r)| / max(1, |V|) of the s = pi/2 potential, against
+    C = F^2 + [m]^2 + [m-1/2]^2 and a = F [2m-1]: there f1 = -r and f2 = F,
+    the f1^2 terms cancel for the exact kappa (kappa^2 = [2m]^2 = sin^2(m pi))
+    and so do the constants -kappa/2 + [2m]/2."""
+    prof = build_potential(realization(d, F=F), m, grid=(-4.0, 1e-3, 8001), kappa_mode=kappa_mode)
+    const = F**2 + qnumber(m, d) ** 2 + qnumber(m - 0.5, d) ** 2
+    line = const + F * qnumber(2.0 * m - 1.0, d) * prof.r
+    return float(np.max(np.abs(prof.values - line) / np.maximum(1.0, np.abs(prof.values))))
+
+
+def test_criterion_08_linear_regime():
     d = Deformation(math.pi / 2)
-    worst_rel = 0.0
-    const_resids = []
-    for m, F in ((0.0, 0.5), (1.0, 0.5), (2.0, 0.0)):
-        fns = realization(d, F=F)
-        prof = build_potential(fns, m, grid=(-4.0, 1e-3, 8001))
-        coef = np.polyfit(prof.r, prof.values, 2)
-        resid = np.abs(np.polyval(coef, prof.r) - prof.values).max()
-        worst_rel = max(worst_rel, resid / max(np.abs(prof.values).max(), 1.0))
-        const_resids.append(float(np.abs(prof.values - prof.values.mean()).max()))
-    assert worst_rel < 1e-8
-    report(8, f"s = pi/2 quadratic-fit relative residual {worst_rel:.2e} < 1e-8; "
-              f"V = const residuals (logged, not asserted): "
-              + ", ".join(f"{x:.2e}" for x in const_resids))
+    worst = max(_linear_form_excess(d, m, F, "exact") for m in np.arange(0.0, 3.5, 0.5) for F in (0.0, 0.5, 1.3))
+    assert worst < 1e-12
+    # the parity display constants make an oscillator of it: the form fails
+    mutant = min(_linear_form_excess(d, m, F, "parity") for m in (0.0, 1.0, 2.0, 3.0) for F in (0.0, 0.5, 1.3))
+    assert mutant > 1e-12
+    report(8, f"s = pi/2, exact kappa: V = C + F [2m-1] r within {worst:.1e} < 1e-12 max(1, |V|), "
+              f"m = 0..3 in half steps, F in (0, 0.5, 1.3); parity kappa misses it by >= {mutant:.2f}")
 
 
 def test_criterion_09_periodicity():

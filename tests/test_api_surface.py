@@ -22,10 +22,8 @@ MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in so
 PROTOCOL_PARAMETERS = {
     ("serialize", "_HashedFile.__exit__", "exc"): "the context-manager protocol passes the exception triple",
     ("schrodinger", "F1_BRANCHES", "k"): "every f1 form takes (r, k); a form free of the rate ignores it",
-    ("schrodinger", "F1_BRANCHES", "shift"): "every pole lattice takes (k, shift); the tan lattice has no shift",
-    ("schrodinger", "F2_BRANCHES", "k"): "every f2 form takes (r, k, F, shift); a form free of the rate ignores it",
-    ("schrodinger", "F2_BRANCHES", "F"): "every f2 form takes (r, k, F, shift); a constant's derivatives ignore F",
-    ("schrodinger", "F2_BRANCHES", "shift"): "every f2 form takes (r, k, F, shift); only sech and cosine shift",
+    ("schrodinger", "F2_BRANCHES", "k"): "every f2 form takes (r, k, F); a form free of the rate ignores it",
+    ("schrodinger", "F2_BRANCHES", "F"): "every f2 form takes (r, k, F); a constant's derivatives ignore F",
 }
 
 # public functions no code under src/qsu2 calls yet: "module.name" -> reason

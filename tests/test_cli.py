@@ -1122,3 +1122,21 @@ def test_rerun_check_needs_recorded_outputs(tmp_path, capsys):
     assert run(["rerun", path, "--check", "--outdir", tmp_path / "b"]) == 2
     assert "records no subcommand and outputs to check" in capsys.readouterr().err
     assert not (tmp_path / "b").exists()
+
+
+def test_the_radial_shift_flags_are_gone(tmp_path, capsys):
+    # a shift of f2 alone solves no equation, so --d1 and --d2 are no flags:
+    # either exits 2 and writes nothing, in a run and in a replay
+    for command in ("potential", "spectrum"):
+        for flag in ("--d1", "--d2"):
+            assert run([command, "--s", 0.25, "--m", 1, flag, 0.4, "--outdir", tmp_path / "out"]) == 2
+            assert f"unrecognized arguments: {flag} 0.4" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert run(["potential", "--s", 0.25, "--m", 1, "--grid=-1:1:0.01", "--outdir", tmp_path / "a"]) == 0
+    path = tmp_path / "a" / "potential_manifest.json"
+    manifest = json.loads(path.read_text())
+    assert not {"d1", "d2"} & manifest["params"].keys()
+    manifest["argv"] += ["--d2", "0.7"]
+    path.write_text(json.dumps(manifest))
+    assert run(["rerun", path, "--outdir", tmp_path / "b"]) == 2
+    assert not (tmp_path / "b").exists()

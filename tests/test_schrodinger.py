@@ -191,19 +191,6 @@ def test_kappa_modes():
 # potentials
 
 
-def test_harmonic_regime_quadratic_fit():
-    d = Deformation(math.pi / 2)
-    for m, F in ((0.0, 0.5), (1.0, 0.5), (2.0, 0.0)):
-        fns = realization(d, F=F)
-        prof = build_potential(fns, m, grid=(-4.0, 1e-3, 8001))
-        coef = np.polyfit(prof.r, prof.values, 2)
-        resid = np.abs(np.polyval(coef, prof.r) - prof.values).max()
-        rel = resid / max(np.abs(prof.values).max(), 1.0)
-        assert rel < 1e-8
-        const_resid = np.abs(prof.values - prof.values.mean()).max()
-        print(f"s=pi/2 m={m} F4={F}: V=const residual (recorded): {const_resid:.3e}")
-
-
 def test_harmonic_display_mode():
     # the parity display constants give a genuine oscillator shape
     d = Deformation(math.pi / 2)
