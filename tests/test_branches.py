@@ -61,6 +61,59 @@ def test_each_branch_derivatives_match_its_value(s, f1b, f2b):
     assert f2.poles is None and F2_BRANCHES[f2b].lattice is None
 
 
+@pytest.mark.parametrize("s", [0.05, 0.25, 1.0, 1.5, 1.57])
+def test_cosine_f2_is_singular_on_the_tan_lattice_alone(s):
+    # 1/f2 = cos(k r)/F changes sign once at each point of f1's lattice and
+    # nowhere else, so masking f1's poles masks f2's
+    d = Deformation(s)
+    fns = realization(d, "tan", "cosine", F=1.3)
+    period, origin = fns.f1.poles
+    r = np.linspace(origin - 2.75 * period, origin + 3.25 * period, 60001)
+    inv = 1.0 / fns.f2(r)
+    cuts = np.flatnonzero(inv[:-1] * inv[1:] <= 0.0)
+    want = origin + period * np.arange(-2, 4)
+    assert len(cuts) == len(want)
+    assert np.all((r[cuts] <= want) & (want <= r[cuts + 1]))
+
+
+def shape_invariant_basis(f1b, x):
+    """The r-dependence of each unshifted pair's potential, x = k r: Scarf II
+    (tanh/sech), trigonometric Scarf I (tan/cosine) and Morse
+    (constant/exponential), as in Cooper, Khare and Sukhatme, Phys. Rep. 251
+    (1995) 267."""
+    if f1b == "tanh":
+        return [np.ones_like(x), 1.0 / np.cosh(x) ** 2, np.tanh(x) / np.cosh(x)]
+    if f1b == "tan":
+        return [np.ones_like(x), 1.0 / np.cos(x) ** 2, np.tan(x) / np.cos(x)]
+    return [np.ones_like(x), np.exp(x), np.exp(2.0 * x)]
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize(
+    "s,f1b,f2b",
+    [(3.0, "tanh", "sech"), (2.5, "tanh", "sech"), (0.25, "tan", "cosine"), (1.0, "tan", "cosine"),
+     (3.05, "constant", "exponential"), (2.55, "constant", "exponential")],
+)
+def test_each_pair_is_its_shape_invariant_potential(s, f1b, f2b, m):
+    # on its unmasked samples V lies in the span of its pair's three basis
+    # functions, and its constant (the continuum edge of the tanh and
+    # constant branches) does not move with F
+    d = Deformation(s)
+    k = math.sqrt(abs(d.cos_s))
+    constants, scale = [], 0.0
+    for F in (0.5, 1.0, 2.0):
+        prof = build_potential(realization(d, f1b, f2b, F=F), m, grid=(-4.0, 1e-3, 8001))
+        values = prof.values[~prof.pole_mask]
+        basis = np.stack(shape_invariant_basis(f1b, k * prof.r[~prof.pole_mask]), axis=1)
+        coef = np.linalg.lstsq(basis, values, rcond=None)[0]
+        scale = max(scale, np.abs(values).max())
+        assert np.abs(basis @ coef - values).max() <= 1e-12 * np.abs(values).max()
+        if f1b == "constant":
+            assert coef[2] == pytest.approx(F**2, rel=1e-12)
+        constants.append(coef[0])
+    assert np.ptp(constants) <= 1e-12 * scale
+
+
 # ----------------------------------------------------------------------
 # the constant f2, a solution only where cos s = 0 or F = 0
 

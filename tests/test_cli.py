@@ -1124,14 +1124,17 @@ def test_rerun_check_needs_recorded_outputs(tmp_path, capsys):
     assert not (tmp_path / "b").exists()
 
 
-def test_the_radial_shift_flags_are_gone(tmp_path, capsys):
-    # a shift of f2 alone solves no equation, so --d1 and --d2 are no flags:
-    # either exits 2 and writes nothing, in a run and in a replay
-    for command in ("potential", "spectrum"):
-        for flag in ("--d1", "--d2"):
-            assert run([command, "--s", 0.25, "--m", 1, flag, 0.4, "--outdir", tmp_path / "out"]) == 2
-            assert f"unrecognized arguments: {flag} 0.4" in capsys.readouterr().err
+@pytest.mark.parametrize("flag", ["--d1", "--d2"])
+@pytest.mark.parametrize("command", ["potential", "spectrum"])
+def test_a_radial_shift_flag_exits_2_and_writes_nothing(tmp_path, capsys, command, flag):
+    # a shift of f2 alone solves no equation, so --d1 and --d2 are no flags
+    assert run([command, "--s", 0.25, "--m", 1, flag, 0.4, "--outdir", tmp_path / "out"]) == 2
+    assert f"unrecognized arguments: {flag} 0.4" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_rerun_of_a_manifest_with_a_shift_flag_exits_2(tmp_path):
+    # the manifest records no shift, and a replayed --d2 is refused like a typed one
     assert run(["potential", "--s", 0.25, "--m", 1, "--grid=-1:1:0.01", "--outdir", tmp_path / "a"]) == 0
     path = tmp_path / "a" / "potential_manifest.json"
     manifest = json.loads(path.read_text())

@@ -260,11 +260,13 @@ POLES_ON_SAMPLES = (-math.pi, math.pi / 1024, 4097)
         (1.0, 0.5, "tan", "constant", 0.0, (-24.0, 1e-3, 48001)),
         (math.pi / 2, 1.0, "linear", "constant", 0.5, (-3.0, 1e-3, 6001)),
         (3.0, 1.0, "tanh", "sech", 0.5, (-24.0, 4e-3, 12001)),
+        (2.5, 2.0, "tanh", "constant", 0.0, (-24.0, 4e-3, 12001)),
         (3.05, 2.0, "constant", "exponential", 0.5, (-6.0, 1e-3, 12001)),
+        (2.0, 0.5, "constant", "constant", 0.0, (-6.0, 1e-3, 12001)),
         (math.acos(0.25), 1.0, "tan", "cosine", 0.5, POLES_ON_SAMPLES),
     ],
-    ids=["tan-cosine", "tan-cosine-m2", "tan-constant", "linear", "tanh-sech", "constant-exponential",
-         "poles-on-samples"],
+    ids=["tan-cosine", "tan-cosine-m2", "tan-constant", "linear", "tanh-sech", "tanh-constant",
+         "constant-exponential", "constant-constant", "poles-on-samples"],
 )
 def test_build_potential_matches_per_term_evaluation(s, m, f1b, f2b, F, grid, form, transform):
     # f1 and f1' evaluated once and each pole tested on its own window give
