@@ -275,8 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     flag("--f2-branch", default=None, choices=["sech", "exponential", "cosine", "constant"])
     flag("--F", type=_finite, default=1.0, help="integration constant of the f2 branch")
     flag("--grid", type=_parse_grid, default=(-6.0, 1e-3, 12001), help="start:stop:step")
-    flag("--kappa-mode", default="exact", choices=["exact", "unit", "parity"])
-    flag("--f1-derivative-form", default="first", choices=["first", "second"])
     flag("--transform", default="eliminate", choices=["eliminate", "literal"])
 
     ap = argparse.ArgumentParser(prog="qsu2", description=__doc__, parents=[_common_flags(None)])
@@ -416,14 +414,7 @@ def _potential_from_args(args):
     if args.s is None or args.m is None:
         raise argparse.ArgumentTypeError("needs --s and --m (or a potential CSV)")
     fns = realization(_deformation(args.s), f1_branch=args.f1_branch, f2_branch=args.f2_branch, F=args.F)
-    prof = build_potential(
-        fns,
-        args.m,
-        grid=args.grid,
-        kappa_mode=args.kappa_mode,
-        f1_derivative_form=args.f1_derivative_form,
-        transform=args.transform,
-    )
+    prof = build_potential(fns, args.m, grid=args.grid, transform=args.transform)
     return prof, {"f1_branch": fns.f1.tag, "f2_branch": fns.f2.tag}
 
 
@@ -653,6 +644,10 @@ def _rerun(source: str, outdir: Path, check: bool) -> int:
     recorded = manifest.get("outputs")
     if check and not (isinstance(recorded, dict) and isinstance(manifest.get("subcommand"), str)):
         raise argparse.ArgumentTypeError(f"{source} records no subcommand and outputs to check")
+    # an argv this parser refuses is named here, not in argparse's usage text, which knows no manifest
+    refused = build_parser().parse_known_args(manifest["argv"])[1]
+    if refused:
+        raise argparse.ArgumentTypeError(f"{source} records arguments that qsu2 refuses: {' '.join(refused)}")
     code = main(manifest["argv"] + [f"--outdir={outdir}"], manifest["defaults"])
     if not check or code != EXIT_OK:
         return code

@@ -75,24 +75,13 @@ def _profile_geometric(params, q1, alpha):
     return b
 
 
-def _profile_tabulated(params):
-    missing = [k for k in ("m", "b") if k not in params]
-    if missing:
-        raise ValueError(f"tabulated profile needs the {' and '.join(missing)} arrays")
-    m_pts = np.asarray(params["m"], dtype=float)
-    b_pts = np.asarray(params["b"], dtype=float)
-    if np.any(b_pts <= 0.0):
-        raise ValueError("tabulated profile must be positive")
-    return lambda m: np.interp(np.asarray(m, dtype=float), m_pts, b_pts)
-
-
 @dataclass(frozen=True)
 class GenDeformation:
     """Deformation data: alpha fixes q1 = (alpha-1)/alpha; the profile names b.
 
     Profiles: "constant" (b0), "sech" (f_lo, f_hi at q = q1), "geometric"
-    (f0, giving f = f0 q1^m exactly), "tabulated" (m, b arrays, linear
-    interpolation).  The default alpha < 0 keeps q1 > 1 and h > 0.
+    (f0, giving f = f0 q1^m exactly).  The default alpha < 0 keeps q1 > 1
+    and h > 0.
     """
 
     alpha: float = -1.0
@@ -126,8 +115,6 @@ class GenDeformation:
             return _profile_sech(self.profile_params, self)
         if self.profile == "geometric":
             return _profile_geometric(self.profile_params, self.q1, self.alpha)
-        if self.profile == "tabulated":
-            return _profile_tabulated(self.profile_params)
         raise ValueError(f"unknown profile {self.profile!r}")
 
     def b(self, m):

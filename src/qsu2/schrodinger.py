@@ -10,14 +10,12 @@ and f2 couples to the radial eigenfunction; in the decoupled regimes
 with the Casimir on R(r) e^{i m phi} and removing the first-derivative
 term by R = a(r) Psi(r) yields a Schrodinger problem (-d_r^2 + V) Psi =
 c Psi whose potential V(r; m, s) runs from periodic wells (cos s > 0)
-through s = pi/2, where V is constant plus linear in r (an oscillator
-only under the parity display constants of kappa), to Poschl-Teller- and
-Morse-like shapes (cos s < 0).
+through s = pi/2, where V is constant plus linear in r, to Poschl-Teller-
+and Morse-like shapes (cos s < 0).
 
 Conventions fixed here (see the term list in build_potential): the
-first-derivative coefficient of the Casimir form is -kappa f1 with the
-exact kappa = cos((2m-1) s); the regime approximations kappa = 1 and
-kappa = (2 + (-1)^{m+1})/2 remain available as display modes.  The
+first-derivative coefficient of the Casimir form is -kappa f1, with the
+one kappa = cos((2m-1) s) read off the expanded operator.  The
 assembled V carries the conventional [m]^2 term, which is not invariant under
 m -> m +- 1; ladder_shift gives its change, so ladder moves can compare
 eigenvalues like for like.
@@ -87,7 +85,6 @@ class EigenResult:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None  # column k is the k-th state, L2-normalized; None if not asked for
     h: float
-    boundary: str
     cell: tuple  # (start index, stop index) into the profile grid
     r: np.ndarray
 
@@ -257,25 +254,13 @@ def f2_residual(d: Deformation, f1: RadialProfile, f2: RadialProfile, r) -> np.n
 # transform and potential assembly
 
 
-def kappa_for(d: Deformation, m: float, mode: str = "exact") -> float:
-    """First-derivative coefficient factor: the operator carries -kappa f1 d_r.
-
-    "exact" reads kappa off the expanded Casimir form, cos((2m-1) s);
-    "unit" and "parity" are the fixed regime display constants (1, and
-    (2 + (-1)^{m+1})/2 on integer m).
-    """
-    if mode == "exact":
-        return math.cos((2.0 * m - 1.0) * d.s)
-    if mode == "unit":
-        return 1.0
-    if mode == "parity":
-        if abs(m - round(m)) > 1e-9:
-            raise ValueError("parity mode requires integer m")
-        return (2.0 + (-1.0) ** (int(round(m)) + 1)) / 2.0
-    raise ValueError(f"unknown kappa mode {mode!r}")
+def kappa_for(d: Deformation, m: float) -> float:
+    """First-derivative coefficient factor: the operator carries -kappa f1 d_r,
+    kappa = cos((2m-1) s) read off the expanded Casimir form."""
+    return math.cos((2.0 * m - 1.0) * d.s)
 
 
-def liouville_factor(f1: RadialProfile, grid, kappa: float = 1.0):
+def liouville_factor(f1: RadialProfile, grid, kappa: float):
     """Transform factor a(r) with R = a Psi, normalized to a = 1 at the grid center.
 
     Solves 2 a' + kappa f1 a = 0, removing the first-derivative coefficient
@@ -316,14 +301,12 @@ def build_potential(
     fns: RealizationFns,
     m: float,
     grid=(-6.0, 1e-3, 12001),
-    kappa_mode: str = "exact",
-    f1_derivative_form: str = "first",
     transform: str = "eliminate",
 ) -> PotentialProfile:
     """Assemble V(r; m, s) term by term, s from the realization's fns.d.
 
     Terms: the transform term for -kappa f1 d_r, [2m][2m-2] f1^2/4,
-    -f1 f2 [2m-1], -(f1'/2)[2m] (or the f1'' variant), f2^2 + f2',
+    -f1 f2 [2m-1], -(f1'/2)[2m], f2^2 + f2',
     [m]^2, and [m-1/2]^2.  Samples within POLE_MASK_STEPS grid steps of a
     pole of f1 (its profile's poles lattice) are masked; f2 = F exp(-cos(s)
     int f1) has no other poles.
@@ -341,10 +324,9 @@ def build_potential(
     f1d = fns.f1.deriv(r)
     f2v = fns.f2(r)
 
-    kappa = kappa_for(d, m, kappa_mode)
     br = lambda x: qnumber(x, d)
     if transform == "eliminate":
-        t_transform = transform_term(kappa, f1v, f1d)
+        t_transform = transform_term(kappa_for(d, m), f1v, f1d)
     elif transform == "literal":
         # -a''/a for a = exp(-int f1): f1' - f1^2
         t_transform = f1d - f1v**2
@@ -352,12 +334,7 @@ def build_potential(
         raise ValueError(f"unknown transform {transform!r}")
     t_f1sq = br(2.0 * m) * br(2.0 * m - 2.0) * f1v**2 / 4.0
     t_f1f2 = -f1v * f2v * br(2.0 * m - 1.0)
-    if f1_derivative_form == "first":
-        t_f1der = -(f1d / 2.0) * br(2.0 * m)
-    elif f1_derivative_form == "second":
-        t_f1der = -(fns.f1.second(r) / 2.0) * br(2.0 * m)
-    else:
-        raise ValueError(f"unknown f1_derivative_form {f1_derivative_form!r}")
+    t_f1der = -(f1d / 2.0) * br(2.0 * m)
     t_f2 = f2v**2 + fns.f2.deriv(r)
     t_const = br(m) ** 2 + br(m - 0.5) ** 2
 
@@ -496,7 +473,7 @@ def _solve_well(values, r, h, n_states, vectors, lapack, bounds) -> EigenResult:
         full = np.zeros((hi - lo, m.value))
         full[1:-1, :] = z[:, order]
         full = full / np.sqrt(h * np.sum(full**2, axis=0))
-    return EigenResult(eigenvalues=w, eigenvectors=full, h=h, boundary="hard-wall", cell=(lo, hi), r=r[lo:hi])
+    return EigenResult(eigenvalues=w, eigenvectors=full, h=h, cell=(lo, hi), r=r[lo:hi])
 
 
 def eigensolve(p: PotentialProfile, n_states: int, cell="largest", vectors: bool = True):
@@ -538,12 +515,14 @@ def eigensolve(p: PotentialProfile, n_states: int, cell="largest", vectors: bool
         return list(pool.map(solve, bounds))
 
 
-def eigen_discretization_error(fns: RealizationFns, m: float, state: int, grid, cell="largest", **options) -> float:
+def eigen_discretization_error(
+    fns: RealizationFns, m: float, state: int, grid, cell="largest", transform: str = "eliminate"
+) -> float:
     """Richardson estimate of the h^2 eigenvalue error of build_potential(fns,
-    m, grid, **options): (4/3)|c_h - c_{h/2}|, both profiles built from fns."""
+    m, grid, transform): (4/3)|c_h - c_{h/2}|, both profiles built from fns."""
     start, step, count = float(grid[0]), float(grid[1]), int(grid[2])
-    coarse = build_potential(fns, m, grid=grid, **options)
-    fine = build_potential(fns, m, grid=(start, step / 2.0, 2 * count - 1), **options)
+    coarse = build_potential(fns, m, grid=grid, transform=transform)
+    fine = build_potential(fns, m, grid=(start, step / 2.0, 2 * count - 1), transform=transform)
     res_h = eigensolve(coarse, state + 1, cell, vectors=False)
     res_h2 = eigensolve(fine, state + 1, cell, vectors=False)
     return 4.0 / 3.0 * abs(res_h.eigenvalues[state] - res_h2.eigenvalues[state])
@@ -565,7 +544,6 @@ def ladder_apply(
     m: float,
     sign: int,
     r: np.ndarray,
-    kappa_mode: str = "exact",
     c: float | None = None,
 ) -> LadderResult:
     """First-order ladder map of the realization fns from m to m + sign (+1 or -1).
@@ -579,8 +557,8 @@ def ladder_apply(
     d = fns.d
     r = np.asarray(r, dtype=float)
     h = r[1] - r[0]
-    a_src = liouville_factor(fns.f1, r, kappa_for(d, m, kappa_mode))
-    a_dst = liouville_factor(fns.f1, r, kappa_for(d, m + sign, kappa_mode))
+    a_src = liouville_factor(fns.f1, r, kappa_for(d, m))
+    a_dst = liouville_factor(fns.f1, r, kappa_for(d, m + sign))
     big_r = a_src * psi
     dr = np.zeros_like(big_r)
     dr[1:-1] = (big_r[2:] - big_r[:-2]) / (2.0 * h)

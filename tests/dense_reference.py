@@ -249,7 +249,7 @@ def cells(mask):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def build_potential(fns, m, grid, kappa_mode="exact", f1_derivative_form="first", transform="eliminate"):
+def build_potential(fns, m, grid, transform="eliminate"):
     """(values, pole_mask) of build_potential, each term evaluating f1 and
     f1' afresh, and each pole tested over the whole grid.  The pole lattice
     comes from the f1 branch table by the profile's tag, not from the
@@ -259,19 +259,18 @@ def build_potential(fns, m, grid, kappa_mode="exact", f1_derivative_form="first"
     d = fns.d
     start, step, count = float(grid[0]), float(grid[1]), int(grid[2])
     r = start + step * np.arange(count)
-    kappa = kappa_for(d, m, kappa_mode)
+    kappa = kappa_for(d, m)
     br = lambda x: qnumber(x, d)
     f1, f2 = fns.f1, fns.f2
     if transform == "eliminate":
         t_transform = (kappa * f1(r)) ** 2 / 4.0 + kappa * f1.deriv(r) / 2.0
     else:
         t_transform = f1.deriv(r) - f1(r) ** 2
-    f1_derivative = f1.deriv if f1_derivative_form == "first" else f1.second
     terms = {
         "transform": t_transform,
         "f1_square": br(2.0 * m) * br(2.0 * m - 2.0) * f1(r) ** 2 / 4.0,
         "f1_f2": -f1(r) * f2(r) * br(2.0 * m - 1.0),
-        "f1_derivative": -(f1_derivative(r) / 2.0) * br(2.0 * m),
+        "f1_derivative": -(f1.deriv(r) / 2.0) * br(2.0 * m),
         "f2_terms": f2(r) ** 2 + f2.deriv(r),
     }
     values = (terms["transform"] + terms["f1_square"] + terms["f1_f2"] + terms["f1_derivative"] + terms["f2_terms"]

@@ -35,11 +35,13 @@ from qsu2.schrodinger import (
     eigensolve,
     f1_residual,
     f2_residual,
+    kappa_for,
     ladder_apply,
     ladder_residual,
     realization,
     solve_f1,
     solve_f2,
+    transform_term,
 )
 
 # 40-digit evaluations of the s = 1.013 thresholds
@@ -187,26 +189,32 @@ def test_criterion_07_eigensolver_certification():
               f"Poschl-Teller levels off by ({e0:.1e}, {e1:.1e}) < 5e-3")
 
 
-def _linear_form_excess(d, m, F, kappa_mode):
+def _linear_form_excess(d, m, F, mutant=False):
     """max |V - (C + a r)| / max(1, |V|) of the s = pi/2 potential, against
     C = F^2 + [m]^2 + [m-1/2]^2 and a = F [2m-1]: there f1 = -r and f2 = F,
     the f1^2 terms cancel for the exact kappa (kappa^2 = [2m]^2 = sin^2(m pi))
-    and so do the constants -kappa/2 + [2m]/2."""
-    prof = build_potential(realization(d, F=F), m, grid=(-4.0, 1e-3, 8001), kappa_mode=kappa_mode)
+    and so do the constants -kappa/2 + [2m]/2.  The mutant is the unit-kappa
+    operator: V with the transform term of kappa = 1 in place of the exact one."""
+    fns = realization(d, F=F)
+    prof = build_potential(fns, m, grid=(-4.0, 1e-3, 8001))
+    values = prof.values
+    if mutant:
+        f1v, f1d = fns.f1(prof.r), fns.f1.deriv(prof.r)
+        values = values + transform_term(1.0, f1v, f1d) - transform_term(kappa_for(d, m), f1v, f1d)
     const = F**2 + qnumber(m, d) ** 2 + qnumber(m - 0.5, d) ** 2
     line = const + F * qnumber(2.0 * m - 1.0, d) * prof.r
-    return float(np.max(np.abs(prof.values - line) / np.maximum(1.0, np.abs(prof.values))))
+    return float(np.max(np.abs(values - line) / np.maximum(1.0, np.abs(values))))
 
 
 def test_criterion_08_linear_regime():
     d = Deformation(math.pi / 2)
-    worst = max(_linear_form_excess(d, m, F, "exact") for m in np.arange(0.0, 3.5, 0.5) for F in (0.0, 0.5, 1.3))
+    worst = max(_linear_form_excess(d, m, F) for m in np.arange(0.0, 3.5, 0.5) for F in (0.0, 0.5, 1.3))
     assert worst < 1e-12
-    # the parity display constants make an oscillator of it: the form fails
-    mutant = min(_linear_form_excess(d, m, F, "parity") for m in (0.0, 1.0, 2.0, 3.0) for F in (0.0, 0.5, 1.3))
-    assert mutant > 1e-12
+    # at integer m the exact kappa is 0, so kappa = 1 adds f1^2/4 + f1'/2 = r^2/4 - 1/2: the form fails
+    mutant = min(_linear_form_excess(d, m, F, mutant=True) for m in (0.0, 1.0, 2.0, 3.0) for F in (0.0, 0.5, 1.3))
+    assert mutant > 0.5
     report(8, f"s = pi/2, exact kappa: V = C + F [2m-1] r within {worst:.1e} < 1e-12 max(1, |V|), "
-              f"m = 0..3 in half steps, F in (0, 0.5, 1.3); parity kappa misses it by >= {mutant:.2f}")
+              f"m = 0..3 in half steps, F in (0, 0.5, 1.3); unit kappa misses it by >= {mutant:.2f}")
 
 
 def test_criterion_09_periodicity():

@@ -1124,22 +1124,37 @@ def test_rerun_check_needs_recorded_outputs(tmp_path, capsys):
     assert not (tmp_path / "b").exists()
 
 
-@pytest.mark.parametrize("flag", ["--d1", "--d2"])
+# a shift of f2 alone solves no equation, and the potential has one kappa
+# and one f1-derivative term, so these are no flags
+REMOVED_FLAGS = [("--d1", "0.4"), ("--d2", "0.4"), ("--kappa-mode", "parity"), ("--f1-derivative-form", "second")]
+
+
+@pytest.mark.parametrize("flag, value", REMOVED_FLAGS)
 @pytest.mark.parametrize("command", ["potential", "spectrum"])
-def test_a_radial_shift_flag_exits_2_and_writes_nothing(tmp_path, capsys, command, flag):
-    # a shift of f2 alone solves no equation, so --d1 and --d2 are no flags
-    assert run([command, "--s", 0.25, "--m", 1, flag, 0.4, "--outdir", tmp_path / "out"]) == 2
-    assert f"unrecognized arguments: {flag} 0.4" in capsys.readouterr().err
+def test_a_removed_flag_exits_2_and_writes_nothing(tmp_path, capsys, command, flag, value):
+    assert run([command, "--s", 0.25, "--m", 1, flag, value, "--outdir", tmp_path / "out"]) == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
-def test_rerun_of_a_manifest_with_a_shift_flag_exits_2(tmp_path):
-    # the manifest records no shift, and a replayed --d2 is refused like a typed one
+def test_a_removed_config_key_exits_2_and_writes_nothing(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kappa_mode = unit\n")
+    assert run(["potential", "--s", 0.25, "--m", 1, "--config", cfg, "--outdir", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == "error: config keys name no flag of potential: kappa_mode\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_rerun_of_a_manifest_with_a_shift_flag_exits_2(tmp_path, capsys):
+    # the manifest records no removed parameter, and a replayed removed flag
+    # is refused in one line that names the manifest
     assert run(["potential", "--s", 0.25, "--m", 1, "--grid=-1:1:0.01", "--outdir", tmp_path / "a"]) == 0
     path = tmp_path / "a" / "potential_manifest.json"
     manifest = json.loads(path.read_text())
-    assert not {"d1", "d2"} & manifest["params"].keys()
-    manifest["argv"] += ["--d2", "0.7"]
-    path.write_text(json.dumps(manifest))
-    assert run(["rerun", path, "--outdir", tmp_path / "b"]) == 2
-    assert not (tmp_path / "b").exists()
+    assert not {"d1", "d2", "kappa_mode", "f1_derivative_form"} & manifest["params"].keys()
+    argv = manifest["argv"]
+    for extra in (["--d2", "0.7"], ["--kappa-mode", "parity"]):
+        path.write_text(json.dumps(manifest | {"argv": argv + extra}))
+        assert run(["rerun", path, "--outdir", tmp_path / "b"]) == 2
+        assert capsys.readouterr().err == f"error: {path} records arguments that qsu2 refuses: {' '.join(extra)}\n"
+        assert not (tmp_path / "b").exists()

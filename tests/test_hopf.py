@@ -275,35 +275,6 @@ def test_hopf_report_sech_residuals_recorded():
     )
 
 
-def test_tabulated_profile():
-    m_pts = np.linspace(-6.0, 6.0, 25)
-    b_pts = 1.0 + 0.5 * np.cos(m_pts)
-    gd = GenDeformation(
-        alpha=2.0, profile="tabulated", profile_params={"m": m_pts, "b": b_pts}
-    )
-    # linear interpolation between the tabulated nodes
-    assert gd.b(m_pts[3]) == pytest.approx(b_pts[3], abs=1e-15)
-    mid = 0.5 * (m_pts[3] + m_pts[4])
-    assert gd.b(mid) == pytest.approx(0.5 * (b_pts[3] + b_pts[4]), abs=1e-15)
-    rep = build_gen_rep(gd, 7, 60.0)
-    jz, jp, jm, _ = rep
-    ms = np.real(np.diag(jz.entries))
-    comm = jp.entries @ jm.entries - jm.entries @ jp.entries
-    want = spectrum_2jz(gd, ms)
-    assert np.abs(np.diag(comm).real[2:-2] - want[2:-2]).max() < 1e-10
-    with pytest.raises(ValueError):
-        GenDeformation(
-            alpha=2.0, profile="tabulated", profile_params={"m": m_pts, "b": -b_pts}
-        ).b(0.0)
-
-
-def test_tabulated_profile_names_missing_arrays():
-    for params, missing in (({}, "m and b"), ({"m": [0.0, 1.0]}, "the b arrays")):
-        gd = GenDeformation(alpha=2.0, profile="tabulated", profile_params=params)
-        with pytest.raises(ValueError, match=missing):
-            gd.b(0.0)
-
-
 def test_profile_closure_built_once(monkeypatch):
     import qsu2.hopf as hopf
 

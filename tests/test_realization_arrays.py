@@ -138,7 +138,7 @@ def test_eigenvalues_only_are_bit_identical(n, seed, n_states):
     only = eigensolve(prof, n_states, vectors=False)
     assert only.eigenvalues.tobytes() == full.eigenvalues.tobytes()
     assert only.eigenvectors is None
-    assert (only.cell, only.h, only.boundary) == (full.cell, full.h, full.boundary)
+    assert (only.cell, only.h) == (full.cell, full.h)
     assert np.array_equal(only.r, full.r)
 
 
@@ -251,7 +251,6 @@ POLES_ON_SAMPLES = (-math.pi, math.pi / 1024, 4097)
 
 
 @pytest.mark.parametrize("transform", ["eliminate", "literal"])
-@pytest.mark.parametrize("form", ["first", "second"])
 @pytest.mark.parametrize(
     "s, m, f1b, f2b, F, grid",
     [
@@ -268,13 +267,13 @@ POLES_ON_SAMPLES = (-math.pi, math.pi / 1024, 4097)
     ids=["tan-cosine", "tan-cosine-m2", "tan-constant", "linear", "tanh-sech", "tanh-constant",
          "constant-exponential", "constant-constant", "poles-on-samples"],
 )
-def test_build_potential_matches_per_term_evaluation(s, m, f1b, f2b, F, grid, form, transform):
+def test_build_potential_matches_per_term_evaluation(s, m, f1b, f2b, F, grid, transform):
     # f1 and f1' evaluated once and each pole tested on its own window give
     # the bytes of evaluating them per term and testing every pole everywhere
     d = Deformation(s)
     fns = realization(d, f1b, f2b, F=F)
-    prof = build_potential(fns, m, grid=grid, f1_derivative_form=form, transform=transform)
-    values, mask = ref.build_potential(fns, m, grid, f1_derivative_form=form, transform=transform)
+    prof = build_potential(fns, m, grid=grid, transform=transform)
+    values, mask = ref.build_potential(fns, m, grid, transform=transform)
     assert prof.values.tobytes() == values.tobytes()
     assert prof.pole_mask.tobytes() == mask.tobytes()
     if grid == POLES_ON_SAMPLES:

@@ -179,25 +179,11 @@ def test_transform_eliminates_first_derivative():
 
 def test_kappa_modes():
     d = Deformation(1.1)
-    assert kappa_for(d, 2.0, "exact") == pytest.approx(math.cos(3.0 * 1.1), abs=1e-15)
-    assert kappa_for(d, 2.0, "unit") == 1.0
-    assert kappa_for(d, 2.0, "parity") == 0.5
-    assert kappa_for(d, 3.0, "parity") == 1.5
-    with pytest.raises(ValueError):
-        kappa_for(d, 2.5, "parity")
+    assert kappa_for(d, 2.0) == pytest.approx(math.cos(3.0 * 1.1), abs=1e-15)
 
 
 # ----------------------------------------------------------------------
 # potentials
-
-
-def test_harmonic_display_mode():
-    # the parity display constants give a genuine oscillator shape
-    d = Deformation(math.pi / 2)
-    fns = realization(d, F=0.0)
-    prof = build_potential(fns, 1.0, grid=(-4.0, 1e-3, 8001), kappa_mode="parity")
-    coef = np.polyfit(prof.r, prof.values, 2)
-    assert coef[0] == pytest.approx((1.5) ** 2 / 4.0, rel=1e-10)
 
 
 def test_periodic_regime():
@@ -260,17 +246,6 @@ def test_potential_rebuild_bit_identical():
     b = build_potential(fns, 1.0, grid=(-6.0, 0.01, 1201))
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.pole_mask, b.pole_mask)
-
-
-def test_f1_derivative_form_flag():
-    d = Deformation(2.9)
-    fns = realization(d, F=0.0)
-    first = build_potential(fns, 2.0, grid=(-3.0, 0.01, 601))
-    second = build_potential(fns, 2.0, grid=(-3.0, 0.01, 601), f1_derivative_form="second")
-    assert not np.array_equal(first.values, second.values)
-    diff = first.values - second.values
-    want = -(fns.f1.deriv(first.r) - fns.f1.second(first.r)) / 2.0 * qnumber(4.0, d)
-    assert np.abs(diff - want).max() < 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -393,16 +368,16 @@ def test_refinement_rebuilds_a_custom_f2():
 
 
 def test_discretization_error_passes_the_build_options():
-    # the options shape both profiles: a kappa mode that changes V changes the estimate
+    # the transform shapes both profiles: a transform that changes V changes the estimate
     d = Deformation(1.4)
     fns = realization(d, F=0.0)
     grid = (-1.0, 1e-3, 2001)
-    exact = eigen_discretization_error(fns, 1.0, 0, grid)
-    unit = eigen_discretization_error(fns, 1.0, 0, grid, kappa_mode="unit")
-    coarse = eigensolve(build_potential(fns, 1.0, grid, kappa_mode="unit"), 1, vectors=False)
-    fine = eigensolve(build_potential(fns, 1.0, (-1.0, 5e-4, 4001), kappa_mode="unit"), 1, vectors=False)
-    assert unit == 4.0 / 3.0 * abs(coarse.eigenvalues[0] - fine.eigenvalues[0])
-    assert unit != exact
+    eliminate = eigen_discretization_error(fns, 1.0, 0, grid)
+    literal = eigen_discretization_error(fns, 1.0, 0, grid, transform="literal")
+    coarse = eigensolve(build_potential(fns, 1.0, grid, transform="literal"), 1, vectors=False)
+    fine = eigensolve(build_potential(fns, 1.0, (-1.0, 5e-4, 4001), transform="literal"), 1, vectors=False)
+    assert literal == 4.0 / 3.0 * abs(coarse.eigenvalues[0] - fine.eigenvalues[0])
+    assert literal != eliminate
 
 
 # ----------------------------------------------------------------------
