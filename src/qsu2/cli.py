@@ -15,7 +15,9 @@ QSU2_OUTDIR environment variable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import io
 import math
 import os
 import sys
@@ -437,7 +439,10 @@ def _load_potential_csv(path):
         data = Path(path).read_bytes()
     except OSError as exc:
         raise argparse.ArgumentTypeError(f"cannot read potential CSV: {exc}") from None
-    header, *rows = data.decode("utf-8").splitlines() or [""]
+    try:
+        header, *rows = data.decode("utf-8").splitlines() or [""]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if header != "r,V,mask":
         raise ValueError(f"{path}: header {header!r} is not 'r,V,mask'")
     if len(rows) < 2:
@@ -644,10 +649,17 @@ def _rerun(source: str, outdir: Path, check: bool) -> int:
     recorded = manifest.get("outputs")
     if check and not (isinstance(recorded, dict) and isinstance(manifest.get("subcommand"), str)):
         raise argparse.ArgumentTypeError(f"{source} records no subcommand and outputs to check")
-    # an argv this parser refuses is named here, not in argparse's usage text, which knows no manifest
+    # an argv or a config line this parser refuses is named here, not in
+    # argparse's usage text, which knows no manifest
     refused = build_parser().parse_known_args(manifest["argv"])[1]
     if refused:
         raise argparse.ArgumentTypeError(f"{source} records arguments that qsu2 refuses: {' '.join(refused)}")
+    try:
+        with contextlib.redirect_stderr(io.StringIO()) as usage:
+            _parse(manifest["argv"], manifest["defaults"])
+    except (SystemExit, argparse.ArgumentTypeError) as exc:
+        why = usage.getvalue().rpartition("error: ")[2].strip() if isinstance(exc, SystemExit) else exc
+        raise argparse.ArgumentTypeError(f"{source} records config lines that qsu2 refuses: {why}") from None
     code = main(manifest["argv"] + [f"--outdir={outdir}"], manifest["defaults"])
     if not check or code != EXIT_OK:
         return code
@@ -665,18 +677,25 @@ def _rerun(source: str, outdir: Path, check: bool) -> int:
     return code
 
 
+def _parse(argv: list, defaults: dict | None) -> tuple:
+    """The namespace of argv, parsed with the config lines (defaults, else
+    the --config file's) as flags ahead of it, and those lines."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if defaults is None:
+        defaults = _config_defaults(args.config) if args.config else {}
+    if defaults:
+        root_argv, config_argv = _config_argv(parser, args.command, defaults)
+        args = parser.parse_args(root_argv + argv, argparse.Namespace(config_argv=config_argv))
+    return args, defaults
+
+
 def main(argv=None, defaults: dict | None = None) -> int:
     """Run one invocation.  `defaults` stands in for the --config file's
     lines; rerun passes the ones its manifest recorded."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if defaults is None:
-            defaults = _config_defaults(args.config) if args.config else {}
-        if defaults:
-            root_argv, config_argv = _config_argv(parser, args.command, defaults)
-            args = parser.parse_args(root_argv + argv, argparse.Namespace(config_argv=config_argv))
+        args, defaults = _parse(argv, defaults)
         outdir = _output_directory(args.outdir or os.environ.get("QSU2_OUTDIR", "."))
         if args.command == "rerun":
             return _rerun(args.manifest, outdir, args.check)

@@ -22,39 +22,33 @@ import threading
 import numpy as np
 
 # The digit core.  With E = floor(log10 |x|), the 17 digits of a float64 are
-# the integer D17 = round(R), R = |x| 10^(16-E), rounded half to even.
-# P = fl(|x| * 10^k) (k >= 0) or fl(|x| / 10^-k) (k < 0), k = 16 - E, is R
-# with one long-double rounding when |k| <= 27: |x| has 53 bits,
-# 10^27 = 2^27 5^27 has 5^27 < 2^63, and a 64-bit significand holds both
-# exactly.  Since 10^16 <= R <= 10^17 < 2^57, |P - R| <= ulp(P)/2 <= 2^-8.
-# So round(P) = round(R) unless the fraction of P is within 2^-8 of 1/2
-# (exact ties included), and R >= 10^16 follows from P >= 10^16 + 2^-8, or
-# from |x| = 10^E exactly.  The cells left undecided, the ones outside
-# |k| <= 27 and every cell where long double cannot carry the bound are
-# spelled by '%' in one batch.  The digits of D are spelled four at a time
-# from a table, and the slots of a cell from a table of layouts keyed by
-# sign, exponent and digit count.
+# the integer D = round(R), R = |x| 10^k, k = 16 - E, rounded half to even.
+# For |x| in (1e-6, 1e17), k is in [0, 22], where 10^k is a double (the
+# double 1e-6 lies below 10^-6, so the range is open there).  R is then found
+# exactly in float64: p = fl(|x| 10^k), and its error R - p is exact by
+# Dekker's product, with Veltkamp's split of |x| and of 10^k into 26-bit
+# halves (T. J. Dekker, Numer. Math. 18 (1971) 224); no partial product comes
+# near underflow.  From R >= 2^53 on, p is an integer, even where ulp(p) >= 2,
+# and where ulp(p) = 1 a tie R - p = +-1/2 has already rounded p to even; so
+# p + rint(R - p) is round(R), half to even.  This needs only IEEE-754 double
+# arithmetic rounded to nearest, so no platform check is left.  Every other
+# cell but 0, nan and inf is spelled by '%' in one batch.  The digits of D
+# are spelled four at a time from a table, and the slots of a cell from a
+# table of layouts keyed by sign, exponent and digit count.
 
-_LD = np.longdouble
-_POW10 = np.cumprod(np.array([1] + [10] * 27, dtype=_LD))  # 10^0..10^27
-_POW10_F64 = 10.0 ** np.arange(23)  # the powers of ten that are doubles
-_ERR = 2.0**-8
-
-
-def _long_double_exact() -> bool:
-    """Whether long double arithmetic here carries the kernel's error bound:
-    64 significand bits or more, exact 10^0..10^27, round-to-nearest products."""
-    bits = np.finfo(_LD).nmant + 1
-    if bits < 64 or any(int(p) != 10**k for k, p in enumerate(_POW10)):
-        return False
-    exact = (2**53 - 1) * 10**27
-    shift = exact.bit_length() - bits
-    q, r = divmod(exact, 1 << shift)
-    q += r > (1 << (shift - 1)) or (r == 1 << (shift - 1) and q & 1)
-    return int(_LD(2**53 - 1) * _POW10[27]) == q << shift
+_CORE_MIN, _CORE_MAX = 1e-6, 1e17  # the open range of |x| the core spells
+_POW10 = np.array([float(10**k) for k in range(23)])  # the powers of ten that are doubles
+_VELTKAMP = 2.0**27 + 1
 
 
-LONG_DOUBLE_EXACT = _long_double_exact()
+def _split(v: np.ndarray) -> tuple:
+    """Veltkamp's split: v = hi + lo, each with 26 significant bits."""
+    t = v * _VELTKAMP
+    hi = t - (t - v)
+    return hi, v - hi
+
+
+_POW10_HALVES = np.array(_split(_POW10))
 
 # The slots of a float cell, bytes 0..31 of its 4 words.  '%.17g' fills at
 # most 0..28: the lead digit stands at 6, the other 16 digits at 7..22 ahead
@@ -66,9 +60,8 @@ _WORD = np.dtype("<u8")
 FLOAT_WORDS = 4
 FLOAT_SLOTS = 29
 _LEAD_AT = 6
-# decimal exponents with a layout: |16 - X| <= 27 and a carry, and the ones
-# a cell outside that range (which the formatter spells) may reach by one correction
-_X_MIN, _X_MAX = -12, 45
+# the decimal exponents of the core's cells
+_X_MIN, _X_MAX = -6, 16
 _KEYS_PER_SIGN = (_X_MAX - _X_MIN + 1) * 17
 # per word of digits 1..8 and 9..16: the float64 exponent bias less 8 times
 # the place of the word's first digit
@@ -140,38 +133,32 @@ def _float_layouts() -> np.ndarray:
 
 
 def _scaled(a: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """a 10^k in long double, with one rounding for |k| <= 27."""
-    scaled = a.astype(_LD) * _POW10.take(np.maximum(k, 0))
-    return scaled if k.min() >= 0 else scaled / _POW10.take(np.maximum(-k, 0))
+    """p + rint(err) in int64, p = fl(a 10^k) and err = a 10^k - p exactly."""
+    p = a * _POW10.take(k)
+    hi, lo = _split(a)
+    ten_hi, ten_lo = _POW10_HALVES.take(k, axis=1)
+    err = p - hi * ten_hi
+    err -= lo * ten_hi
+    err -= hi * ten_lo
+    np.subtract(lo * ten_lo, err, out=err)
+    d = p.astype(np.int64)
+    d += np.rint(err, out=err).astype(np.int64)
+    return d
 
 
 def _digit_core(a: np.ndarray) -> tuple:
-    """For |x| = a: k = 16 - E, P = a 10^k in long double, D = floor(P) in
-    int64, the fraction P - D in float64, and the mask of the cells where
-    10^16 <= R <= 10^17 is proven (False at 0, inf and nan)."""
-    with np.errstate(all="ignore"):
-        e = np.floor(np.log10(a))
-        ok = np.abs(16.0 - e) <= 27.0
-        k = np.where(ok, 16.0 - e, 0.0).astype(np.int64)
-        p = _scaled(a, k)
-        d = p.astype(np.int64)
-        # floor(log10) can be one off next to a power of ten; D says which way
-        step = np.subtract(d < 10**16, d >= 10**17, dtype=np.int64)
-        moved = (ok & (step != 0)).nonzero()[0]
-        if moved.size:
-            k[moved] += step[moved]
-            ok[moved] &= np.abs(k[moved]) <= 27
-            p[moved] = _scaled(a[moved], np.clip(k[moved], -27, 27))
-            d[moved] = p[moved].astype(np.int64)
-        frac = (p - d).astype(np.float64)  # a multiple of 2^-10, exact
-    ok &= (d >= 10**16) & (d <= 10**17)
-    # within the bound above 10^16, R >= 10^16 is proven only where |x| is 10^E
-    edge = (ok & (d == 10**16) & (frac <= _ERR)).nonzero()[0]
-    if edge.size:
-        ok[edge] = a[edge] == _POW10_F64[np.clip(16 - k[edge], 0, 22)]
-    if not LONG_DOUBLE_EXACT:
-        ok[:] = False
-    return k, d, frac, ok
+    """For |x| = a in (_CORE_MIN, _CORE_MAX): k = 16 - E and D = round(a 10^k)
+    in int64, rounded half to even, with 10^16 <= D < 10^17."""
+    k = np.clip(16 - np.floor(np.log10(a)).astype(np.int64), 0, 22)
+    d = _scaled(a, k)
+    # floor(log10) can be one off next to a power of ten, and R can round up
+    # to 10^17 (one step down then gives 10^16); D says which way k moves
+    step = np.subtract(d < 10**16, d >= 10**17, dtype=np.int64)
+    moved = step.nonzero()[0]
+    if moved.size:
+        k[moved] += step[moved]
+        d[moved] = _scaled(a[moved], k[moved])
+    return k, d
 
 
 def _spell_floats(x: np.ndarray, cells: np.ndarray, tail: int = 0) -> None:
@@ -181,18 +168,10 @@ def _spell_floats(x: np.ndarray, cells: np.ndarray, tail: int = 0) -> None:
     if not len(x):
         return
     a = np.abs(x)
-    # no |x| outside [10^_X_MIN, 10^_X_MAX) is spelled from the core: 0, nan
-    # and inf have keys of their own, subnormals and exponents past |k| <= 27
-    # go to the '%' batch.  The core gets them as 1.5, since long double
-    # arithmetic on them is 4 to 100 times slower
-    core = (a >= 1e-12) & (a < 1e45)
-    k, d, frac, ok = _digit_core(np.where(core, a, 1.5))
-    ok &= core
-    ok &= np.abs(frac - 0.5) > _ERR
-    d += frac > 0.5
-    carry = (d == 10**17).nonzero()[0]
-    d[carry] = 10**16
-    k[carry] -= 1
+    # 0, nan and inf have keys of their own, and every other |x| outside the
+    # core's range goes to the '%' batch; the core gets them as 1.5
+    core = (a > _CORE_MIN) & (a < _CORE_MAX)
+    k, d = _digit_core(np.where(core, a, 1.5))
 
     # D = lead 10^16 + hi 10^8 + lo, and hi and lo are two 4-digit groups
     # each; v 109951163 >> 40 is v // 10^4 for v < 10^8 (109951163 is
@@ -222,7 +201,7 @@ def _spell_floats(x: np.ndarray, cells: np.ndarray, tail: int = 0) -> None:
 
     # the cells '%.17g' spells: nan, 0, -0, inf and -inf by their keys,
     # the rest in one batch, whose key has no slots
-    bad = (~ok).nonzero()[0]
+    bad = (~core).nonzero()[0]
     if bad.size:
         bits = x[bad].view(_WORD)
         special = _SPECIAL_KEYS.take(((bits >> 52) << 1) + ((bits << 12) != 0))

@@ -54,11 +54,11 @@ CSV_BLOCK_ROWS = 20480
 # blocks with fewer rows, and record columns with fewer distinct floats, stay
 # on the % path.  Timed per block (min of 21 interleaved runs of thread time,
 # x86-64, Python 3.11, numpy 2.4, three runs): a float column costs csvcells
-# about 65-80 us plus 0.13-0.26 us a value and % about 0.52-0.59 us a value;
-# blocks of (float, float, bool), (float, float, float) and (float) break
-# even at 160, 180-200 and 180-200 rows, and spell_floats against one % at
-# 125-136 values.  Between there and 256 rows the % path costs a block at
-# most about 80 us more
+# about 66-73 us plus 0.080-0.085 us a value and % about 0.50-0.53 us a
+# value; blocks of (float, float, bool), (float, float, float) and (float)
+# break even at 121-125, 145-156 and 148-154 rows, and spell_floats against
+# one % at 101-109 values.  Between there and 256 rows the % path costs a
+# block at most about 140 us more
 CSV_KERNEL_MIN_ROWS = 256
 
 

@@ -385,14 +385,18 @@ def test_spectrum_csv_digest_in_manifest(tmp_path):
         ),
         (lambda lines: lines[:1] + lines[1:][::-1], "r is not an increasing uniform grid"),
         (lambda lines: lines[:10] + ["", ""] + lines[10:], "2 blank rows"),
+        (  # byte 0xff ahead of the header
+            lambda lines: ["\udcff" + lines[0]] + lines[1:],
+            "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+        ),
     ],
-    ids=["header", "one-row", "no-rows", "empty", "non-uniform", "decreasing", "blank-rows"],
+    ids=["header", "one-row", "no-rows", "empty", "non-uniform", "decreasing", "blank-rows", "binary"],
 )
 def test_spectrum_rejects_bad_potential_csv(tmp_path, capsys, edit, message):
     assert run(["potential", "--s", 0.25, "--m", 1, "--grid=-6:6:0.01", "--outdir", tmp_path]) == 0
     lines = (tmp_path / "potential.csv").read_text().splitlines()
     bad = tmp_path / "bad.csv"
-    bad.write_text("".join(ln + "\n" for ln in edit(lines)))
+    bad.write_bytes("".join(ln + "\n" for ln in edit(lines)).encode("utf-8", "surrogateescape"))
     out = tmp_path / "out"
     assert run(["spectrum", "--potential-csv", bad, "--n", 2, "--outdir", out]) == 2
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
@@ -1157,4 +1161,13 @@ def test_rerun_of_a_manifest_with_a_shift_flag_exits_2(tmp_path, capsys):
         path.write_text(json.dumps(manifest | {"argv": argv + extra}))
         assert run(["rerun", path, "--outdir", tmp_path / "b"]) == 2
         assert capsys.readouterr().err == f"error: {path} records arguments that qsu2 refuses: {' '.join(extra)}\n"
+        assert not (tmp_path / "b").exists()
+    # so are its config lines: a key of a removed flag, and a value the flag refuses
+    for defaults, why in (
+        ({"kappa_mode": "unit"}, "config keys name no flag of potential: kappa_mode"),
+        ({"grid": "bad"}, "argument --grid: bad grid spec 'bad': could not convert string to float: 'bad'"),
+    ):
+        path.write_text(json.dumps(manifest | {"defaults": defaults}))
+        assert run(["rerun", path, "--outdir", tmp_path / "b"]) == 2
+        assert capsys.readouterr() == ("", f"error: {path} records config lines that qsu2 refuses: {why}\n")
         assert not (tmp_path / "b").exists()

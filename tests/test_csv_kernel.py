@@ -1,5 +1,5 @@
 """The column-wise CSV renderer against '%': the float64 kernel on raw bit
-patterns (with and without its long-double fast path), int columns, write_csv
+patterns, its digit core against exact rationals, int columns, write_csv
 around the block size and the small-block crossover, which blocks reach the
 kernel, which record columns reach it, and the column table read as rows.
 Blocks are ref.BLOCK_ROWS rows here (ref.small_blocks).
@@ -7,6 +7,7 @@ Blocks are ref.BLOCK_ROWS rows here (ref.small_blocks).
 
 import math
 import struct
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -56,15 +57,24 @@ ties = st.builds(lambda i, k: i + (k % 8) / 8.0, st.integers(10**14, 10**15 - 1)
 cells = floats_from_bits | near_powers | ties | st.floats(1e-12, 1e44) | st.floats(-6.0, 6.0)
 
 
-@pytest.mark.parametrize("exact", [True, False], ids=["kernel", "all-fallback"])
+def rendered_by_the_kernel(column) -> bytes:
+    """render_columns of one float column, asserting that '%' spells no cell
+    in the core's range."""
+    with mock.patch.object(csvcells, "_spell_percent", wraps=csvcells._spell_percent) as batch:
+        text = csvcells.render_columns([column])
+    spelled = [v for call in batch.call_args_list for v in call.args[0]]
+    assert not [v for v in spelled if csvcells._CORE_MIN < abs(v) < csvcells._CORE_MAX]
+    return text
+
+
 @settings(max_examples=200)
 @given(values=st.lists(cells, min_size=1, max_size=300))
 @example(values=[1234567890123456.75, 123456789012345.625, 99999999999999999.0, 1e17, 1e16, 9.999999999999999e16])
 @example(values=[0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-4, 9.9999999999999999e-5])
-def test_float_kernel_matches_percent(exact, values):
+@example(values=[1e-6, math.nextafter(1e-6, 1.0), math.nextafter(1e17, 0.0), 1e-7, 1e22, 1e23])  # the range's edges
+def test_float_kernel_matches_percent(values):
     column = np.array(values, dtype=np.float64)
-    with mock.patch.object(csvcells, "LONG_DOUBLE_EXACT", exact):
-        assert csvcells.render_columns([column]) == percent_lines(values)
+    assert rendered_by_the_kernel(column) == percent_lines(values)
 
 
 def test_float_kernel_on_a_million_bit_patterns():
@@ -74,9 +84,31 @@ def test_float_kernel_on_a_million_bit_patterns():
         rng.standard_normal(300_000) * 10.0 ** rng.integers(-14, 47, 300_000),
         np.array(_NEAR_POWERS) * rng.choice([-1.0, 1.0], len(_NEAR_POWERS)),
         np.arange(10**14, 10**14 + 100_000) + 0.125 * (2 * rng.integers(0, 4, 100_000) + 1),
+        # the core's range: 14,011 of these cells lie within 2^-8 of a tie at
+        # 17 digits, 10,839 of them on one
+        rng.standard_normal(500_000) * 10.0 ** rng.integers(-6, 17, 500_000),
     ]
     for column in columns:
-        assert csvcells.render_columns([column]) == percent_lines(column.tolist())
+        assert rendered_by_the_kernel(column) == percent_lines(column.tolist())
+
+
+def exact_digits(x: float) -> tuple:
+    """The (k, D) of |x| by integer arithmetic: D = round(|x| 10^k), half to
+    even, the one k in 0..22 with 10^16 <= D < 10^17."""
+    (kd,) = [(k, d) for k in range(23) if 10**16 <= (d := round(abs(Fraction(x)) * 10**k)) < 10**17]
+    return kd
+
+
+in_core = st.floats(csvcells._CORE_MIN, csvcells._CORE_MAX, exclude_min=True, exclude_max=True)
+core_cells = in_core | near_powers.filter(lambda v: csvcells._CORE_MIN < abs(v) < csvcells._CORE_MAX) | ties
+
+
+@given(values=st.lists(core_cells, min_size=1, max_size=100))
+@example(values=[math.nextafter(1e-6, 1.0), math.nextafter(1e17, 0.0), math.nextafter(1e16, 0.0), 1e16, 1e-5])
+@example(values=[123456789012345.625, 1234567890123456.75, 0.5, 2.5])
+def test_digit_core_is_exact(values):
+    k, d = csvcells._digit_core(np.abs(np.array(values)))
+    assert list(zip(k.tolist(), d.tolist())) == [exact_digits(v) for v in values]
 
 
 def test_records_reach_the_kernel_from_enough_distinct_values(tmp_path):
@@ -92,12 +124,6 @@ def test_records_reach_the_kernel_from_enough_distinct_values(tmp_path):
     assert sorted(len(call.args[0]) for call in kernel.call_args_list) == [CSV_KERNEL_MIN_ROWS, n]
     dicts = [{k: c[i] for k, c in columns.items()} for i in range(n)]
     assert (tmp_path / "r.json").read_text() == ref.records_json_text(dicts)
-
-
-def test_long_double_check_holds_where_the_kernel_runs():
-    # on x86-64 and quad-precision platforms long double carries the bound
-    if np.finfo(np.longdouble).nmant >= 63:
-        assert csvcells.LONG_DOUBLE_EXACT
 
 
 @given(values=st.lists(st.integers(-(2**63), 2**63 - 1) | st.sampled_from([0, -1, -(2**63), 2**63 - 1]), min_size=1))
