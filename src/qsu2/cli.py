@@ -430,15 +430,40 @@ def _cmd_potential(args):
 GRID_RTOL = 1e-6
 
 
+_POTENTIAL_HEADER = b"r,V,mask\n"
+
+
 def _load_potential_csv(path):
     """The r,V,mask table the potential command writes, on its uniform r
-    grid, and the sha256 of the file's bytes."""
+    grid, and the sha256 of the file's bytes.  A file in the grammar the
+    command writes is read by csvcells.read_columns, any other by
+    np.loadtxt; either reads each value correctly rounded."""
     import hashlib  # here, as json in _read_manifest: --version and --help need neither
 
+    _bind("schrodinger")  # np and PotentialProfile, when called outside spectrum
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise argparse.ArgumentTypeError(f"cannot read potential CSV: {exc}") from None
+    columns = None
+    if data.startswith(_POTENTIAL_HEADER):
+        from .csvcells import read_columns
+
+        columns = read_columns(memoryview(data)[len(_POTENTIAL_HEADER) :], "ffb")
+    if columns is not None and len(columns[0]) >= 2:
+        r, v, mask = columns
+    else:
+        r, v, mask = _loadtxt_potential(path, data)
+    step = (r[-1] - r[0]) / (len(r) - 1)
+    if not (step > 0 and np.all(np.abs(np.diff(r) - step) <= GRID_RTOL * step)):
+        raise ValueError(f"{path}: r is not an increasing uniform grid")
+    prof = PotentialProfile(float(r[0]), float(step), len(r), v, mask == 1)
+    return prof, hashlib.sha256(data).hexdigest()
+
+
+def _loadtxt_potential(path, data: bytes) -> tuple:
+    """The r, V and mask columns of the file's bytes, read by np.loadtxt,
+    each check refusing the file with its message."""
     try:
         header, *rows = data.decode("utf-8").splitlines() or [""]
     except UnicodeDecodeError as exc:
@@ -458,11 +483,7 @@ def _load_potential_csv(path):
     if not_flag.any():
         line = int(np.argmax(not_flag))
         raise ValueError(f"{path}: mask cell {rows[line].rsplit(',', 1)[1]!r} on line {line + 2} is not 0 or 1")
-    step = (r[-1] - r[0]) / (len(r) - 1)
-    if not (step > 0 and np.all(np.abs(np.diff(r) - step) <= GRID_RTOL * step)):
-        raise ValueError(f"{path}: r is not an increasing uniform grid")
-    prof = PotentialProfile(float(r[0]), float(step), len(r), v, mask == 1)
-    return prof, hashlib.sha256(data).hexdigest()
+    return r, v, mask
 
 
 @_uses("qnumbers", "schrodinger")
@@ -651,9 +672,15 @@ def _rerun(source: str, outdir: Path, check: bool) -> int:
         raise argparse.ArgumentTypeError(f"{source} records no subcommand and outputs to check")
     # an argv or a config line this parser refuses is named here, not in
     # argparse's usage text, which knows no manifest
-    refused = build_parser().parse_known_args(manifest["argv"])[1]
+    with contextlib.redirect_stderr(io.StringIO()) as usage:
+        try:
+            refused = " ".join(build_parser().parse_known_args(manifest["argv"])[1])
+        except SystemExit as exc:  # a value a flag refuses; a recorded --help exits 0, as at the run
+            if not exc.code:
+                raise
+            refused = usage.getvalue().rpartition("error: ")[2].strip()
     if refused:
-        raise argparse.ArgumentTypeError(f"{source} records arguments that qsu2 refuses: {' '.join(refused)}")
+        raise argparse.ArgumentTypeError(f"{source} records arguments that qsu2 refuses: {refused}")
     try:
         with contextlib.redirect_stderr(io.StringIO()) as usage:
             _parse(manifest["argv"], manifest["defaults"])

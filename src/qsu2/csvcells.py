@@ -1,4 +1,4 @@
-"""Numeric columns spelled at word speed.
+"""Numeric columns spelled, and read back, at word speed.
 
 render_columns returns the bytes that '%.17g' % (float columns) and '%d' %
 (bool columns) write for the .tolist() rows, each cell behind its column's
@@ -10,13 +10,16 @@ words: a float cell takes 4 whole words (32 slots), a bool cell one slot ORed
 into its word and a bytes cell its own bytes; the prefixes and the suffix fill
 the slots between the cells, and every slot a row does not use holds NUL,
 which bytes.translate deletes.  Every numpy operation runs over the rows, on
-contiguous arrays or on one word column of the buffer.  serialize imports
-this module lazily, so `import qsu2.cli` does not compile it.
+contiguous arrays or on one word column of the buffer.  read_columns reads
+rows of float and 0/1 cells back, each value correctly rounded, as
+np.loadtxt reads it.  serialize and cli import this module lazily, so
+`import qsu2.cli` does not compile it.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 import threading
 
 import numpy as np
@@ -316,3 +319,190 @@ def render_columns(columns, prefixes=None, suffix=b"\n") -> bytes:
         if kind == "b":  # into the "0" in place, the float cells written
             words[:, at // 8] |= np.left_shift(column, 8 * (at % 8), dtype=_WORD)
     return buf.tobytes().translate(None, b"\0")
+
+
+# The reader: rows of float and 0/1 cells, as render_columns writes them,
+# read back with whole-buffer numpy passes.  A float cell [-]I[.F] is read
+# from the 24 bytes ahead of its end as three little-endian words, its
+# point's byte cleared, each word one 8-digit group (D. Lemire, Softw.
+# Pract. Exp. 51 (2021) 1700): that gives V = I 10^(q+1) + F for the q
+# digits of F, and M = V - 9 I 10^q = I 10^q + F.  With n digits in M, the
+# cell's value is D 10^-k, D = M 10^(17 - n) in [10^16, 10^17) and
+# k = 17 - n + q, as the digit core has it for the double '%.17g' spells as
+# this cell.  For n <= 17 and k <= 22 the candidate fl(fl(M) / 10^q) is
+# within 2 ulp of the value; it, or its neighbour one ulp towards D, is
+# accepted where _scaled rounds it to exactly D at k.  It is then within
+# 10^-k / 2 of the value, which is 5.0e-17 of itself (D >= 10^16), less
+# than half its gap to either neighbour, which is at least 2^-54 (5.55e-17)
+# of itself: the double nearest the value, the correctly rounded one that
+# strtod and np.loadtxt read (a candidate checked so, as in W. D. Clinger,
+# PLDI 1990, with no bignum).  Every other cell of the grammar '%.17g'
+# writes (0, nan, inf, the exponent spellings, and the cells neither
+# candidate rounds to D) is read by float(), which parses it as np.loadtxt
+# does; one cell outside that grammar refuses the whole body.
+
+_READ_SLOTS = 24  # a float cell is read from the 24 bytes ahead of its end
+_ONES = np.uint64(0x0101010101010101)
+_LOW7 = _ONES * np.uint64(0x7F)
+_TENS = _ONES * np.uint64(0x76)  # + 0x76 sets the top bit of a byte from 10 on
+_TOPS = _ONES * np.uint64(0x80)
+_POINT = np.uint64(ord(".") ^ ord("0"))  # the point, XORed as the digits are
+_POW10_INT = 10 ** np.arange(19, dtype=np.int64)
+# by j = 0..24: the words of a window that keep its last j bytes, and those
+# bytes as "0"
+_KEEP = np.zeros((2, _READ_SLOTS + 1, _READ_SLOTS), np.uint8)
+for _j in range(1, _READ_SLOTS + 1):
+    _KEEP[:, _j, -_j:] = [[0xFF], [ord("0")]]
+_KEEP_BITS, _KEEP_ZEROS = _KEEP.view(_WORD)
+# a float cell of the grammar '%.17g' writes
+_FLOAT_CELL = re.compile(rb"-?(?:[0-9]+(?:\.[0-9]+)?(?:e[+-][0-9]+)?|inf|nan)")
+
+
+def _eight_digits(w: np.ndarray) -> None:
+    """In place, each little-endian word of eight digit values (0..9, the
+    first the most significant) as its integer."""
+    t = np.empty_like(w)
+    for shift, scale, lanes in ((8, 10, 0x00FF00FF00FF00FF), (16, 100, 0x0000FFFF0000FFFF), (32, 10**4, 0xFFFFFFFF)):
+        np.right_shift(w, np.uint64(shift), out=t)
+        w *= np.uint64(scale)
+        w += t
+        w &= np.uint64(lanes)
+
+
+def _cell_digits(body, buf: np.ndarray, ends: np.ndarray, size: np.ndarray) -> tuple:
+    """For the cells of size bytes ending at ends, their digits as one
+    integer V (the point read as 0), the digits behind the point q (0 with
+    none), whether the cell has a point, and whether its bytes are digits
+    and at most one point, within 24 bytes."""
+    # the 24 bytes ahead of each cell's end, NUL ahead of the body
+    wide = buf if len(buf) >= _READ_SLOTS else np.zeros(_READ_SLOTS, np.uint8)
+    windows = np.lib.stride_tricks.as_strided(wide, (len(wide) - _READ_SLOTS + 1, _READ_SLOTS), (1, 1))
+    w = windows[np.maximum(ends - _READ_SLOTS, 0)].view(_WORD)
+    for c in np.flatnonzero(ends < _READ_SLOTS).tolist():
+        w[c] = np.frombuffer(bytes(body[: ends[c]]).rjust(_READ_SLOTS, b"\0"), _WORD)
+    # the cell's bytes alone, each as its value: a digit's, and 0x1e for a point
+    kept = np.minimum(size, _READ_SLOTS)
+    w &= _KEEP_BITS.take(kept, axis=0)
+    w ^= _KEEP_ZEROS.take(kept, axis=0)
+    # 1 in each byte that holds a point (exact: no carry crosses a byte)
+    at = w ^ _POINT * _ONES
+    point = np.bitwise_and(at, _LOW7)
+    point += _LOW7
+    point |= at
+    point |= _LOW7
+    np.invert(point, out=point)
+    point >>= np.uint64(7)
+    # the point cleared, every byte must be a digit: none reaches 10
+    np.multiply(point, _POINT, out=at)
+    w ^= at
+    np.bitwise_and(w, _LOW7, out=at)
+    at += _TENS
+    at |= w
+    at &= _TOPS
+    fine = (at[:, 0] | at[:, 1] | at[:, 2]) == 0
+    # the point's column c from its bit 2^(8 c) as a float, and the points
+    # of each cell summed in a word's top byte
+    bit = point[:, 2] * 2.0**64
+    bit += point[:, 1]
+    bit *= 2.0**64
+    bit += point[:, 0]
+    q = _READ_SLOTS - 1 - (((bit.view(np.int64) >> 52) - 1023) >> 3)
+    point *= _ONES
+    point >>= np.uint64(56)
+    points = point[:, 0] + point[:, 1] + point[:, 2]
+    pointed = points == 1
+    fine &= (points <= 1) & (size <= _READ_SLOTS)
+    q = np.where(pointed, q, 0)
+    _eight_digits(w)
+    v = w.view(np.int64)
+    fine &= v[:, 0] < 100  # V < 10^18
+    value = v[:, 0] * 10**16
+    value += v[:, 1] * 10**8
+    value += v[:, 2]
+    return value, q, pointed, fine
+
+
+def _read_block(body, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple:
+    """For the cells body[starts:ends], the float64 of each and whether it
+    was read here; the value of a cell not read here is undefined."""
+    neg = buf.take(starts) == ord("-")
+    value, q, pointed, fast = _cell_digits(body, buf, ends, ends - starts - neg)
+    # M, its digits n, D and k
+    m = value - 9 * (value // _POW10_INT.take(np.where(pointed, q + 1, 18), mode="clip")) * _POW10_INT.take(q, mode="clip")
+    n = _POW10_INT[:18].searchsorted(m, side="right")
+    k = 17 - n + q
+    fast &= (m > 0) & (m < 10**17) & (k <= 22)
+    d = m * _POW10_INT.take(17 - n, mode="clip")
+    # the candidate, and 1.5 at k = 0 where the cell is not read here
+    k[~fast] = 0
+    y = m.astype(np.float64)
+    y /= _POW10.take(q, mode="clip")
+    y[~fast] = 1.5
+    got = _scaled(y, k)
+    read = fast & (got == d)
+    near = np.flatnonzero(fast & ~read)
+    if near.size:
+        y_near = np.nextafter(y[near], np.where(got[near] < d[near], np.inf, 0.0))
+        hit = _scaled(y_near, k[near]) == d[near]
+        y[near[hit]] = y_near[hit]
+        read[near[hit]] = True
+    np.negative(y, out=y, where=neg)
+    return y, read
+
+
+# cells a block of the reader: its (n, 3) word arrays stay below the 128 KiB
+# from which glibc maps each allocation afresh, and then faults on every page
+READ_BLOCK_CELLS = 4096
+
+
+def _read_floats(body, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+    """The float64 of each cell body[starts:ends], or None if one is neither
+    read here nor in the grammar '%.17g' writes."""
+    values = np.empty(len(ends))
+    unread = []
+    for lo in range(0, len(ends), READ_BLOCK_CELLS):
+        hi = lo + READ_BLOCK_CELLS
+        values[lo:hi], read = _read_block(body, buf, starts[lo:hi], ends[lo:hi])
+        unread.append(np.flatnonzero(~read) + lo)
+    for c in np.concatenate(unread).tolist():
+        cell = bytes(body[starts[c] : ends[c]])
+        if not _FLOAT_CELL.fullmatch(cell):
+            return None
+        values[c] = float(cell)
+    return values
+
+
+def read_columns(body, kinds: str):
+    """The columns np.loadtxt reads, as float64 arrays, from the rows of
+    body: one cell a column separated by commas, each row ending in a
+    newline; a float column ("f") of '%.17g' cells or plain decimals, a
+    bool column ("b") of 0 and 1.  None if a row or cell is outside that
+    grammar, for np.loadtxt to read or refuse."""
+    buf = np.frombuffer(body, np.uint8)
+    width = len(kinds)
+    # "," and "\n" end the cells: of the bytes below "-", the grammar has
+    # only them and the "+" of an exponent
+    ends = np.flatnonzero(buf < ord("-"))
+    seps = buf.take(ends)
+    if (seps == ord("+")).any():
+        ends, seps = ends[seps != ord("+")], seps[seps != ord("+")]
+    n = len(ends) // width
+    if not n or len(ends) != n * width or ends[-1] != len(buf) - 1:
+        return None
+    ends, seps = ends.reshape(n, width), seps.reshape(n, width)
+    if not ((seps[:, :-1] == ord(",")).all() and (seps[:, -1] == ord("\n")).all()):
+        return None
+    columns = []
+    for j, kind in enumerate(kinds):
+        end = ends[:, j]
+        start = ends[:, j - 1] + 1 if j else np.concatenate(([0], ends[:-1, -1] + 1))
+        if kind == "b":
+            flag = buf.take(start)
+            if not ((end - start == 1).all() and ((flag | 1) == ord("1")).all()):
+                return None
+            columns.append(np.subtract(flag, ord("0"), dtype=np.float64))
+        else:
+            columns.append(_read_floats(body, buf, start, end))
+            if columns[-1] is None:
+                return None
+    return columns

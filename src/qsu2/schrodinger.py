@@ -103,7 +103,52 @@ def decoupled_ok(d: Deformation, m: float, threshold: float = DECOUPLED_THRESHOL
 
 # ----------------------------------------------------------------------
 # closed-form f1 / f2 branches, each defined once in its rate k = sqrt|cos s|:
-# an f1 branch's forms take (r, k), an f2 branch's (r, k, F)
+# an f1 branch's forms take the samples g (r, k, k r, and the transcendental
+# of k r a branch pair shares), an f2 branch's (g, F)
+
+
+class _Samples:
+    """The samples r at rate k, with k r and the transcendental a branch
+    pair shares (cos for tan/cosine, cosh for tanh/sech, exp for the
+    exponential f2), each computed when a form first reads it, and once."""
+
+    def __init__(self, r, k: float):
+        self.r, self.k = r, k
+
+    @functools.cached_property
+    def x(self):
+        return self.k * self.r
+
+    @functools.cached_property
+    def cos(self):
+        return np.cos(self.x)
+
+    @functools.cached_property
+    def cosh(self):
+        return np.cosh(self.x)
+
+    @functools.cached_property
+    def exp(self):
+        return np.exp(self.x)
+
+
+@dataclass(frozen=True)
+class _Form:
+    """A branch form at rate k, with F for an f2 form: a function of r, or
+    of samples the pair's other forms share."""
+
+    form: object
+    k: float
+    params: tuple = ()
+
+    def __call__(self, r):
+        return self.form(_Samples(r, self.k), *self.params)
+
+
+def _on(fn, g: _Samples):
+    """fn on g's grid: a branch form at g's rate reads g's shared passes,
+    any other function of r gets g.r."""
+    return fn.form(g, *fn.params) if isinstance(fn, _Form) and fn.k == g.k else fn(g.r)
 
 
 @dataclass(frozen=True)
@@ -119,29 +164,29 @@ class Branch:
 
 F1_BRANCHES = {
     "tan": Branch(
-        lambda r, k: -np.tan(k * r) / k,
-        lambda r, k: -1.0 / np.cos(k * r) ** 2,
-        lambda r, k: -2.0 * k * np.tan(k * r) / np.cos(k * r) ** 2,
-        antiderivative=lambda r, k: np.log(np.abs(np.cos(k * r))) / k**2,
+        lambda g: -np.tan(g.x) / g.k,
+        lambda g: -1.0 / g.cos**2,
+        lambda g: -2.0 * g.k * np.tan(g.x) / g.cos**2,
+        antiderivative=lambda g: np.log(np.abs(g.cos)) / g.k**2,
         lattice=lambda k: (math.pi / k, math.pi / (2.0 * k)), cos_sign=1,
     ),
     "tanh": Branch(
-        lambda r, k: -np.tanh(k * r) / k,
-        lambda r, k: -1.0 / np.cosh(k * r) ** 2,
-        lambda r, k: 2.0 * k * np.tanh(k * r) / np.cosh(k * r) ** 2,
-        antiderivative=lambda r, k: -np.log(np.cosh(k * r)) / k**2, cos_sign=-1,
+        lambda g: -np.tanh(g.x) / g.k,
+        lambda g: -1.0 / g.cosh**2,
+        lambda g: 2.0 * g.k * np.tanh(g.x) / g.cosh**2,
+        antiderivative=lambda g: -np.log(g.cosh) / g.k**2, cos_sign=-1,
     ),
     "constant": Branch(
-        lambda r, k: np.full_like(r, 1.0 / k),
-        lambda r, k: np.zeros_like(r),
-        lambda r, k: np.zeros_like(r),
-        antiderivative=lambda r, k: 1.0 / k * r, cos_sign=-1,
+        lambda g: np.full_like(g.r, 1.0 / g.k),
+        lambda g: np.zeros_like(g.r),
+        lambda g: np.zeros_like(g.r),
+        antiderivative=lambda g: 1.0 / g.k * g.r, cos_sign=-1,
     ),
     "linear": Branch(
-        lambda r, k: -r,
-        lambda r, k: -np.ones_like(r),
-        lambda r, k: np.zeros_like(r),
-        antiderivative=lambda r, k: -0.5 * r**2,
+        lambda g: -g.r,
+        lambda g: -np.ones_like(g.r),
+        lambda g: np.zeros_like(g.r),
+        antiderivative=lambda g: -0.5 * g.r**2,
     ),
 }
 
@@ -152,27 +197,27 @@ F1_BRANCHES = {
 # takes it against another f1 only at F = 0.
 F2_BRANCHES = {
     "sech": Branch(
-        lambda r, k, F: F / np.cosh(k * r),
-        lambda r, k, F: -F * k * np.sinh(k * r) / np.cosh(k * r) ** 2,
-        lambda r, k, F: F * k**2 * (np.sinh(k * r) ** 2 - 1.0) / np.cosh(k * r) ** 3,
+        lambda g, F: F / g.cosh,
+        lambda g, F: -F * g.k * np.sinh(g.x) / g.cosh**2,
+        lambda g, F: F * g.k**2 * (np.sinh(g.x) ** 2 - 1.0) / g.cosh**3,
         pairs=("tanh",),
     ),
     "exponential": Branch(
-        lambda r, k, F: F * np.exp(k * r),
-        lambda r, k, F: F * k * np.exp(k * r),
-        lambda r, k, F: F * k**2 * np.exp(k * r),
+        lambda g, F: F * g.exp,
+        lambda g, F: F * g.k * g.exp,
+        lambda g, F: F * g.k**2 * g.exp,
         pairs=("constant",),
     ),
     "cosine": Branch(
-        lambda r, k, F: F / np.cos(k * r),
-        lambda r, k, F: F * k * np.sin(k * r) / np.cos(k * r) ** 2,
-        lambda r, k, F: F * k**2 * (1.0 + np.sin(k * r) ** 2) / np.cos(k * r) ** 3,
+        lambda g, F: F / g.cos,
+        lambda g, F: F * g.k * np.sin(g.x) / g.cos**2,
+        lambda g, F: F * g.k**2 * (1.0 + np.sin(g.x) ** 2) / g.cos**3,
         pairs=("tan",),
     ),
     "constant": Branch(
-        lambda r, k, F: np.full_like(r, F),
-        lambda r, k, F: np.zeros_like(r),
-        lambda r, k, F: np.zeros_like(r),
+        lambda g, F: np.full_like(g.r, F),
+        lambda g, F: np.zeros_like(g.r),
+        lambda g, F: np.zeros_like(g.r),
         pairs=("linear", "tan", "tanh", "constant"),
     ),
 }
@@ -205,7 +250,7 @@ def solve_f1(d: Deformation, branch: str) -> RadialProfile:
     k = _rate(d)
     forms = (entry.value, entry.deriv, entry.second, entry.antiderivative)
     poles = entry.lattice(k) if entry.lattice else None
-    return RadialProfile(branch, *(functools.partial(form, k=k) for form in forms), poles=poles)
+    return RadialProfile(branch, *(_Form(form, k) for form in forms), poles=poles)
 
 
 def canonical_f1(d: Deformation) -> RadialProfile:
@@ -240,7 +285,7 @@ def solve_f2(d: Deformation, f1: RadialProfile, branch: str, F: float = 1.0) -> 
         )
     k = _rate(d)
     forms = (entry.value, entry.deriv, entry.second)
-    return RadialProfile(branch, *(functools.partial(form, k=k, F=F) for form in forms))
+    return RadialProfile(branch, *(_Form(form, k, (F,)) for form in forms))
 
 
 def f2_residual(d: Deformation, f1: RadialProfile, f2: RadialProfile, r) -> np.ndarray:
@@ -320,9 +365,10 @@ def build_potential(
     d = fns.d
     start, step, count = float(grid[0]), float(grid[1]), int(grid[2])
     r = start + step * np.arange(count)
-    f1v = fns.f1(r)
-    f1d = fns.f1.deriv(r)
-    f2v = fns.f2(r)
+    g = _Samples(r, _rate(d))  # k r and the pair's shared transcendental, once
+    f1v, f1d = _on(fns.f1.func, g), _on(fns.f1.deriv, g)
+    f2v, f2d = _on(fns.f2.func, g), _on(fns.f2.deriv, g)
+    del g  # its arrays freed for the terms' to reuse: held on, they cost fresh pages
 
     br = lambda x: qnumber(x, d)
     if transform == "eliminate":
@@ -335,7 +381,7 @@ def build_potential(
     t_f1sq = br(2.0 * m) * br(2.0 * m - 2.0) * f1v**2 / 4.0
     t_f1f2 = -f1v * f2v * br(2.0 * m - 1.0)
     t_f1der = -(f1d / 2.0) * br(2.0 * m)
-    t_f2 = f2v**2 + fns.f2.deriv(r)
+    t_f2 = f2v**2 + f2d
     t_const = br(m) ** 2 + br(m - 0.5) ** 2
 
     values = t_transform + t_f1sq + t_f1f2 + t_f1der + t_f2 + t_const

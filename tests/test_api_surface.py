@@ -21,9 +21,7 @@ MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in so
 # owner is the module-level name it is assigned under, a method's its class
 PROTOCOL_PARAMETERS = {
     ("serialize", "_HashedFile.__exit__", "exc"): "the context-manager protocol passes the exception triple",
-    ("schrodinger", "F1_BRANCHES", "k"): "every f1 form takes (r, k); a form free of the rate ignores it",
-    ("schrodinger", "F2_BRANCHES", "k"): "every f2 form takes (r, k, F); a form free of the rate ignores it",
-    ("schrodinger", "F2_BRANCHES", "F"): "every f2 form takes (r, k, F); a constant's derivatives ignore F",
+    ("schrodinger", "F2_BRANCHES", "F"): "every f2 form takes (g, F); a constant's derivatives ignore F",
 }
 
 # public functions no code under src/qsu2 calls yet: "module.name" -> reason

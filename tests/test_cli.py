@@ -389,8 +389,12 @@ def test_spectrum_csv_digest_in_manifest(tmp_path):
             lambda lines: ["\udcff" + lines[0]] + lines[1:],
             "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
         ),
+        (  # two points in a V cell
+            lambda lines: lines[:3] + [lines[3].replace(lines[3].split(",")[1], "1.2.3")] + lines[4:],
+            "could not convert string '1.2.3' to float64 at row 2, column 2.",
+        ),
     ],
-    ids=["header", "one-row", "no-rows", "empty", "non-uniform", "decreasing", "blank-rows", "binary"],
+    ids=["header", "one-row", "no-rows", "empty", "non-uniform", "decreasing", "blank-rows", "binary", "two-points"],
 )
 def test_spectrum_rejects_bad_potential_csv(tmp_path, capsys, edit, message):
     assert run(["potential", "--s", 0.25, "--m", 1, "--grid=-6:6:0.01", "--outdir", tmp_path]) == 0
@@ -434,6 +438,34 @@ def test_potential_csv_reads_back_bit_identical(tmp_path):
     assert back.values.tobytes() == values.tobytes()
     assert back.pole_mask.tobytes() == prof.pole_mask.tobytes()
     assert (back.start, back.count) == (prof.start, prof.count)
+
+
+# V cells in place of the first row's: spellings '%.17g' does not write,
+# and two it writes that float() reads
+ODD_CELLS = ["+1.5", " 1.5", "1.5E3", "123456789012345678", "1.23456789012345678", "1.", ".5", "1e5", "-0.0",
+             "00.5", "1.50", "1e-07", "nan"]
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [(",3.8616976534445704,", f",{cell},") for cell in ODD_CELLS] + [("\n", "\r\n")],
+    ids=ODD_CELLS + ["crlf"],
+)
+def test_a_potential_csv_cell_reads_as_loadtxt_reads_it(tmp_path, old, new):
+    # cells and line ends '%.17g' and the potential command do not write
+    # read to np.loadtxt's table, whichever reader takes the file
+    from qsu2.cli import _load_potential_csv
+
+    assert run(["potential", "--s", 0.25, "--m", 1, "--grid=-6:6:0.001", "--outdir", tmp_path]) == 0
+    text = (tmp_path / "potential.csv").read_text()
+    assert text.startswith("r,V,mask\n-6,3.8616976534445704,0\n")
+    edited = tmp_path / "edited.csv"
+    edited.write_text(text.replace(old, new), newline="")
+    r, v, mask = np.loadtxt(text.replace(old, new).splitlines()[1:], delimiter=",", comments=None, ndmin=2).T
+    back, _ = _load_potential_csv(edited)
+    assert back.values.tobytes() == v.tobytes()
+    assert back.pole_mask.tobytes() == (mask == 1).tobytes()
+    assert (back.start, back.count) == (r[0], len(r))
 
 
 @pytest.mark.parametrize("cell", ["99", "-1", "5"])
@@ -1162,6 +1194,12 @@ def test_rerun_of_a_manifest_with_a_shift_flag_exits_2(tmp_path, capsys):
         assert run(["rerun", path, "--outdir", tmp_path / "b"]) == 2
         assert capsys.readouterr().err == f"error: {path} records arguments that qsu2 refuses: {' '.join(extra)}\n"
         assert not (tmp_path / "b").exists()
+    # and so is a recorded value the flag refuses, without argparse's usage text
+    path.write_text(json.dumps(manifest | {"argv": argv + ["--grid=bad"]}))
+    assert run(["rerun", path, "--outdir", tmp_path / "b"]) == 2
+    why = "argument --grid: bad grid spec 'bad': could not convert string to float: 'bad'"
+    assert capsys.readouterr() == ("", f"error: {path} records arguments that qsu2 refuses: {why}\n")
+    assert not (tmp_path / "b").exists()
     # so are its config lines: a key of a removed flag, and a value the flag refuses
     for defaults, why in (
         ({"kappa_mode": "unit"}, "config keys name no flag of potential: kappa_mode"),
@@ -1171,3 +1209,17 @@ def test_rerun_of_a_manifest_with_a_shift_flag_exits_2(tmp_path, capsys):
         assert run(["rerun", path, "--outdir", tmp_path / "b"]) == 2
         assert capsys.readouterr() == ("", f"error: {path} records config lines that qsu2 refuses: {why}\n")
         assert not (tmp_path / "b").exists()
+
+
+def test_rerun_of_a_manifest_recording_help_prints_the_help(tmp_path, capsys):
+    # a recorded --help is no refused value: the replay prints the help and
+    # exits 0, as the recorded run would, and writes nothing
+    assert run(["potential", "--s", 0.25, "--m", 1, "--grid=-1:1:0.01", "--outdir", tmp_path / "a"]) == 0
+    path = tmp_path / "a" / "potential_manifest.json"
+    manifest = json.loads(path.read_text())
+    path.write_text(json.dumps(manifest | {"argv": manifest["argv"] + ["--help"]}))
+    capsys.readouterr()
+    assert run(["rerun", path, "--outdir", tmp_path / "b"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: qsu2 potential") and err == ""
+    assert not (tmp_path / "b").exists()

@@ -6,6 +6,7 @@ Blocks are ref.BLOCK_ROWS rows here (ref.small_blocks).
 """
 
 import math
+import re
 import struct
 from fractions import Fraction
 from unittest import mock
@@ -303,3 +304,82 @@ def test_records_and_csv_in_one_process_match_their_references(tmp_path):
         assert (tmp_path / "r.json").read_text() == ref.records_json_text(dicts)
         write_csv(tmp_path / "t.csv", ["x", "y", "flag"], rows_of(*cols))
         assert (tmp_path / "t.csv").read_bytes() == csv_expected
+
+
+# the edges of the digit core, (1e-6, 1e17), and of the cells '%.17g' spells
+# without an exponent, from 1e-4 on, each with its neighbours
+_EDGES = [x for e in (1e-6, 1e-4, 1e16, 1e17) for x in (e, math.nextafter(e, 0.0), math.nextafter(e, math.inf))]
+edges = st.builds(math.copysign, st.sampled_from(_EDGES), st.sampled_from([1.0, -1.0]))
+read_cells = floats_from_bits | near_powers | ties | in_core | edges | st.floats(-6.0, 6.0)
+
+
+@settings(max_examples=200)
+@given(
+    values=st.lists(read_cells, min_size=2, max_size=300),
+    start=st.floats(-50.0, 50.0),
+    step=st.floats(1e-4, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    block=st.integers(1, 4096),
+)
+@example(values=[1e-6, 1e17, -0.0, math.nan, -math.inf, 5e-324, 1e-4, math.nextafter(1e-4, 0.0)], start=-6.0,
+         step=1e-3, seed=0, block=4096)
+def test_potential_csv_reads_back_as_loadtxt_reads_it(values, start, step, seed, block, tmp_path_factory):
+    # a V column of any float64 and a 0/1 mask, as write_csv spells them,
+    # read in blocks of any number of cells: every cell is in the reader's
+    # grammar, and each reads to the bits np.loadtxt gives
+    from qsu2.cli import _load_potential_csv
+
+    n = len(values)
+    mask = np.random.default_rng(seed).random(n) < 0.3
+    path = tmp_path_factory.mktemp("read") / "potential.csv"
+    write_csv(path, ["r", "V", "mask"], rows_of(start + step * np.arange(n), np.array(values), mask))
+    data = path.read_bytes()
+    table = np.loadtxt(data.decode().splitlines()[1:], delimiter=",", comments=None, ndmin=2)
+    with mock.patch.object(csvcells, "READ_BLOCK_CELLS", block):
+        columns = csvcells.read_columns(data[len(b"r,V,mask\n") :], "ffb")
+        prof, _ = _load_potential_csv(path)
+    assert columns is not None
+    assert [column.tobytes() for column in columns] == [want.tobytes() for want in table.T]
+    assert prof.values.tobytes() == table[:, 1].tobytes()
+    assert prof.pole_mask.tobytes() == (table[:, 2] == 1).tobytes()
+
+
+def test_the_array_path_reads_every_fixed_notation_cell_but_zero():
+    # of the cells '%.17g' spells without an exponent (1e-4 <= |x| < 1e17),
+    # only 0 reaches float(); the candidate or its neighbour reads every
+    # other one, the powers of ten among them
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal(100_000) * 10.0 ** rng.integers(-4, 17, 100_000)
+    v = v[(np.abs(v) >= 1e-4) & (np.abs(v) < 1e17)]
+    r = np.arange(len(v), dtype=np.float64)
+    body = csvcells.render_columns([r, v, rng.random(len(v)) < 0.5])
+    with mock.patch.object(csvcells, "_FLOAT_CELL", mock.Mock(wraps=csvcells._FLOAT_CELL)) as grammar:
+        columns = csvcells.read_columns(body, "ffb")
+    assert [column.tobytes() for column in columns[:2]] == [r.tobytes(), v.tobytes()]
+    assert [call.args[0] for call in grammar.fullmatch.call_args_list] == [b"0"]
+
+
+def decimal_cell(sign: str, digits: str, point: int) -> str:
+    """[-]digits with a point ahead of digit `point` (none past the end):
+    "1.", ".5" and "00.5" among them."""
+    return sign + (digits[:point] + "." + digits[point:] if point <= len(digits) else digits)
+
+
+decimal_cells = st.builds(decimal_cell, st.sampled_from(["", "-"]), st.text("0123456789", min_size=1, max_size=22),
+                          st.integers(0, 23))
+
+
+@settings(max_examples=300)
+@given(cells=st.lists(decimal_cells, min_size=1, max_size=50))
+@example(cells=["1.", ".5", "00.5", "1.50", "0.1", "100", "9007199254740993", "12345678901234567.5", "0.000000123"])
+def test_a_decimal_cell_reads_to_the_bits_float_gives(cells):
+    # any decimal, '%.17g''s spelling or not: the array path's check makes
+    # each candidate it keeps the correctly rounded value, and the cells it
+    # leaves are float()'s; a body is refused only for a cell the grammar
+    # lacks ("0." or ".5" with more than 17 significant digits)
+    body = "".join(f"0,{cell},1\n" for cell in cells).encode()
+    columns = csvcells.read_columns(body, "ffb")
+    if columns is None:
+        assert not all(re.fullmatch(r"-?[0-9]+(\.[0-9]+)?", cell) for cell in cells)
+    else:
+        assert columns[1].tobytes() == np.array([float(cell) for cell in cells]).tobytes()
