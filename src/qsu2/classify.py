@@ -163,19 +163,19 @@ def allowed_m_set(d: Deformation, c: float, m_values) -> np.ndarray:
     return near(iv.center_delta, iv.delta / 2.0) | near(iv.center_Delta, iv.Delta / 2.0)
 
 
-def forbidden_m(d: Deformation, m: float, tol: float = MATCH_TOL) -> bool:
-    """m within tol of a forbidden point m_f = (pi/s)(k + 1/2) +- 1/2, where
-    a ladder coefficient of the c -> c0 continuous series vanishes."""
+def forbidden_m(d: Deformation, m: float) -> bool:
+    """m within MATCH_TOL of a forbidden point m_f = (pi/s)(k + 1/2) +- 1/2,
+    where a ladder coefficient of the c -> c0 continuous series vanishes."""
     period = math.pi / d.s
     for shift in (-0.5, 0.5):
         k = round(((m - shift) / period) - 0.5)
-        if abs(period * (k + 0.5) + shift - m) <= tol:
+        if abs(period * (k + 0.5) + shift - m) <= MATCH_TOL:
             return True
     return False
 
 
-def rational_pi_fraction(s: float, max_den: int = RATIONAL_MAX_DEN, tol: float = MATCH_TOL):
-    """Detect s = pi p/l by continued fractions; None if no denominator <= max_den fits."""
+def rational_pi_fraction(s: float):
+    """Detect s = pi p/l by continued fractions; None if no l <= RATIONAL_MAX_DEN fits within MATCH_TOL."""
     x = s / math.pi
     # continued-fraction convergents of x
     p0, q0, p1, q1 = 0, 1, 1, 0
@@ -183,13 +183,10 @@ def rational_pi_fraction(s: float, max_den: int = RATIONAL_MAX_DEN, tol: float =
     for _ in range(64):
         ai = math.floor(a)
         p0, q0, p1, q1 = p1, q1, ai * p1 + p0, ai * q1 + q0
-        if q1 > max_den:
+        if q1 > RATIONAL_MAX_DEN:
             return None
-        if abs(x - p1 / q1) < tol:
-            p, l = int(p1), int(q1)
-            if l == 0:
-                return None
-            return p, l
+        if abs(x - p1 / q1) < MATCH_TOL:  # q1 >= 1 from the first convergent on
+            return int(p1), int(q1)
         frac = a - ai
         if frac == 0.0:
             return None
@@ -198,16 +195,15 @@ def rational_pi_fraction(s: float, max_den: int = RATIONAL_MAX_DEN, tol: float =
 
 
 @functools.lru_cache(maxsize=256)
-def finite_orbit_candidates(d: Deformation, n_max: int | None = None) -> tuple:
-    """Valid finite ladders: (N, c) with c = [(N+1)/2]^2, orbit -N/2 .. N/2.
+def finite_orbit_candidates(d: Deformation) -> tuple:
+    """Valid finite ladders N <= ceil(2 pi/s) + 4: (N, c) with c = [(N+1)/2]^2, orbit -N/2 .. N/2.
 
     Orbits are centered on multiples of pi/s (here the k = 0 window, center
     m = 0), where the termination conditions [m0 - 1/2]^2 = [m0 + N + 1/2]^2
-    = c hold exactly.  They depend on s alone, so each (d, n_max) is
+    = c hold exactly.  They depend on s alone, so each d's candidates are
     computed once and shared by every c of a sweep.
     """
-    if n_max is None:
-        n_max = int(math.ceil(2.0 * math.pi / d.s)) + 4
+    n_max = int(math.ceil(2.0 * math.pi / d.s)) + 4
     N = np.arange(1, n_max + 1)
     c = -ladder_radicand(d, 0.0, N / 2.0, +1)  # [(N + 1)/2]^2, where orbit N closes
     # Orbit N moves m -> m + 1 from m = -N/2 .. N/2 - 1: the moves of orbit

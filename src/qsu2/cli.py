@@ -656,10 +656,10 @@ def _read_manifest(path):
 
 
 def _rerun(source: str, outdir: Path, check: bool) -> int:
-    """Parse the recorded argv again with the recorded config lines,
-    writing into outdir (argparse keeps the last --outdir).  With check,
-    the digests the replay's manifest records, taken as its outputs were
-    written, must be the ones the source manifest records, file for file."""
+    """Run the recorded argv, with outdir as its last --outdir, parsed with
+    the recorded config lines.  With check, the digests the replay's
+    manifest records, taken as its outputs were written, must be the ones
+    the source manifest records, file for file."""
     manifest = _read_manifest(source)
     if not (
         isinstance(manifest, dict)
@@ -681,13 +681,14 @@ def _rerun(source: str, outdir: Path, check: bool) -> int:
             refused = usage.getvalue().rpartition("error: ")[2].strip()
     if refused:
         raise argparse.ArgumentTypeError(f"{source} records arguments that qsu2 refuses: {refused}")
+    argv = manifest["argv"] + [f"--outdir={outdir}"]  # argparse keeps the last --outdir
     try:
         with contextlib.redirect_stderr(io.StringIO()) as usage:
-            _parse(manifest["argv"], manifest["defaults"])
+            args, defaults = _parse(argv, manifest["defaults"])
     except (SystemExit, argparse.ArgumentTypeError) as exc:
         why = usage.getvalue().rpartition("error: ")[2].strip() if isinstance(exc, SystemExit) else exc
         raise argparse.ArgumentTypeError(f"{source} records config lines that qsu2 refuses: {why}") from None
-    code = main(manifest["argv"] + [f"--outdir={outdir}"], manifest["defaults"])
+    code = _run(args, argv, defaults)
     if not check or code != EXIT_OK:
         return code
     replayed = _read_manifest(manifest_path(outdir, manifest["subcommand"]))["outputs"]
@@ -717,18 +718,24 @@ def _parse(argv: list, defaults: dict | None) -> tuple:
     return args, defaults
 
 
-def main(argv=None, defaults: dict | None = None) -> int:
-    """Run one invocation.  `defaults` stands in for the --config file's
-    lines; rerun passes the ones its manifest recorded."""
+def _run(args, argv: list, defaults: dict) -> int:
+    """Run args, parsed from argv with the config lines defaults, which its manifest records."""
+    outdir = _output_directory(args.outdir or os.environ.get("QSU2_OUTDIR", "."))
+    if args.command == "rerun":
+        return _rerun(args.manifest, outdir, args.check)
+    computed, outputs = DISPATCH[args.command](args)
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "outdir", "config", "potential_flags")}
+    for path in _write_outputs(outdir, outputs, args.command, params | computed, argv, defaults):
+        print(f"wrote {path}")
+    return EXIT_OK
+
+
+def main(argv=None) -> int:
+    """Run one invocation."""
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args, defaults = _parse(argv, defaults)
-        outdir = _output_directory(args.outdir or os.environ.get("QSU2_OUTDIR", "."))
-        if args.command == "rerun":
-            return _rerun(args.manifest, outdir, args.check)
-        computed, outputs = DISPATCH[args.command](args)
-        params = {k: v for k, v in vars(args).items() if k not in ("command", "outdir", "config", "potential_flags")}
-        paths = _write_outputs(outdir, outputs, args.command, params | computed, argv, defaults)
+        args, defaults = _parse(argv, None)
+        return _run(args, argv, defaults)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     # SingularDeformation is a ValueError; a MemoryError is an array the arguments size past any allocator
@@ -741,10 +748,6 @@ def main(argv=None, defaults: dict | None = None) -> int:
     except (FloatingPointError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-
-    for path in paths:
-        print(f"wrote {path}")
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -24,6 +24,8 @@ import threading
 
 import numpy as np
 
+from .serialize import _spell_percent
+
 # The digit core.  With E = floor(log10 |x|), the 17 digits of a float64 are
 # the integer D = round(R), R = |x| 10^k, k = 16 - E, rounded half to even.
 # For |x| in (1e-6, 1e17), k is in [0, 22], where 10^k is a double (the
@@ -81,10 +83,6 @@ _SPECIAL_KEYS[:, 2047, 1] = 2 * _KEYS_PER_SIGN  # nan
 _SPECIAL_KEYS[:, 0, 0] = 2 * _KEYS_PER_SIGN + np.array([1, 2])  # 0, -0
 _SPECIAL_KEYS[:, 2047, 0] = 2 * _KEYS_PER_SIGN + np.array([3, 4])  # inf, -inf
 _SPECIAL_KEYS = _SPECIAL_KEYS.ravel()
-
-
-def _spell_percent(values: list) -> list:
-    return (b"%.17g\0" * len(values) % tuple(values)).split(b"\0")[:-1]
 
 
 @functools.cache

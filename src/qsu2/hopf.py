@@ -34,6 +34,10 @@ import numpy as np
 from .classify import radicand_ok
 from .operators import EDGE_BUFFER, OperatorMatrix, _absmax, _ladder_bands
 
+WINDOW_C_START = 64.0  # first upper bracket of window_c_min, doubled until the window opens
+WINDOW_BISECTIONS = 80
+ACCUMULATION_TAIL = 8
+
 
 def _profile_constant(params):
     b0 = float(params.get("b0", 1.0))
@@ -200,19 +204,19 @@ def _window_bounds(c: float, gd: GenDeformation):
     return L1, L2, l1, l2
 
 
-def window_c_min(gd: GenDeformation, c_hi: float = 64.0, iters: int = 80) -> float:
-    """Smallest c with a non-empty f window, located by bisection."""
+def window_c_min(gd: GenDeformation) -> float:
+    """Smallest c with a non-empty f window, by WINDOW_BISECTIONS bisections from [0, WINDOW_C_START]."""
 
     def width(c):
         L1, L2, l1, l2 = _window_bounds(c, gd)
         return min(L2, l2) - max(L1, l1)
 
-    lo, hi = 0.0, c_hi
+    lo, hi = 0.0, WINDOW_C_START
     while width(hi) <= 0.0:
         hi *= 2.0
         if hi > 1e12:
             raise ValueError("no non-empty window found up to c = 1e12")
-    for _ in range(iters):
+    for _ in range(WINDOW_BISECTIONS):
         mid = 0.5 * (lo + hi)
         if width(mid) > 0.0:
             hi = mid
@@ -267,20 +271,20 @@ def spectrum_2jz(gd: GenDeformation, m_range):
     return 2.0 * (f - 1.0 / f) / gd.h
 
 
-def detect_accumulation(m_values, values, tail: int = 8):
-    """Monotone-tail detection of a two-sided accumulation point.
+def detect_accumulation(m_values, values):
+    """Monotone-tail detection of a two-sided accumulation point, from ACCUMULATION_TAIL samples a side.
 
     Returns a dict with the one-sided limit estimates, whether both tails
     are monotone, and whether they agree (single two-sided limit point).
     Raises ValueError when the samples do not fill two disjoint tails.
     """
     m = np.asarray(m_values, dtype=float)
-    if len(m) < 2 * tail:
-        raise ValueError(f"{len(m)} samples cannot fill two disjoint tails of {tail}")
+    if len(m) < 2 * ACCUMULATION_TAIL:
+        raise ValueError(f"{len(m)} samples cannot fill two disjoint tails of {ACCUMULATION_TAIL}")
     v = np.asarray(values, dtype=float)
     order = np.argsort(m)
     m, v = m[order], v[order]
-    left, right = v[:tail], v[-tail:]
+    left, right = v[:ACCUMULATION_TAIL], v[-ACCUMULATION_TAIL:]
     dl, dr = np.diff(left), np.diff(right)
     monotone = bool((np.all(dl <= 0) or np.all(dl >= 0)) and (np.all(dr <= 0) or np.all(dr >= 0)))
     lim_minus, lim_plus = float(left[0]), float(right[-1])
@@ -300,8 +304,8 @@ def _c2_casimir(gd: GenDeformation) -> float:
     return 2.0 ** (1.0 / 3.0) / v ** (1.0 / 3.0)
 
 
-def build_gen_rep(gd: GenDeformation, dim: int, c: float, m0: float | None = None):
-    """(J_z, J_+, J_-, g) on m0 .. m0+dim-1 by telescoping the commutator.
+def build_gen_rep(gd: GenDeformation, dim: int, c: float):
+    """(J_z, J_+, J_-, g) on m = -(dim-1)/2 .. (dim-1)/2 by telescoping the commutator.
 
     |N_m|^2 is telescoped from the basis midpoint, anchored so the quartic
     Casimir equals c there.  Raises when the anchor or any telescoped
@@ -309,9 +313,7 @@ def build_gen_rep(gd: GenDeformation, dim: int, c: float, m0: float | None = Non
     """
     if dim < 3:
         raise ValueError("dim must be >= 3")
-    if m0 is None:
-        m0 = -(dim - 1) / 2.0
-    ms = m0 + np.arange(dim, dtype=float)
+    ms = -(dim - 1) / 2.0 + np.arange(dim, dtype=float)
     f = np.asarray(gd.f_at_q1(ms), dtype=float)
     gt = f ** 0.5 * gd.q1 ** -0.25  # diag(sqrt(f)) * q1^{-1/4}
     phi = (gt - 1.0 / gt) ** 2

@@ -96,9 +96,9 @@ class LadderResult:
     note: str = ""
 
 
-def decoupled_ok(d: Deformation, m: float, threshold: float = DECOUPLED_THRESHOLD) -> bool:
-    """Decoupled-regime declaration: |eta^2 [2m]| below threshold."""
-    return abs(d.eta_sq * qnumber(2.0 * m, d)) < threshold
+def decoupled_ok(d: Deformation, m: float) -> bool:
+    """Decoupled-regime declaration: |eta^2 [2m]| below DECOUPLED_THRESHOLD."""
+    return abs(d.eta_sq * qnumber(2.0 * m, d)) < DECOUPLED_THRESHOLD
 
 
 # ----------------------------------------------------------------------
@@ -757,6 +757,7 @@ FFT_VARIANCE_FLOOR = 1e-5
 # trusted lags this close to the best FFT correlation are evaluated directly
 FFT_TIE_BAND = 1e-8
 MIN_LAG_PAIRS = 200
+CLIP_PERCENTILE = 40.0
 
 
 def _lag_correlation(w: np.ndarray, lag: int):
@@ -813,19 +814,13 @@ def _candidate_lags(w: np.ndarray, lag_lo: int, lag_hi: int) -> list:
     return lags[near | ~trusted].tolist()
 
 
-def commensurability_peak(
-    values: np.ndarray,
-    step: float,
-    base_period: float,
-    max_periods: int = 10,
-    clip_percentile: float = 40.0,
-):
+def commensurability_peak(values: np.ndarray, step: float, base_period: float, max_periods: int = 10):
     """Best secondary autocorrelation peak of V over lags up to max_periods.
 
-    Samples with |V| above the clip percentile (the pole-dominated part of
-    the profile, which repeats with the f1 period regardless of f2) are
-    excluded, so the correlation reflects the mid-well structure where the
-    second profile acts.  The normalized autocorrelation is scanned over
+    Samples with |V| above its CLIP_PERCENTILE percentile (the
+    pole-dominated part of the profile, which repeats with the f1 period
+    regardless of f2) are excluded, so the correlation reflects the
+    mid-well structure where the second profile acts.  The normalized autocorrelation is scanned over
     lags in (base_period/2, max_periods * base_period] with pairwise
     deletion of excluded samples: lags with fewer than MIN_LAG_PAIRS pairs
     or zero variance are skipped, and the earliest lag wins a tie.  The
@@ -834,7 +829,7 @@ def commensurability_peak(
     0.95 marks a commensurate pair.
     """
     v = np.asarray(values, dtype=float)
-    thr = np.nanpercentile(np.abs(v), clip_percentile)
+    thr = np.nanpercentile(np.abs(v), CLIP_PERCENTILE)
     w = np.where(np.abs(v) > thr, np.nan, v)
     w = w - np.nanmean(w)
     n = len(w)

@@ -130,6 +130,11 @@ class ColumnTable:
             yield from zip(*(c[lo : min(n, lo + CSV_BLOCK_ROWS)].tolist() for c in self.columns))
 
 
+def _spell_percent(values: list) -> list:
+    """The '%.17g' bytes of each float of values, spelled by one %."""
+    return (b"%.17g\0" * len(values) % tuple(values)).split(b"\0")[:-1]
+
+
 def float_cells(values) -> np.ndarray:
     """Each float of values as its '%.17g' text, a bytes ("S") array that
     write_csv writes as it is: spelled by one % below CSV_KERNEL_MIN_ROWS
@@ -138,7 +143,7 @@ def float_cells(values) -> np.ndarray:
     cells tiled or repeated."""
     values = np.asarray(values, dtype=np.float64)
     if len(values) < CSV_KERNEL_MIN_ROWS:
-        return np.array(("%.17g\0" * len(values) % tuple(values.tolist())).split("\0")[:-1], dtype=bytes)
+        return np.array(_spell_percent(values.tolist()), dtype=bytes)
     from .csvcells import spell_floats
 
     return spell_floats(values)

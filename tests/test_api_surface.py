@@ -5,7 +5,11 @@ body, unless a protocol fixes the signature (PROTOCOL_PARAMETERS).  Every
 public module-level function has a caller under `src/qsu2`, unless
 UNCALLED names it with its reason; callers in `perfbench/` and `tests/` do
 not count.  UNCALLED only shrinks: an entry whose function gains a caller
-fails until it is removed.
+fails until it is removed.  Every defaulted parameter of a function that
+code under `src/qsu2` or `perfbench/` calls is passed by one of those
+calls: a default no caller overrides is a constant, not a parameter.
+Functions with no call there, those UNCALLED names among them, are exempt
+until they gain one.
 """
 
 import ast
@@ -14,8 +18,14 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "qsu2"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qsu2"
 MODULES = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+# the benchmark's code, whose calls count with the library's as callers
+PERFBENCH = {
+    path.relative_to(ROOT).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+    for path in sorted((ROOT / "perfbench").rglob("*.py"))
+}
 
 # (module, owner, parameter): why the body need not read it.  A lambda's
 # owner is the module-level name it is assigned under, a method's its class
@@ -127,6 +137,50 @@ def _uncalled_public_functions() -> set:
     return uncalled
 
 
+def _defaulted(node) -> list:
+    """(name, index) of each parameter with a default, index its place
+    among the positional parameters a call fills (after a method's self
+    or cls), or None for a keyword-only one."""
+    args = node.args
+    positional = [*args.posonlyargs, *args.args]
+    bound = 1 if positional and positional[0].arg in ("self", "cls") else 0
+    first = len(positional) - len(args.defaults)
+    named = [(a.arg, i - bound) for i, a in enumerate(positional) if i >= first]
+    return named + [(a.arg, None) for a, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+
+
+def _passes(call, name: str, index) -> bool:
+    """Whether the call may pass the parameter: by keyword, by position, or
+    through *args or **kwargs, whose contents the source does not show."""
+    if any(keyword.arg in (name, None) for keyword in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def _unset_defaults() -> list:
+    """(module, owner, parameter) of each defaulted parameter of a called
+    library function that none of its calls passes; a call matches every
+    def of the name it calls."""
+    calls = {}  # name -> [ast.Call] under src/qsu2 and perfbench/
+    for tree in [*MODULES.values(), *PERFBENCH.values()]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for module, tree in MODULES.items():
+        for owner, node in _functions(tree):
+            if isinstance(node, ast.Lambda) or not calls.get(node.name):
+                continue
+            for name, index in _defaulted(node):
+                if not any(_passes(call, name, index) for call in calls[node.name]):
+                    unset.append((module, owner, name))
+    return unset
+
+
 def test_every_parameter_is_read():
     unread = [key for key in _unread_parameters() if key not in PROTOCOL_PARAMETERS]
     assert not unread, f"parameters no body reads: {unread}"
@@ -146,6 +200,11 @@ def test_the_uncalled_list_only_names_uncalled_functions():
     # an entry whose function gained a caller, or is gone, leaves the list
     stale = sorted(UNCALLED.keys() - _uncalled_public_functions())
     assert not stale, f"remove from UNCALLED: {stale}"
+
+
+def test_every_default_is_overridden_by_a_caller():
+    unset = _unset_defaults()
+    assert not unset, f"defaulted parameters no call under src/qsu2 or perfbench/ passes: {unset}"
 
 
 @pytest.mark.parametrize(
@@ -168,3 +227,19 @@ def test_the_caller_scan_finds_an_uncalled_function(monkeypatch):
     source = "def used():\n    return 1\n\ndef caller():\n    return used()\n\ndef orphan():\n    return orphan()\n"
     monkeypatch.setattr(sys.modules[__name__], "MODULES", {"m": ast.parse(source)})
     assert _uncalled_public_functions() == {"m.caller", "m.orphan"}
+
+
+def test_the_default_scan_finds_an_unset_default(monkeypatch):
+    # a bench call by keyword, a method call by position past self, a call
+    # through **kwargs, and an uncalled function, which is exempt
+    source = (
+        "def f(a, b=1, c=2, *, d=3):\n    return a + b + c + d\n\n"
+        "class C:\n    def g(self, x=0, y=1):\n        return x + y\n\n"
+        "def h(p=0):\n    return p\n\n"
+        "def orphan(z=0):\n    return z\n\n"
+        "def caller(kw):\n    return f(0, 1) + C().g(2) + h(**kw)\n"
+    )
+    bench = "import m\nm.f(0, d=4)\n"
+    monkeypatch.setattr(sys.modules[__name__], "MODULES", {"m": ast.parse(source)})
+    monkeypatch.setattr(sys.modules[__name__], "PERFBENCH", {"bench.py": ast.parse(bench)})
+    assert _unset_defaults() == [("m", "f", "c"), ("m", "C.g", "y")]

@@ -127,7 +127,7 @@ def test_accumulation_needs_two_disjoint_tails():
     with pytest.raises(ValueError, match="15 samples cannot fill two disjoint tails of 8"):
         detect_accumulation(ms[:-1], vals[:-1])
     with pytest.raises(ValueError, match="5 samples"):
-        detect_accumulation(ms[:5], vals[:5], tail=3)
+        detect_accumulation(ms[:5], vals[:5])
 
 
 def test_spectrum_trivial_deformation():
@@ -263,7 +263,7 @@ def test_hopf_residuals_fire_on_a_perturbed_rep(i):
 def test_hopf_report_sech_residuals_recorded():
     # c well above the telescoping drift so the truncation stays unitary
     gd, _ = _sech_gd(c=5.0)
-    rep = build_gen_rep(gd, 9, 5.0, m0=-4.0)
+    rep = build_gen_rep(gd, 9, 5.0)
     report = hopf_axiom_report(gd, rep)
     assert report.coassoc_jp < 1e-10
     assert report.counit_jp < 1e-12

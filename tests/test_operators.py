@@ -231,15 +231,14 @@ def test_build_rep_jm_is_jp_adjoint(s, k, m0, n):
     alpha=st.sampled_from([2.0, 3.0]),
     f0=st.floats(1.5, 30.0),
     c=st.floats(0.0, 1e4),
-    m0=st.none() | st.integers(-20, 20).map(lambda k: k / 2.0),
     n=st.integers(3, 60),
 )
-def test_gen_rep_jm_is_jp_adjoint(alpha, f0, c, m0, n):
+def test_gen_rep_jm_is_jp_adjoint(alpha, f0, c, n):
     """The invariant of test_build_rep_jm_is_jp_adjoint for the generalized
     deformation's telescoped representation."""
     gd = GenDeformation(alpha=alpha, profile="geometric", profile_params={"f0": f0})
     try:
-        _, jp, jm, _ = build_gen_rep(gd, n, c, m0)
+        _, jp, jm, _ = build_gen_rep(gd, n, c)
     except ValueError:  # no unitary truncation at this anchor
         assume(False)
     assert_jm_is_jp_adjoint(jp, jm)
